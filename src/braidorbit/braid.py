@@ -61,16 +61,6 @@ def braid_word(strands, *letters):
 # ---- free group words ------------------------------------------------------
 
 
-def free_reduce(word):
-    out = []
-    for s in word:
-        if out and out[-1] == -s:
-            out.pop()
-        else:
-            out.append(s)
-    return tuple(out)
-
-
 def free_mul(*words):
     out = []
     for w in words:

@@ -425,13 +425,3 @@ def orbit(cls, linear, bound=200_000, gens=None):
         frontier = new_frontier
     return OrbitResult(points=points, size=len(points))
 
-
-def stabilizer_of_class_in_group(cls, group):
-    """Number of matrices fixing the class projectively; orbit = |G|/count."""
-    from .linalg import mat_parallel
-
-    count = 0
-    for g in group:
-        if mat_parallel(g.apply(cls.coords), cls.coords):
-            count += 1
-    return count

@@ -21,13 +21,25 @@ def _parse_values(text):
     return tuple(parse_cyclo(tok) for tok in text.split(","))
 
 
+def _input_values(data, key, path):
+    values = data.get(key)
+    if values is None:
+        raise ValueError(f"{path}: missing key {key!r}")
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ValueError(f"{path}: {key!r} must be a list of cyclotomic literals")
+    return tuple(parse_cyclo(v) for v in values)
+
+
 def _load_rep(args):
     if getattr(args, "input", None):
         with open(args.input) as fh:
             data = json.load(fh)
-        lams = tuple(parse_cyclo(s) for s in data["lambda"])
-        taus = tuple(parse_cyclo(s) for s in data["tau"])
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.input}: expected a JSON object with 'lambda' and 'tau'")
+        lams, taus = (_input_values(data, key, args.input) for key in ("lambda", "tau"))
     else:
+        if args.lam is None or args.tau is None:
+            raise ValueError("pass --lambda and --tau, or --input")
         lams = _parse_values(args.lam)
         taus = _parse_values(args.tau)
     lp = LinearPart(lams)
@@ -410,8 +422,6 @@ def main(argv=None):
         "are written zN (so zN^k = e^(2 pi i k / N)); exponents theta map "
         "to linear parts via lambda = e^(-2 pi i theta).",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
-    parser.add_argument("--jobs", type=int, default=1, help="parallelism degree (reserved)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("orbit", help="BFS orbit of a conjugacy class")

@@ -138,6 +138,20 @@ def _prime_factors(n):
     return out
 
 
+def _divide_content(r, s):
+    """Divide two integer lists by the gcd of all their entries."""
+    g = 0
+    for x in r:
+        g = gcd(g, x)
+        if g == 1:
+            return r, s
+    for x in s:
+        g = gcd(g, x)
+        if g == 1:
+            return r, s
+    return [x // g for x in r], [x // g for x in s]
+
+
 class Cyclotomic:
     # _hash is filled in by the first hash() call and left unset before it
     __slots__ = ("n", "num", "den", "_hash")
@@ -300,46 +314,43 @@ class Cyclotomic:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        phi = euler_phi(self.n)
+        n = self.n
+        phi = euler_phi(n)
         if phi == 1:
-            return Cyclotomic._make(self.n, [self.den], self.num[0])
-        # extended Euclid on (self as polynomial, Phi_n) over Q
-        def deg(p):
-            d = len(p) - 1
-            while d >= 0 and not p[d]:
-                d -= 1
-            return d
-
-        def submul(a, q, b, shift):
-            # a -= q * x^shift * b, in place
-            for j, y in enumerate(b):
-                if y:
-                    a[shift + j] -= q * y
-
-        r0 = [Fraction(x, self.den) for x in self.num] + [Fraction(0)]
-        r1 = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        width = len(r1) + 1
-        r0 += [Fraction(0)] * (width - len(r0))
-        r1 += [Fraction(0)] * (width - len(r1))
-        s0 = [Fraction(1)] + [Fraction(0)] * (width - 1)
-        s1 = [Fraction(0)] * width
-        while deg(r1) >= 0:
-            d1 = deg(r1)
-            lead = r1[d1]
-            while deg(r0) >= d1:
-                d0 = deg(r0)
-                q = r0[d0] / lead
-                submul(r0, q, r1, d0 - d1)
-                submul(s0, q, s1, d0 - d1)
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        assert deg(r0) == 0, "Phi_n is coprime to every nonzero reduced element"
-        c = r0[0]
-        inv = [x / c for x in s0[:phi]]
-        den = 1
-        for f in inv:
-            den = lcm(den, f.denominator)
-        num = [int(f * den) for f in inv]
-        return Cyclotomic._make(self.n, num, den)
+            return Cyclotomic._make(n, [self.den], self.num[0])
+        # Extended Euclid on (Phi_n, num) over Z by pseudo-division: each
+        # pair (r, s) keeps r == s * num (mod Phi_n), and each remainder
+        # step ends by dividing the pair by its joint content.  Phi_n is
+        # irreducible, so the remainders end at a nonzero integer c, and
+        # then 1/self = den * s / c.
+        r0, s0 = list(cyclotomic_polynomial(n)), [0]
+        r1, s1 = list(self.num), [1]
+        while not r1[-1]:
+            r1.pop()
+        while len(r1) > 1:
+            lead = r1[-1]
+            while len(r0) >= len(r1):
+                # r0 <- a*r0 - b*x^shift*r1 cancels the leading term of r0
+                top = r0[-1]
+                g = gcd(lead, top)
+                a, b = lead // g, top // g
+                shift = len(r0) - len(r1)
+                if a != 1:
+                    r0 = [a * x for x in r0]
+                    s0 = [a * x for x in s0]
+                for j, y in enumerate(r1):
+                    r0[shift + j] -= b * y
+                r0.pop()
+                while not r0[-1]:
+                    r0.pop()
+                if len(s0) < shift + len(s1):
+                    s0 += [0] * (shift + len(s1) - len(s0))
+                for j, y in enumerate(s1):
+                    s0[shift + j] -= b * y
+            r0, s0 = _divide_content(r0, s0)
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        s1 += [0] * (phi - len(s1))
+        return Cyclotomic._make(n, [self.den * x for x in s1], r1[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)

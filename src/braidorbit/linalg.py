@@ -255,10 +255,6 @@ def matmul(a, b):
     return a @ b
 
 
-def matinv(m):
-    return m.inverse()
-
-
 def det(m):
     return m.det()
 

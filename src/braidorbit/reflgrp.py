@@ -542,11 +542,6 @@ def g32_order24_representative():
     raise AssertionError("no order-24 eigenvalue found")
 
 
-def g32_order9_representative():
-    nu = zeta(9, 1)
-    return (nu, nu**2, ONE, ZERO)
-
-
 # ---- lattice census ----------------------------------------------------------
 
 

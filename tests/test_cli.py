@@ -54,6 +54,34 @@ def test_orbit_json_input(tmp_path, capsys):
     assert json.loads(out)["size"] == 4
 
 
+@pytest.mark.parametrize(
+    "command", [["orbit"], ["gate"], ["coalesce", "--n", "4", "--k", "1", "--l", "2"]]
+)
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"lambda": ["z12", "z12^5", "z12^3", "z12^3"]}, "missing key 'tau'"),
+        ({"tau": ["z12^3", "0", "0"]}, "missing key 'lambda'"),
+        (["z12", "z12^5"], "expected a JSON object"),
+        ({"lambda": "z12", "tau": ["0"]}, "'lambda' must be a list"),
+        ({"lambda": ["z12", 5], "tau": ["0"]}, "'lambda' must be a list"),
+    ],
+)
+def test_bad_json_input_is_an_error(tmp_path, capsys, command, payload, message):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(payload))
+    code = main([*command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+def test_orbit_without_values_is_an_error(capsys):
+    assert main(["orbit", "--lambda", "z12,z12^5,z12^3,z12^3"]) == 2
+    assert "--tau" in capsys.readouterr().err
+
+
 def test_classify4_command(capsys):
     code, out = run(capsys, "classify4", "--lambda", "z12,z12^5,z12^3,z12^3")
     data = json.loads(out)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from braidorbit.cyclo import (
@@ -178,6 +178,32 @@ def test_inverse_and_roundtrip(x):
     if not x.is_zero():
         assert x * x.inverse() == 1
     assert parse_cyclo(render(x)) == x
+
+
+@st.composite
+def dense_elements(draw):
+    # every power-basis coefficient drawn, at phi 8 (15, 20, 24, 30) and 16 (60)
+    n = draw(st.sampled_from([15, 20, 24, 30, 60]))
+    coeffs = draw(st.lists(st.integers(-60, 60), min_size=euler_phi(n), max_size=euler_phi(n)))
+    den = draw(st.integers(min_value=1, max_value=40))
+    return sum((c * zeta(n, k) for k, c in enumerate(coeffs)), cyc(0, n)) / den
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_elements())
+@example(zeta(120, 1) - 3 * zeta(120, 7) + 2 * zeta(120, 31) + zeta(120, 29) / 5)  # phi 32
+@example(zeta(120, 1) + 2)
+@example(Cyclotomic.from_rational(Fraction(-3, 4), 60))  # rational at phi 16
+@example(cyc(Fraction(-5, 7)))  # phi 1
+@example(cyc(6, 2))
+def test_inverse_dense(x):
+    assume(not x.is_zero())
+    y = x.inverse()
+    assert x * y == 1
+    assert y.inverse() == x
+    assert y.n == x.n and len(y.num) == euler_phi(x.n)
+    assert y.den > 0
+    assert gcd(y.den, *y.num) == 1
 
 
 @settings(max_examples=40, deadline=None)

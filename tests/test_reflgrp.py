@@ -345,16 +345,39 @@ def test_backend_env_override():
 
     import braidorbit
 
+    # The child registers a stand-in compiled extension before braidorbit is
+    # imported, so the switch is tested whether or not `_kernel` is built.
+    # The stand-in copies the public names of the pure twin, which imports
+    # nothing from the package and so loads from its file alone.
+    child = (
+        "import importlib.util, sys, types\n"
+        "spec = importlib.util.spec_from_file_location('twin', sys.argv[1])\n"
+        "twin = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(twin)\n"
+        "stub = types.ModuleType('braidorbit._kernel')\n"
+        "stub.__dict__.update({k: v for k, v in vars(twin).items() if not k.startswith('_')})\n"
+        "stub.BACKEND = 'compiled'\n"
+        "sys.modules['braidorbit._kernel'] = stub\n"
+        "from braidorbit import kernel\n"
+        "print(kernel.BACKEND)\n"
+    )
+    twin_path = str(Path(braidorbit.__file__).resolve().parent / "_kernel_py.py")
     # the child imports the same package as this process, from a checkout
     # or from an installed copy
     pkg_root = str(Path(braidorbit.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, BRAIDORBIT_KERNEL="py")
+    env = {k: v for k, v in os.environ.items() if k != "BRAIDORBIT_KERNEL"}
     env["PYTHONPATH"] = pkg_root + (os.pathsep + path if path else "")
-    out = subprocess.run(
-        [sys.executable, "-c", "from braidorbit import kernel; print(kernel.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.stdout.strip() == "python"
+
+    def backend(**extra):
+        out = subprocess.run(
+            [sys.executable, "-c", child, twin_path],
+            env=dict(env, **extra),
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout.strip()
+
+    assert backend(BRAIDORBIT_KERNEL="py") == "python"
+    assert backend() == "compiled"

@@ -29,15 +29,6 @@ class ParseError(ValueError):
         self.expected = tuple(expected)
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _poly_divexact(num, den):
     """Exact division of integer polynomials (den monic up to sign)."""
     num = list(num)
@@ -152,6 +143,70 @@ def _divide_content(r, s):
     return [x // g for x in r], [x // g for x in s]
 
 
+def _mul_mod(n, a, b):
+    """Product of two power-basis integer vectors of Q(zeta_n), mod Phi_n."""
+    phi = len(a)
+    conv = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(phi):
+                y = b[j]
+                if y:
+                    conv[i + j] += x * y
+    out = conv[:phi]
+    if phi > 1:
+        rows = _reduction_rows(n)
+        for e in range(phi, 2 * phi - 1):
+            c = conv[e]
+            if c:
+                row = rows[e - phi]
+                for j in range(phi):
+                    out[j] += c * row[j]
+    return out
+
+
+def _int_inverse(n, num):
+    """Integers (s, c), c != 0, with num * s == c (mod Phi_n).
+
+    `num` is a nonzero power-basis integer vector of Q(zeta_n) and `s` has
+    the same length, so 1/num = s/c.
+    """
+    phi = len(num)
+    if phi == 1:
+        return [1], num[0]
+    # Extended Euclid on (Phi_n, num) over Z by pseudo-division: each
+    # pair (r, s) keeps r == s * num (mod Phi_n), and each remainder
+    # step ends by dividing the pair by its joint content.  Phi_n is
+    # irreducible, so the remainders end at a nonzero integer c.
+    r0, s0 = list(cyclotomic_polynomial(n)), [0]
+    r1, s1 = list(num), [1]
+    while not r1[-1]:
+        r1.pop()
+    while len(r1) > 1:
+        lead = r1[-1]
+        while len(r0) >= len(r1):
+            # r0 <- a*r0 - b*x^shift*r1 cancels the leading term of r0
+            top = r0[-1]
+            g = gcd(lead, top)
+            a, b = lead // g, top // g
+            shift = len(r0) - len(r1)
+            if a != 1:
+                r0 = [a * x for x in r0]
+                s0 = [a * x for x in s0]
+            for j, y in enumerate(r1):
+                r0[shift + j] -= b * y
+            r0.pop()
+            while not r0[-1]:
+                r0.pop()
+            if len(s0) < shift + len(s1):
+                s0 += [0] * (shift + len(s1) - len(s0))
+            for j, y in enumerate(s1):
+                s0[shift + j] -= b * y
+        r0, s0 = _divide_content(r0, s0)
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    return s1 + [0] * (phi - len(s1)), r1[0]
+
+
 class Cyclotomic:
     # _hash is filled in by the first hash() call and left unset before it
     __slots__ = ("n", "num", "den", "_hash")
@@ -252,6 +307,8 @@ class Cyclotomic:
         return None
 
     def _align(self, other):
+        if self.n == other.n:
+            return self, other
         m = lcm(self.n, other.n)
         return self.promote(m), other.promote(m)
 
@@ -289,68 +346,15 @@ class Cyclotomic:
         if other is None:
             return NotImplemented
         a, b = self._align(other)
-        phi = euler_phi(a.n)
-        conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(a.num):
-            if x:
-                bn = b.num
-                for j in range(phi):
-                    y = bn[j]
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:phi]
-        if phi > 1:
-            rows = _reduction_rows(a.n)
-            for e in range(phi, 2 * phi - 1):
-                c = conv[e]
-                if c:
-                    row = rows[e - phi]
-                    for j in range(phi):
-                        out[j] += c * row[j]
-        return Cyclotomic._make(a.n, out, a.den * b.den)
+        return Cyclotomic._make(a.n, _mul_mod(a.n, a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        n = self.n
-        phi = euler_phi(n)
-        if phi == 1:
-            return Cyclotomic._make(n, [self.den], self.num[0])
-        # Extended Euclid on (Phi_n, num) over Z by pseudo-division: each
-        # pair (r, s) keeps r == s * num (mod Phi_n), and each remainder
-        # step ends by dividing the pair by its joint content.  Phi_n is
-        # irreducible, so the remainders end at a nonzero integer c, and
-        # then 1/self = den * s / c.
-        r0, s0 = list(cyclotomic_polynomial(n)), [0]
-        r1, s1 = list(self.num), [1]
-        while not r1[-1]:
-            r1.pop()
-        while len(r1) > 1:
-            lead = r1[-1]
-            while len(r0) >= len(r1):
-                # r0 <- a*r0 - b*x^shift*r1 cancels the leading term of r0
-                top = r0[-1]
-                g = gcd(lead, top)
-                a, b = lead // g, top // g
-                shift = len(r0) - len(r1)
-                if a != 1:
-                    r0 = [a * x for x in r0]
-                    s0 = [a * x for x in s0]
-                for j, y in enumerate(r1):
-                    r0[shift + j] -= b * y
-                r0.pop()
-                while not r0[-1]:
-                    r0.pop()
-                if len(s0) < shift + len(s1):
-                    s0 += [0] * (shift + len(s1) - len(s0))
-                for j, y in enumerate(s1):
-                    s0[shift + j] -= b * y
-            r0, s0 = _divide_content(r0, s0)
-            r0, s0, r1, s1 = r1, s1, r0, s0
-        s1 += [0] * (phi - len(s1))
-        return Cyclotomic._make(n, [self.den * x for x in s1], r1[0])
+        s, c = _int_inverse(self.n, self.num)
+        return Cyclotomic._make(self.n, [self.den * x for x in s], c)
 
     def __truediv__(self, other):
         other = self._coerce(other)

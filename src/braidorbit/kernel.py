@@ -103,12 +103,3 @@ def from_blob_vector(blob, conductor):
         for k in range(len(nums) // phi)
     )
 
-
-def to_blob_plane(rows, conductor):
-    flat = list(rows[0]) + list(rows[1])
-    return to_blob_vector(flat, conductor)
-
-
-def from_blob_plane(blob, d, conductor):
-    vals = from_blob_vector(blob, conductor)
-    return (vals[:d], vals[d:])

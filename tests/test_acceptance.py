@@ -17,7 +17,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from braidorbit import reflgrp
 from braidorbit.braid import FreeTuple, PureLetter, hurwitz_act, pure_sigma_ij
@@ -58,19 +57,6 @@ def report(criterion, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {criterion}: {status} {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def g25():
-    return reflgrp.build_g25()
-
-
-@pytest.fixture(scope="module")
-def g32(tmp_path_factory):
-    import os
-
-    cache = os.environ.get("BRAIDORBIT_CACHE") or str(tmp_path_factory.mktemp("g32"))
-    return reflgrp.build_g32(cache_dir=cache)
 
 
 def bfs_size(rep, bound=500):

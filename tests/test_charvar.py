@@ -248,6 +248,78 @@ def test_orbit_prop24_power_law():
     assert orbit(cls, lp, bound=1000).size == 16  # 4^(3-1)
 
 
+def object_orbit(cls, linear, bound, gens=None):
+    """Reference BFS on Cyclotomic objects: ProjClass, Mat.apply and ==."""
+    gens = reduced_generators(linear) if gens is None else gens
+    points, frontier = [cls], [cls]
+    while frontier:
+        new_frontier = []
+        for p in frontier:
+            for m in gens:
+                q = ProjClass(p.n, m.apply(p.coords))
+                if not any(q == r for r in points):
+                    points.append(q)
+                    if len(points) > bound:
+                        return points, True
+                    new_frontier.append(q)
+        frontier = new_frontier
+    return points, False
+
+
+def assert_orbit_matches_object_bfs(cls, linear, bound, gens=None):
+    res = orbit(cls, linear, bound=bound, gens=gens)
+    ref, exceeded = object_orbit(cls, linear, bound, gens)
+    assert (res.size, res.exceeded_bound) == (len(ref), exceeded)
+    assert all(p == q for p, q in zip(res.points, ref))
+    return res
+
+
+def _z(n, k):
+    return zeta(n, k) if n > 0 else -zeta(-n, k)
+
+
+# (label, lambdas as (N, k) meaning zeta_N^k, or -zeta_|N|^k for N < 0,
+#  tau, bound); conductors 2, 6, 8 and 12, 24, 60 give phi = 1, 2, 4, 8, 16
+ORACLE_CASES = [
+    ("phi1-bound", ((-2, 0), (-2, 0), (-2, 0), (-2, 0)), (0, 1, 3), 40),
+    ("phi2-tetrahedral-6", ((-1, 0), (6, 1), (6, 1), (6, 1)), (0, 1, 2), 100),
+    ("phi2-n5-bound", ((6, 1), (6, 1), (6, 1), (6, 1), (6, 2)), (0, 1, 2, 5), 50),
+    ("phi4-tetrahedral-12", ((12, 1), (12, 5), (12, 3), (12, 3)), (0, 1, 3), 100),
+    ("phi4-imprimitive-8", ((8, 1), (-8, 7), (-8, 7), (8, 1)), (0, 1, 2), 100),
+    ("phi8-octahedral-24", ((24, 1), (24, 5), (24, 7), (24, 11)), (0, 1, 2), 100),
+    ("phi16-icosahedral-60", ((60, 1), (60, 29), (60, 11), (60, 19)), (0, 1, 2), 100),
+]
+
+
+@pytest.mark.parametrize("label, lams, tau, bound", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_orbit_matches_object_bfs(label, lams, tau, bound):
+    lp = LinearPart(tuple(_z(*x) for x in lams))
+    cls, _ = normalize(AffineRep(lp, tuple(cyc(t) for t in tau)))
+    assert_orbit_matches_object_bfs(cls, lp, bound)
+
+
+def test_orbit_matches_object_bfs_on_edge_cases():
+    lp, e = tetra_linear()
+    z6 = zeta(6)
+    lp6 = LinearPart((-ONE, z6, z6, z6))
+    gens = reduced_generators(lp)[::-1]
+    cases = [
+        # start coordinates of a larger conductor than the linear part
+        (ProjClass(4, (ONE, zeta(4))), lp6, 100, None),
+        (ProjClass(4, (ONE, zeta(5))), lp, 100, None),
+        # an explicit generator list, in another order
+        (ProjClass(4, (ONE, cyc(3))), lp, 100, gens),
+        (ProjClass(4, (ONE, cyc(3))), lp, 100, gens[:2]),
+        # generator entries of a larger conductor than `linear`
+        (ProjClass(4, (ONE, cyc(3))), lp6, 100, gens),
+    ]
+    for cls, linear, bound, g in cases:
+        assert_orbit_matches_object_bfs(cls, linear, bound, g)
+    # a run that passes its bound
+    res = assert_orbit_matches_object_bfs(ProjClass(4, (ONE, cyc(3))), lp, 5)
+    assert res.exceeded_bound and res.size == 6
+
+
 def test_apply_braid_identity_and_zero():
     lp, e = tetra_linear()
     cls, _ = normalize(AffineRep(lp, (ZERO, ONE, cyc(2))))

@@ -31,6 +31,20 @@ def test_orbit_command(capsys):
     assert len(data["points"]) == 4
 
 
+def test_orbit_readme_example_points(capsys):
+    # the README's tetrahedral example: rendering and discovery order are pinned
+    code, out = run(
+        capsys, "orbit", "--lambda", "z12,z12^5,z12^3,z12^3", "--tau", "z12^3,0,0"
+    )
+    assert code == 0
+    assert json.loads(out)["points"] == [
+        "[1 : 2 - z12 - z12^2 + z12^3]",
+        "[1 : -1 + 2*z12 - z12^3]",
+        "[1 : 0]",
+        "[1 : 1 + z12 - z12^2]",
+    ]
+
+
 def test_orbit_zero_class(capsys):
     code, out = run(
         capsys,

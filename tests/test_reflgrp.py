@@ -1,8 +1,6 @@
 import math
 import random
 
-import pytest
-
 from braidorbit import reflgrp
 from braidorbit.cyclo import cyc, order_of_root, zeta
 from braidorbit.linalg import Mat, is_complex_reflection, mat_parallel, matrix_order
@@ -10,16 +8,6 @@ from braidorbit.linalg import Mat, is_complex_reflection, mat_parallel, matrix_o
 W = zeta(3, 1)
 ONE = cyc(1)
 ZERO = cyc(0)
-
-
-@pytest.fixture(scope="module")
-def g25():
-    return reflgrp.build_g25()
-
-
-@pytest.fixture(scope="module")
-def g32():
-    return reflgrp.build_g32()
 
 
 def test_g25_generators_are_order3_reflections():

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernel against the pure-Python fallback.
+"""Time the kernel's hot loops.
 
-Runs the hot loops (group closure, reflection scan, stabilizer scan,
-projective line orbit) on G25 under both backends, and optionally the
-full G32 closure with --g32.
+Runs group closure, reflection scan, stabilizer scan and projective line
+orbit on G25, and optionally the full G32 closure and scans with --g32.
 
 Usage: python benchmarks/bench_kernel.py [--g32]
 """
@@ -11,15 +10,9 @@ Usage: python benchmarks/bench_kernel.py [--g32]
 import argparse
 import time
 
-from braidorbit import _kernel_py as kpy
 from braidorbit import kernel
 from braidorbit.cyclo import cyc
 from braidorbit.reflgrp import g25_generators, g32_generators
-
-try:
-    from braidorbit import _kernel as kcy
-except ImportError:
-    kcy = None
 
 
 def timed(fn, *args):
@@ -28,27 +21,27 @@ def timed(fn, *args):
     return result, time.perf_counter() - t0
 
 
-def bench_backend(impl, include_g32):
+def bench(include_g32):
     phi, red = kernel.ring_params(3)
     gens = [kernel.to_blob_matrix(g, 3) for g in g25_generators()]
     rows = {}
 
-    els, rows["g25 closure (648)"] = timed(impl.closure, gens, 3, phi, red, 1000)
-    _, rows["g25 reflection scan"] = timed(impl.reflection_indices, els, 3, phi, red)
+    els, rows["g25 closure (648)"] = timed(kernel.closure, gens, 3, phi, red, 1000)
+    _, rows["g25 reflection scan"] = timed(kernel.reflection_indices, els, 3, phi, red)
     v = kernel.to_blob_vector((cyc(1), cyc(-1), cyc(0)), 3)
-    _, rows["g25 stabilizer scan"] = timed(impl.stab_count_line, els, v, 3, phi, red)
+    _, rows["g25 stabilizer scan"] = timed(kernel.stab_count_line, els, v, 3, phi, red)
     tgens = [kernel.to_blob_matrix(g.inverse().transpose(), 3) for g in g25_generators()]
     n = kernel.to_blob_vector((cyc(0), cyc(0), cyc(1)), 3)
-    _, rows["g25 hyperplane orbit"] = timed(impl.line_orbit, tgens, n, 3, phi, red, 50)
+    _, rows["g25 hyperplane orbit"] = timed(kernel.line_orbit, tgens, n, 3, phi, red, 50)
 
     if include_g32:
         gens4 = [kernel.to_blob_matrix(g, 3) for g in g32_generators()]
         els4, rows["g32 closure (155520)"] = timed(
-            impl.closure, gens4, 4, phi, red, 160_000
+            kernel.closure, gens4, 4, phi, red, 160_000
         )
-        _, rows["g32 reflection scan"] = timed(impl.reflection_indices, els4, 4, phi, red)
+        _, rows["g32 reflection scan"] = timed(kernel.reflection_indices, els4, 4, phi, red)
         v4 = kernel.to_blob_vector((cyc(0), cyc(1), cyc(0), cyc(0)), 3)
-        _, rows["g32 stabilizer scan"] = timed(impl.stab_count_line, els4, v4, 4, phi, red)
+        _, rows["g32 stabilizer scan"] = timed(kernel.stab_count_line, els4, v4, 4, phi, red)
     return rows
 
 
@@ -57,29 +50,11 @@ def main():
     parser.add_argument("--g32", action="store_true", help="include the order-155520 closure")
     args = parser.parse_args()
 
-    backends = [("python", kpy)]
-    if kcy is not None:
-        backends.append(("cython", kcy))
-    else:
-        print("compiled kernel not built; benchmarking the fallback only")
-
-    results = {name: bench_backend(impl, args.g32) for name, impl in backends}
-    names = list(results[backends[0][0]].keys())
-    width = max(len(n) for n in names)
-    header = f"{'benchmark':<{width}}"
-    for name, _ in backends:
-        header += f"  {name:>10}"
-    if len(backends) == 2:
-        header += f"  {'speedup':>8}"
-    print(header)
-    for bench in names:
-        line = f"{bench:<{width}}"
-        for name, _ in backends:
-            line += f"  {results[name][bench]:>9.3f}s"
-        if len(backends) == 2:
-            ratio = results["python"][bench] / max(results["cython"][bench], 1e-9)
-            line += f"  {ratio:>7.1f}x"
-        print(line)
+    rows = bench(args.g32)
+    width = max(len(name) for name in rows)
+    print(f"{'benchmark':<{width}}  {'seconds':>10}")
+    for name, seconds in rows.items():
+        print(f"{name:<{width}}  {seconds:>9.3f}s")
 
 
 if __name__ == "__main__":

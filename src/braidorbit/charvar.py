@@ -14,6 +14,7 @@ from math import gcd, lcm
 
 from .braid import BraidWord, PureLetter
 from .cyclo import Cyclotomic, _int_inverse, _mul_mod, cyc, euler_phi, order_of_root
+from .kernel import BoundExceeded, bfs
 from .linalg import Mat
 
 ZERO = cyc(0)
@@ -502,29 +503,19 @@ def orbit(cls, linear, bound=200_000, gens=None):
     start = _canon(
         [c for v in _int_vectors(cls.coords, conductor) for c in v], conductor, phi, inverses
     )
-    seen = {start}
-    found = [start]
 
-    def result(exceeded):
-        points = [cls] + [_proj_class(cls.n, w, conductor, phi) for w in found[1:]]
-        return OrbitResult(points=points, size=len(points), exceeded_bound=exceeded)
+    def step(v):
+        for cols in actions:
+            w = [0] * dim
+            for j, x in enumerate(v):
+                if x:
+                    for r, a in cols[j]:
+                        w[r] += a * x
+            yield _canon(w, conductor, phi, inverses)
 
-    frontier = [start]
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            for cols in actions:
-                w = [0] * dim
-                for j, x in enumerate(v):
-                    if x:
-                        for r, a in cols[j]:
-                            w[r] += a * x
-                q = _canon(w, conductor, phi, inverses)
-                if q not in seen:
-                    seen.add(q)
-                    found.append(q)
-                    if len(found) > bound:
-                        return result(True)
-                    new_frontier.append(q)
-        frontier = new_frontier
-    return result(False)
+    try:
+        found, exceeded = bfs(start, step, bound), False
+    except BoundExceeded as exc:
+        found, exceeded = exc.found, True
+    points = [cls] + [_proj_class(cls.n, w, conductor, phi) for w in found[1:]]
+    return OrbitResult(points=points, size=len(points), exceeded_bound=exceeded)

@@ -21,6 +21,7 @@ from .charvar import (
     normalize,
 )
 from .cyclo import Cyclotomic, cyc, order_of_root, sqrt_of_root, zeta
+from .kernel import BoundExceeded, bfs
 from .linalg import mat_parallel
 
 ONE = cyc(1)
@@ -596,19 +597,8 @@ def _projective_closure(gens, bound):
         return tuple(e.key_at(conductor * 5) for e in m.entries)
 
     gens = [canon(g) for g in gens] + [canon(g.inverse()) for g in gens]
-    seen = {}
-    frontier = [canon(gens[0] @ gens[0].inverse())]
-    seen[key(frontier[0])] = frontier[0]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                q = canon(g @ m)
-                k = key(q)
-                if k not in seen:
-                    if len(seen) >= bound:
-                        raise NotFiniteCase("projective closure exceeded bound")
-                    seen[k] = q
-                    new.append(q)
-        frontier = new
-    return list(seen.values())
+    start = canon(gens[0] @ gens[0].inverse())
+    try:
+        return bfs(start, lambda m: (canon(g @ m) for g in gens), bound, key=key)
+    except BoundExceeded as exc:
+        raise NotFiniteCase("projective closure exceeded bound") from exc

@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclo import Cyclotomic, cyc, zeta
+from .kernel import BoundExceeded
 from .linalg import Mat
 
 ZERO = cyc(0)
@@ -47,10 +48,6 @@ class PoleTooClose(ValueError):
 
 
 class AmbiguousMatch(RuntimeError):
-    pass
-
-
-class BoundExceeded(RuntimeError):
     pass
 
 
@@ -494,10 +491,10 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
         for m in worklist:
             for g in gens:
                 prod = g @ m
-                if len(stored) > bound:
-                    raise BoundExceeded(f"numeric closure exceeded {bound}")
                 _, fresh = insert(prod)
                 if fresh:
+                    if len(stored) > bound:
+                        raise BoundExceeded(bound, stored)
                     new.append(prod)
         worklist = new
     return len(stored)

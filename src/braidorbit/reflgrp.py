@@ -1,18 +1,17 @@
 """The complex reflection groups G25 and G32: construction and orbit data.
 
 Both groups are generated by order-3 reflections with entries in Q(omega)
-and are enumerated explicitly (648 and 155520 elements) through the
-kernel backend.  On top of the raw closure this module computes
-reflections, reflection hyperplanes, the regular eigenplanes ("proper
-planes"), orbit strata of projective points, the intersection lattice
-census, the regular polytopes they preserve, and the conjugation to the
-braid-action matrices.
+and are enumerated explicitly (648 and 155520 elements) by the kernel.
+On top of the raw closure this module computes reflections, reflection
+hyperplanes, the regular eigenplanes ("proper planes"), orbit strata of
+projective points, the intersection lattice census, the regular polytopes
+they preserve, and the conjugation to the braid-action matrices.
 """
 
 from __future__ import annotations
 
 import os
-import struct
+import warnings
 from dataclasses import dataclass
 from math import lcm
 
@@ -26,7 +25,10 @@ ONE = cyc(1)
 ZERO = cyc(0)
 
 CACHE_ENV = "BRAIDORBIT_CACHE"
+# the file keeps its name across header versions, so an older file is
+# found, reported and replaced instead of lying around unused
 _G32_CACHE_NAME = "g32_elements_v1.bin"
+_G32_BLOB_SIZE = 8 * (1 + 2 * 16)  # den + phi=2 coefficients for 16 entries
 
 G25_DEGREES = (6, 9, 12)
 G25_CODEGREES = (0, 3, 6)
@@ -161,8 +163,8 @@ class ReflGroup:
             yield kernel.from_blob_matrix(blob, self.dim, self.conductor)
 
 
-class BoundExceeded(RuntimeError):
-    pass
+# what build_g25, build_g32 and _plane_orbit_py raise past their bounds
+BoundExceeded = kernel.BoundExceeded
 
 
 def _closure_blobs(gens, dim, conductor, bound):
@@ -239,31 +241,51 @@ def _cache_path(cache_dir):
     return os.path.join(base, _G32_CACHE_NAME)
 
 
+def _g32_cache_header(data):
+    """The v2 header line for the element bytes `data` (a SHA-256 of them)."""
+    # imported here: hashlib loads OpenSSL, about 3 MB of resident memory
+    # that only a G32 cache needs
+    import hashlib
+
+    count = len(data) // _G32_BLOB_SIZE
+    digest = hashlib.sha256(data).hexdigest()
+    return f"braidorbit g32 v2 dim=4 conductor=3 count={count} sha256={digest}\n".encode()
+
+
 def _store_g32_cache(cache_dir, elements):
     path = _cache_path(cache_dir)
     if path is None:
         return
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(f"braidorbit g32 v1 dim=4 conductor=3 count={len(elements)}\n".encode())
-        for blob in elements:
-            fh.write(blob)
+    data = b"".join(elements)
+    # write a temp file and rename it, so a reader never sees half a file
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_g32_cache_header(data))
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _load_g32_cache(cache_dir):
+    """The cached G32 elements, or None (with a warning) if the file is unusable."""
     path = _cache_path(cache_dir)
     if path is None or not os.path.exists(path):
         return None
     with open(path, "rb") as fh:
-        header = fh.readline().decode()
-        if not header.startswith("braidorbit g32 v1 "):
-            return None
-        count = int(header.strip().rsplit("count=", 1)[1])
-        size = 8 * (1 + 2 * 16)
+        header = fh.readline()
         data = fh.read()
-    if len(data) != count * size:
+    if len(data) % _G32_BLOB_SIZE or header != _g32_cache_header(data):
+        warnings.warn(
+            f"ignoring G32 cache {path}: its header does not match its contents "
+            "(an older format or a corrupt file); rebuilding the group",
+            stacklevel=2,
+        )
         return None
-    return [data[i * size : (i + 1) * size] for i in range(count)]
+    return [data[i : i + _G32_BLOB_SIZE] for i in range(0, len(data), _G32_BLOB_SIZE)]
 
 
 def _fill_reflection_data(group):
@@ -336,28 +358,14 @@ def _plane_orbit_py(gens, basis, conductor, bound):
 
     def canon(rows):
         red, _ = Mat.from_rows(rows).rref()
-        out = [list(red.row(i)) for i in range(len(rows))]
-        key = tuple(e.key_at(conductor) for row in out for e in row)
-        return out, key
+        return [list(red.row(i)) for i in range(len(rows))]
 
-    start, key0 = canon(basis)
-    seen = {key0}
-    out = [start]
-    frontier = [start]
-    while frontier:
-        new = []
-        for rows in frontier:
-            for g in gens:
-                img = [g.apply(row) for row in rows]
-                cimg, key = canon(img)
-                if key not in seen:
-                    if len(out) >= bound:
-                        raise BoundExceeded("plane orbit exceeded bound")
-                    seen.add(key)
-                    out.append(cimg)
-                    new.append(cimg)
-        frontier = new
-    return out
+    def key(rows):
+        return tuple(e.key_at(conductor) for row in rows for e in row)
+
+    return kernel.bfs(
+        canon(basis), lambda rows: (canon([g.apply(r) for r in rows]) for g in gens), bound, key
+    )
 
 
 # ---- incidence, stabilizers, strata -----------------------------------------

@@ -96,6 +96,13 @@ def test_orbit_without_values_is_an_error(capsys):
     assert "--tau" in capsys.readouterr().err
 
 
+def test_kernel_overflow_is_an_error(capsys):
+    code = main(["strata", "--which", "g25", "--point", "[100000000000000000000:1:0]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "100000000000000000000" in captured.err
+
+
 def test_classify4_command(capsys):
     code, out = run(capsys, "classify4", "--lambda", "z12,z12^5,z12^3,z12^3")
     data = json.loads(out)

@@ -1,53 +1,14 @@
+import cmath
 import random
 
+import numpy as np
 import pytest
 
-from braidorbit import _kernel_py as kpy
-from braidorbit import kernel
+from braidorbit import connect, kernel, reflgrp
+from braidorbit.charvar import LinearPart, ProjClass, orbit
+from braidorbit.classify import NotFiniteCase, _projective_closure
 from braidorbit.cyclo import cyc, zeta
-from braidorbit.linalg import Mat
-
-try:
-    from braidorbit import _kernel as kcy
-except ImportError:
-    kcy = None
-
-backends = [kpy] if kcy is None else [kpy, kcy]
-
-
-def rand_blob(rng, d, phi, max_num=6):
-    den = rng.randrange(1, 4)
-    nums = [rng.randrange(-max_num, max_num + 1) for _ in range(phi * d * d)]
-    return kpy.pack_values(den, nums)
-
-
-def rand_vec(rng, d, phi, max_num=6):
-    den = rng.randrange(1, 4)
-    nums = [rng.randrange(-max_num, max_num + 1) for _ in range(phi * d)]
-    return kpy.pack_values(den, nums)
-
-
-@pytest.mark.skipif(kcy is None, reason="compiled kernel not built")
-def test_backend_parity_matmul_matvec():
-    rng = random.Random(1)
-    for conductor in (3, 4, 6, 12, 9):
-        phi, red = kernel.ring_params(conductor)
-        for _ in range(20):
-            d = rng.randrange(2, 5)
-            a, b = rand_blob(rng, d, phi), rand_blob(rng, d, phi)
-            v = rand_vec(rng, d, phi)
-            assert kpy.mat_mul(a, b, d, phi, red) == kcy.mat_mul(a, b, d, phi, red)
-            assert kpy.mat_vec(a, v, d, phi, red) == kcy.mat_vec(a, v, d, phi, red)
-
-
-@pytest.mark.skipif(kcy is None, reason="compiled kernel not built")
-def test_backend_parity_projective():
-    rng = random.Random(2)
-    phi, red = kernel.ring_params(3)
-    for _ in range(30):
-        d = rng.randrange(2, 5)
-        v = rand_vec(rng, d, phi)
-        assert kpy.line_canon(v, d, phi, red) == kcy.line_canon(v, d, phi, red)
+from braidorbit.linalg import Mat, eigenspace
 
 
 def test_mat_mul_matches_linalg():
@@ -84,7 +45,8 @@ def test_blob_roundtrip():
     assert kernel.from_blob_vector(blob_v, 12) == tuple(cyc(x) for x in v)
 
 
-@pytest.mark.parametrize("impl", backends, ids=lambda m: m.BACKEND)
+# the ids keep the test names the suite has always reported
+@pytest.mark.parametrize("impl", [kernel], ids=lambda m: m.BACKEND)
 def test_closure_small_group(impl):
     # <zeta6 rotation> in GL_1 has order 6
     phi, red = kernel.ring_params(6)
@@ -95,7 +57,7 @@ def test_closure_small_group(impl):
         impl.closure([g], 1, phi, red, 5)
 
 
-@pytest.mark.parametrize("impl", backends, ids=lambda m: m.BACKEND)
+@pytest.mark.parametrize("impl", [kernel], ids=lambda m: m.BACKEND)
 def test_g25_closure_per_backend(impl):
     from braidorbit.reflgrp import g25_generators
 
@@ -107,7 +69,7 @@ def test_g25_closure_per_backend(impl):
     assert len(refl) == 24
 
 
-@pytest.mark.parametrize("impl", backends, ids=lambda m: m.BACKEND)
+@pytest.mark.parametrize("impl", [kernel], ids=lambda m: m.BACKEND)
 def test_stab_counts(impl):
     from braidorbit.reflgrp import g25_generators
 
@@ -120,7 +82,7 @@ def test_stab_counts(impl):
     assert impl.stab_count_point(els, v, 3, phi, red) <= 72
 
 
-@pytest.mark.parametrize("impl", backends, ids=lambda m: m.BACKEND)
+@pytest.mark.parametrize("impl", [kernel], ids=lambda m: m.BACKEND)
 def test_line_orbit_hyperplanes(impl):
     from braidorbit.reflgrp import g25_generators
 
@@ -134,9 +96,89 @@ def test_line_orbit_hyperplanes(impl):
 
 
 def test_overflow_guard():
-    if kcy is None:
-        pytest.skip("compiled kernel not built")
     phi, red = kernel.ring_params(3)
-    big = kpy.pack_values(1, [1 << 62, 0, 0, 0, 0, 0, 0, 1 << 62])
-    with pytest.raises(OverflowError):
-        kcy.mat_mul(big, big, 2, phi, red)
+    big = kernel.pack_values(1, [1 << 62, 0, 0, 0, 0, 0, 0, 1 << 62])
+    with pytest.raises(OverflowError, match=str(1 << 124)):
+        kernel.mat_mul(big, big, 2, phi, red)
+
+
+# ---- one bound meaning ----------------------------------------------------------
+#
+# Every search succeeds at bound = size and, at bound = size - 1, reports
+# that it passed the bound together with the size = bound + 1 items it
+# found by then.  Each case maps a bound to (items found, exceeded).
+
+
+def _raising(search):
+    """A case for a search that returns its items and raises past its bound."""
+
+    def case(bound):
+        try:
+            return len(search(bound)), False
+        except kernel.BoundExceeded as exc:
+            return len(exc.found), True
+        except NotFiniteCase as exc:
+            return len(exc.__cause__.found), True
+
+    return case
+
+
+def _closure(bound):
+    phi, red = kernel.ring_params(6)
+    g = kernel.to_blob_matrix(Mat.from_rows([[zeta(6, 1)]]), 6)
+    return kernel.closure([g], 1, phi, red, bound)
+
+
+def _g25_line_orbit(bound):
+    phi, red = kernel.ring_params(3)
+    gens = [kernel.to_blob_matrix(g.inverse().transpose(), 3) for g in reflgrp.g25_generators()]
+    v = kernel.to_blob_vector((cyc(0), cyc(0), cyc(1)), 3)
+    return kernel.line_orbit(gens, v, 3, phi, red, bound)
+
+
+def _charvar_orbit(bound):
+    # the README example: tetrahedral family, size-4 row
+    lp = LinearPart((zeta(12, 1), zeta(12, 5), zeta(12, 3), zeta(12, 3)))
+    res = orbit(ProjClass(4, (cyc(1), cyc(0))), lp, bound=bound)
+    return res.size, res.exceeded_bound
+
+
+def _projective(bound):
+    return _projective_closure([Mat.from_rows([[1, 0], [0, zeta(6, 1)]])], bound)
+
+
+def _g25_plane_orbit(bound):
+    # the order-6 regular eigenplanes of G25, one orbit of 9
+    w = zeta(3, 1)
+    seed = Mat.from_rows([[0, -1, 0], [-w, 0, 0], [0, 0, -(w * w)]])
+    basis = eigenspace(seed, -(w * w))
+    return reflgrp._plane_orbit_py(reflgrp.g25_generators(), basis, 3, bound)
+
+
+def _numeric(bound):
+    rot = np.array([[cmath.exp(2j * cmath.pi / 5)]], dtype=complex)
+    try:
+        return connect.numeric_closure([rot], bound=bound), False
+    except kernel.BoundExceeded as exc:
+        return len(exc.found), True
+
+
+@pytest.mark.parametrize(
+    "case, size",
+    [
+        (_raising(_closure), 6),
+        (_raising(_g25_line_orbit), 12),
+        (_charvar_orbit, 4),
+        (_raising(_projective), 6),
+        (_raising(_g25_plane_orbit), 9),
+        (_numeric, 5),
+    ],
+    ids=["closure", "line_orbit", "charvar.orbit", "projective_closure", "plane_orbit", "numeric_closure"],
+)
+def test_bound_meaning(case, size):
+    assert case(size) == (size, False)
+    assert case(size - 1) == (size, True)
+
+
+def test_one_bound_exceeded_class():
+    assert reflgrp.BoundExceeded is connect.BoundExceeded is kernel.BoundExceeded

@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from braidorbit import reflgrp
 from braidorbit.cyclo import cyc, order_of_root, zeta
 from braidorbit.linalg import Mat, is_complex_reflection, mat_parallel, matrix_order
@@ -223,52 +225,44 @@ def test_g32_seed_plane_matches_displayed_equations():
     assert Mat.from_rows(basis).rref()[0] == Mat.from_rows(ker).rref()[0]
 
 
-def test_g32_strata_table5(g32):
-    eta = zeta(12, 1)
-    v30, _, s30, nu30 = reflgrp.g32_order30_representative()
-    v24, _, _, _ = reflgrp.g32_order24_representative()
-    nu9 = zeta(9, 1)
-    e_basis, _ = reflgrp._g32_seed_plane()
-    generic_on_e = tuple(
-        a + 2 * b for a, b in zip(e_basis[0], e_basis[1])
-    )
+def test_g32_strata_table5(g32_table5):
+    # (orbit size, hyperplanes, proper planes) of each Table-5 representative
     cases = [
-        ((ONE, cyc(2), cyc(3), cyc(5)), 25920, 0, 0),
-        (v30, 5184, 0, 0),
-        (generic_on_e, 12960, 0, 1),
-        (v24, 6480, 0, 1),
-        ((ONE, cyc(2), cyc(5), ZERO), 8640, 1, 0),
-        ((nu9, nu9**2, ONE, ZERO), 2880, 1, 0),
-        ((ONE, cyc(2), ZERO, ZERO), 2880, 2, 0),
-        ((ONE, eta, ZERO, ZERO), 1440, 2, 3),
-        ((cyc(2), ONE, ONE, ZERO), 1080, 4, 0),
-        ((ONE, ONE, ZERO, ZERO), 360, 5, 0),
-        ((ZERO, ONE, ZERO, ZERO), 40, 12, 0),
+        (25920, 0, 0),
+        (5184, 0, 0),
+        (12960, 0, 1),
+        (6480, 0, 1),
+        (8640, 1, 0),
+        (2880, 1, 0),
+        (2880, 2, 0),
+        (1440, 2, 3),
+        (1080, 4, 0),
+        (540, 4, 6),
+        (360, 5, 0),
+        (40, 12, 0),
     ]
-    for point, size, nh, np_ in cases:
-        s = reflgrp.stratify(g32, point)
-        assert (s.orbit_size, s.num_hyperplanes, s.num_proper_planes) == (
-            size,
-            nh,
-            np_,
-        ), point
+    for point, s, expected in zip(g32_table5.points, g32_table5.strata, cases, strict=True):
+        assert (s.orbit_size, s.num_hyperplanes, s.num_proper_planes) == expected, point
         assert s.in_table
-    # row (540, 4, 6): intersection of the seed plane with a 4-hyperplane flat
-    line540 = _line_in_plane_and_4flat(g32, e_basis)
-    s = reflgrp.stratify(g32, line540)
-    assert (s.orbit_size, s.num_hyperplanes, s.num_proper_planes) == (540, 4, 6)
 
 
-def _line_in_plane_and_4flat(g32, e_basis):
-    # scan the proper plane for a direction lying on 4 hyperplanes
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            if a == 0 and b == 0:
-                continue
-            v = tuple(cyc(a) * x + cyc(b) * y for x, y in zip(e_basis[0], e_basis[1]))
-            if reflgrp.hyperplanes_through(g32, v) == 4:
-                return v
-    raise AssertionError("no 4-hyperplane line found in the seed plane")
+def test_g32_cache_rejects_corruption(g32, tmp_path):
+    cache = str(tmp_path)
+    path = tmp_path / reflgrp._G32_CACHE_NAME
+    reflgrp._store_g32_cache(cache, g32.elements)
+    assert reflgrp._load_g32_cache(cache) == g32.elements
+    raw = bytearray(path.read_bytes())
+    header, data = raw[: raw.index(b"\n") + 1], raw[raw.index(b"\n") + 1 :]
+    # flip one coefficient of one element: a G32 with one wrong element
+    data[1000 * reflgrp._G32_BLOB_SIZE + 8] ^= 1
+    path.write_bytes(bytes(header + data))
+    with pytest.warns(UserWarning, match="rebuilding"):
+        assert reflgrp._load_g32_cache(cache) is None
+    # an intact file in the unchecked v1 format is not trusted either
+    v1 = f"braidorbit g32 v1 dim=4 conductor=3 count={len(g32.elements)}\n".encode()
+    path.write_bytes(v1 + b"".join(g32.elements))
+    with pytest.warns(UserWarning, match="rebuilding"):
+        assert reflgrp._load_g32_cache(cache) is None
 
 
 def test_g32_census(g32):
@@ -323,49 +317,3 @@ def test_in_plane_orbit_pattern(g25):
             if coords[2].is_zero():
                 in_plane += 1
         assert in_plane == count, rep
-
-
-def test_backend_env_override():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import braidorbit
-
-    # The child registers a stand-in compiled extension before braidorbit is
-    # imported, so the switch is tested whether or not `_kernel` is built.
-    # The stand-in copies the public names of the pure twin, which imports
-    # nothing from the package and so loads from its file alone.
-    child = (
-        "import importlib.util, sys, types\n"
-        "spec = importlib.util.spec_from_file_location('twin', sys.argv[1])\n"
-        "twin = importlib.util.module_from_spec(spec)\n"
-        "spec.loader.exec_module(twin)\n"
-        "stub = types.ModuleType('braidorbit._kernel')\n"
-        "stub.__dict__.update({k: v for k, v in vars(twin).items() if not k.startswith('_')})\n"
-        "stub.BACKEND = 'compiled'\n"
-        "sys.modules['braidorbit._kernel'] = stub\n"
-        "from braidorbit import kernel\n"
-        "print(kernel.BACKEND)\n"
-    )
-    twin_path = str(Path(braidorbit.__file__).resolve().parent / "_kernel_py.py")
-    # the child imports the same package as this process, from a checkout
-    # or from an installed copy
-    pkg_root = str(Path(braidorbit.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {k: v for k, v in os.environ.items() if k != "BRAIDORBIT_KERNEL"}
-    env["PYTHONPATH"] = pkg_root + (os.pathsep + path if path else "")
-
-    def backend(**extra):
-        out = subprocess.run(
-            [sys.executable, "-c", child, twin_path],
-            env=dict(env, **extra),
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 0, out.stderr
-        return out.stdout.strip()
-
-    assert backend(BRAIDORBIT_KERNEL="py") == "python"
-    assert backend() == "compiled"

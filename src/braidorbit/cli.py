@@ -14,7 +14,7 @@ from .charvar import AffineRep, LinearPart, ProjClass, normalize, orbit
 from .classify import NotFiniteCase, classify_n4, gate, table_rows
 from .coalesce import CoalesceSpec, r_kl
 from .cyclo import cyc, parse_cyclo, render
-from .kernel import BACKEND
+from .kernel import BACKEND, BoundExceeded
 
 
 def _parse_values(text):
@@ -226,10 +226,6 @@ def cmd_monodromy(args):
     poles = [complex(p) for p in args.poles.split(",")]
     if len(poles) != n - 2:
         raise ValueError(f"need {n - 2} poles for {n - 1} exponents")
-    if n - 2 == 4 and not args.long_running:
-        raise SystemExit(
-            "the rank-4 closure is a long-running check; pass --long-running"
-        )
     fam = residues_C(spec)
     sign = 1 if args.sign == "+" else -1
     residues = []
@@ -481,7 +477,6 @@ def main(argv=None):
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--local-tol", dest="local_tol", type=float, default=1e-12)
     p.add_argument("--bound", type=int, default=200_000)
-    p.add_argument("--long-running", action="store_true")
     p.add_argument("--format", default="json", choices=["json", "pretty"])
     p.set_defaults(fn=cmd_monodromy)
 
@@ -494,9 +489,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, BoundExceeded, *_numeric_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _numeric_errors():
+    # evaluated only when an exception reaches `main`, so the other
+    # commands never import numpy
+    from .connect import AmbiguousMatch, IntegrationFailure
+
+    return AmbiguousMatch, IntegrationFailure
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ determinant of G are asserted exactly.
 from __future__ import annotations
 
 import cmath
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -330,16 +331,32 @@ def corollary_connection(rank, s_points, sign=+1):
 
 
 def _integrate(f, path, z0, local_tol):
-    """Adaptive RK4 with step doubling along a parametrized path."""
+    """Adaptive RK4 with step doubling along a parametrized path.
+
+    The ODE is linear, so its coefficients at a parameter s are the pair
+    (f(path(s)), path'(s)); step doubling asks for the same s several
+    times (full step, both half steps, the next k1, a rejected step), so
+    each pair is computed once per path piece.
+    """
+    cache = {}
+
+    def coeffs(s):
+        hit = cache.get(s)
+        if hit is None:
+            hit = cache[s] = (f(path(s)), _path_derivative(path, s))
+        return hit
+
     z = z0
     t = 0.0
     h = 0.05
     min_h = 1e-13
     while t < 1.0:
+        # no later step evaluates before t; dropping those keeps memory flat
+        cache = {s: c for s, c in cache.items() if s >= t}
         h = min(h, 1.0 - t)
-        z1 = _rk4_param_step(f, path, t, h, z)
-        z2 = _rk4_param_step(f, path, t, h / 2, z)
-        z2 = _rk4_param_step(f, path, t + h / 2, h / 2, z2)
+        z1 = _rk4_param_step(coeffs, t, h, z)
+        z2 = _rk4_param_step(coeffs, t, h / 2, z)
+        z2 = _rk4_param_step(coeffs, t + h / 2, h / 2, z2)
         err = np.max(np.abs(z1 - z2)) / 15
         scale = 1 + np.max(np.abs(z2))
         if err <= local_tol * scale:
@@ -354,11 +371,10 @@ def _integrate(f, path, z0, local_tol):
     return z
 
 
-def _rk4_param_step(f, path, t, h, z):
+def _rk4_param_step(coeffs, t, h, z):
     def rhs(s, zz):
-        x = path(s)
-        dx = _path_derivative(path, s)
-        return (f(x) @ zz) * dx
+        a, dx = coeffs(s)
+        return (a @ zz) * dx
 
     k1 = rhs(t, z)
     k2 = rhs(t + h / 2, z + (h / 2) * k1)
@@ -435,66 +451,82 @@ def local_eigenvalues(mat):
 
 
 def numeric_closure(mats, tol=1e-6, bound=200_000):
-    """Fuzzy multiplicative closure with entrywise max-distance matching.
+    """Size of the group generated by `mats`, matching up to `tol`.
 
-    Elements are bucketed by a coarse rounding of the trace; a candidate
-    matches a stored element when the max entry distance is below tol.
-    Storing two elements within 2*tol of each other raises
-    AmbiguousMatch, so matches are unambiguous.
+    A product matches a stored element when their max entry distance is
+    below tol; a nearest stored element between tol and 2*tol raises
+    AmbiguousMatch, so matches are unambiguous.  More than `bound`
+    elements raise BoundExceeded with the first bound+1 of them.
+
+    Elements are bucketed by v = <w, vec(m)> for one fixed random complex
+    w with |w|_1 = 1, on a grid of step max(100 tol, 1e-4).  Two matrices
+    within 2*tol in max-norm differ by at most 2*tol in v.  So an element
+    is stored under every cell that a point within 3*tol of its v (2*tol
+    and room for rounding) falls in, in each part: at most 2 x 2 cells,
+    usually one, as 6*tol is below the grid step.  A product looks up
+    the one cell that holds its own v, and every element that decides a
+    match or an ambiguity is among its candidates.  The products of a BFS
+    level are formed at once and inserted one by one, item first, then
+    generator.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
-    dim = mats[0].shape[0]
+    if not mats:
+        raise ValueError("numeric_closure needs at least one generator")
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in mats):
+        raise ValueError(
+            f"generators must be square matrices of one shape, got {[m.shape for m in mats]}"
+        )
+    if not all(np.isfinite(m).all() for m in mats):
+        raise ValueError("generator entries must be finite")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    dim = shape[0]
+    gens = np.stack(mats)
+    grid = max(tol * 100, 1e-4)
+    # the standard library's generator: numpy.random would add about 6 MB
+    # to the resident size of every process that closes a group
+    rng = random.Random(0)
+    w = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim * dim)])
+    w /= np.abs(w).sum()
+
     stored = []
     buckets = {}
-    grid = max(tol * 100, 1e-4)
+    reach = 3 * tol
 
-    def keys_of(m):
-        tr = np.trace(m)
-        out = []
-        for dr in (0.0, grid / 2):
-            for di in (0.0, grid / 2):
-                out.append((round((tr.real + dr) / grid), round((tr.imag + di) / grid)))
-        return out
+    def cells(ms):
+        """The grid cell of each matrix's v, and the v itself."""
+        v = (ms.reshape(len(ms), -1) * w).sum(axis=1)
+        re = np.rint(v.real / grid).astype(np.int64).tolist()
+        im = np.rint(v.imag / grid).astype(np.int64).tolist()
+        return zip(zip(re, im), v.tolist())
 
-    def find(m):
-        best = None
-        seen_idx = set()
-        for key in keys_of(m):
-            for idx in buckets.get(key, ()):
-                if idx in seen_idx:
-                    continue
-                seen_idx.add(idx)
-                d = np.max(np.abs(stored[idx] - m))
-                if best is None or d < best[1]:
-                    best = (idx, d)
-        return best
+    def insert(m, cell, v):
+        cand = buckets.get(cell)
+        if cand:
+            best = min(np.abs(stored[i] - m).max() for i in cand)
+            if best < tol:
+                return False
+            if best < 2 * tol:
+                raise AmbiguousMatch(
+                    f"element at distance {best:.2e} is between tol and 2 tol"
+                )
+        for x in {round((v.real + dr) / grid) for dr in (-reach, reach)}:
+            for y in {round((v.imag + di) / grid) for di in (-reach, reach)}:
+                buckets.setdefault((x, y), []).append(len(stored))
+        # a copy, so that the level's product array is not kept alive
+        stored.append(m.copy())
+        return True
 
-    def insert(m):
-        hit = find(m)
-        if hit is not None and hit[1] < tol:
-            return hit[0], False
-        if hit is not None and hit[1] < 2 * tol:
-            raise AmbiguousMatch(
-                f"element at distance {hit[1]:.2e} is between tol and 2 tol"
-            )
-        stored.append(m)
-        idx = len(stored) - 1
-        for key in keys_of(m):
-            buckets.setdefault(key, []).append(idx)
-        return idx, True
-
-    insert(np.eye(dim, dtype=complex))
-    worklist = [np.eye(dim, dtype=complex)]
-    gens = list(mats)
-    while worklist:
-        new = []
-        for m in worklist:
-            for g in gens:
-                prod = g @ m
-                _, fresh = insert(prod)
-                if fresh:
-                    if len(stored) > bound:
-                        raise BoundExceeded(bound, stored)
-                    new.append(prod)
-        worklist = new
+    frontier = np.eye(dim, dtype=complex)[None]
+    insert(frontier[0], *next(cells(frontier)))
+    while len(frontier):
+        prods = (gens[None] @ frontier[:, None]).reshape(-1, dim, dim)
+        fresh = []
+        for i, (cell, v) in enumerate(cells(prods)):
+            if insert(prods[i], cell, v):
+                if len(stored) > bound:
+                    raise BoundExceeded(bound, stored)
+                fresh.append(i)
+        frontier = prods[fresh]
     return len(stored)

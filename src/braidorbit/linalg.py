@@ -92,13 +92,16 @@ class Mat:
     def apply(self, vec):
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
+        # multiply and add only where both factors are nonzero
+        nonzero = [(k, v) for k, v in enumerate(map(cyc, vec)) if not v.is_zero()]
         out = []
         for i in range(self.rows):
+            ri = self.row(i)
             acc = ZERO
-            for k, v in enumerate(vec):
-                v = cyc(v)
-                if not v.is_zero():
-                    acc = acc + self[i, k] * v
+            for k, v in nonzero:
+                e = ri[k]
+                if not e.is_zero():
+                    acc = acc + e * v
             out.append(acc)
         return tuple(out)
 

@@ -179,16 +179,98 @@ def test_monodromy_command(capsys):
     assert data["closure_size"] == 648
 
 
-def test_monodromy_rank4_needs_flag(capsys):
-    with pytest.raises(SystemExit):
-        main(
-            [
-                "monodromy",
-                "--theta",
-                "1/6,1/6,1/6,1/6,1/6",
-                "--poles=-0.7+0.3j,2.1+0.4j,0,1",
-            ]
-        )
+# the full README `monodromy` output: the generators are pinned to the bit
+MONODROMY_README_JSON = {
+    "theta": ["1/6", "1/6", "1/6", "1/6"],
+    "sign": "+",
+    "poles": ["(-0.7+0.3j)", "0j", "(1+0j)"],
+    "generators": [
+        [
+            [-0.20874260810965667, -0.6218057723068058],
+            [0.03717518063851774, -0.4682221451837538],
+            [0.11316618018764324, -0.27003238165666255],
+            [-0.5591020877058305, 0.4469301515666055],
+            [0.7830108208714455, -0.11869653892773754],
+            [-0.10538814682687851, -0.11253188847519212],
+            [-0.6079339151446864, 0.29817804646280527],
+            [-0.17607158816436352, -0.15408624925513717],
+            [0.9257317877193117, -0.12552309268151254],
+        ],
+        [
+            [0.9346167990579914, -0.03602841354565689],
+            [-0.17731325218040248, -0.2821967925754042],
+            [0.02270404328087085, -0.07266724422492331],
+            [-0.34733862617836614, -0.0012508674943249544],
+            [-0.35351328093538203, -0.756688335240359],
+            [-0.06940317202995057, -0.3473561176953678],
+            [-0.08630292079462241, 0.06359176469823513],
+            [-0.4746214626771094, 0.061500713053399374],
+            [0.91889648240879, -0.07330865514541544],
+        ],
+        [
+            [0.8890204408544269, -0.006934495052018927],
+            [-0.15868456521638896, -0.03155520152829006],
+            [-0.15223872137126457, -0.627622019906038],
+            [-0.11079083834471849, -0.024308684731499],
+            [0.8449621832521056, -0.05657196135111451],
+            [-0.05552382635626687, -0.6564313616791266],
+            [-0.19485191276856087, 0.16206852953154594],
+            [-0.3124534073724075, 0.19585489015868232],
+            [-0.23398262361926192, -0.8025189475458081],
+        ],
+    ],
+    "local_eigenvalues": [
+        [
+            [-0.49999999947538476, -0.8660254038428727],
+            [0.9999999999348529, -6.996203616438379e-11],
+            [1.000000000021632, -3.221186138598108e-12],
+        ],
+        [
+            [-0.4999999994767318, -0.8660254038974697],
+            [1.000000000012968, -5.648559397997133e-11],
+            [0.9999999999951632, 2.2523715061498134e-11],
+        ],
+        [
+            [-0.4999999994906056, -0.8660254038881704],
+            [1.0000000000009321, -2.953245981096586e-11],
+            [0.999999999976944, -3.123926050413143e-11],
+        ],
+    ],
+    "closure_size": 648,
+}
+
+def test_monodromy_readme_output_pinned(capsys):
+    code, out = run(
+        capsys, "monodromy", "--theta", "1/6,1/6,1/6,1/6", "--poles=-0.7+0.3j,0,1"
+    )
+    assert code == 0
+    assert out == json.dumps(MONODROMY_README_JSON, indent=2) + "\n"
+
+
+def test_monodromy_rank4_past_bound_is_an_error(capsys):
+    code = main(
+        [
+            "monodromy",
+            "--theta",
+            "1/6,1/6,1/6,1/6,1/6",
+            "--poles=-0.7+0.3j,2.1+0.4j,0,1",
+            "--bound",
+            "1000",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "bound of 1000" in captured.err
+    assert captured.out == ""
+
+
+def test_monodromy_zero_tol_is_an_error(capsys):
+    code = main(
+        ["monodromy", "--theta", "1/6,1/6,1/6,1/6", "--poles=-0.7+0.3j,0,1", "--tol", "0"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "tol" in captured.err
 
 
 def test_tables_command(tmp_path, capsys):

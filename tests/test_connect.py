@@ -253,3 +253,94 @@ def test_numeric_closure_ambiguity():
     almost = np.array([[1.0 + 3e-7]], dtype=complex)
     with pytest.raises(AmbiguousMatch):
         numeric_closure([almost], tol=2e-7)
+
+
+def _reference_closure(mats, tol):
+    """Brute-force fuzzy closure: every product against every stored element."""
+    stored = np.eye(len(mats[0]), dtype=complex)[None]
+    frontier = list(stored)
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in mats:
+                prod = g @ m
+                if np.abs(stored - prod).max(axis=(1, 2)).min() >= tol:
+                    stored = np.concatenate([stored, prod[None]])
+                    new.append(prod)
+        frontier = new
+    return len(stored)
+
+
+def _rotation(n):
+    c, s = np.cos(2 * np.pi / n), np.sin(2 * np.pi / n)
+    return np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize(
+    "name, size",
+    [
+        ("cyclic-7", 7),
+        ("dihedral-10", 20),
+        ("near-duplicates", 4000),
+        ("rank3-monodromy", 648),
+    ],
+)
+def test_numeric_closure_matches_reference(name, size):
+    if name == "cyclic-7":
+        mats = [_rotation(7)]
+    elif name == "dihedral-10":
+        mats = [_rotation(10), np.diag([1, -1])]
+    elif name == "near-duplicates":
+        # b^2 = 1 + 0.9 tol, so each diag(a^i, b^2) must merge with
+        # diag(a^i, 1); the 2000 pairs sit at 2000 places in the bucket
+        # grid, so some of them straddle a grid line
+        b = -(1 + 0.45e-6)
+        mats = [np.diag([cmath.exp(2j * cmath.pi / 2000), 1]), np.diag([1, b])]
+    else:
+        poles, residues = corollary_connection(3, [-0.7 + 0.3j], sign=+1)
+        mats = monodromy_numeric(poles, residues, local_tol=1e-12)
+    assert _reference_closure(mats, tol=1e-6) == size
+    assert numeric_closure(mats, tol=1e-6) == size
+
+
+def _square_off_by(delta):
+    # g^2 = I + delta E_12: the square moves only an off-diagonal entry,
+    # so its trace equals the identity's
+    return np.array([[-1, -delta / 2], [0, -1]], dtype=complex)
+
+
+def test_numeric_closure_off_trace_near_duplicate_is_ambiguous():
+    with pytest.raises(AmbiguousMatch):
+        numeric_closure([_square_off_by(1.5e-6)], tol=1e-6)
+
+
+def test_numeric_closure_off_trace_near_duplicate_merges():
+    assert numeric_closure([_square_off_by(0.5e-6)], tol=1e-6) == 2
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+def test_numeric_closure_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        numeric_closure([np.eye(2, dtype=complex)], tol=tol)
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [
+        [np.eye(2, dtype=complex), np.eye(3, dtype=complex)],
+        [np.ones((2, 3), dtype=complex)],
+        [np.ones(4, dtype=complex)],
+    ],
+    ids=["differing", "non-square", "not-a-matrix"],
+)
+def test_numeric_closure_rejects_bad_shapes(mats):
+    with pytest.raises(ValueError, match="square"):
+        numeric_closure(mats)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+def test_numeric_closure_rejects_non_finite_entries(bad):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        numeric_closure([m])

@@ -1,13 +1,4 @@
-"""Opt-in long-running checks (set BRAIDORBIT_LONG=1 to enable)."""
-
-import os
-
-import pytest
-
-pytestmark = pytest.mark.skipif(
-    os.environ.get("BRAIDORBIT_LONG") != "1",
-    reason="long-running; enable with BRAIDORBIT_LONG=1",
-)
+"""The rank-4 monodromy corollary: the full 155520-element closure."""
 
 
 def test_rank4_monodromy_closure_155520():

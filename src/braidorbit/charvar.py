@@ -10,11 +10,11 @@ with nontrivial linear part live in P^(n-3) with homogeneous coordinates
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import lcm
 
 from .braid import BraidWord, PureLetter
-from .cyclo import Cyclotomic, _int_inverse, _mul_mod, cyc, euler_phi, order_of_root
-from .kernel import BoundExceeded, bfs
+from .cyclo import Cyclotomic, cyc, order_of_root
+from .kernel import int_line_orbit
 from .linalg import Mat
 
 ZERO = cyc(0)
@@ -389,79 +389,6 @@ class OrbitResult:
     exceeded_bound: bool = False
 
 
-def _int_vectors(values, conductor):
-    """Integer power-basis vectors of `values` at `conductor`.
-
-    All are scaled by the lcm of their denominators, so their ratios stay.
-    """
-    promoted = [x.promote(conductor) for x in values]
-    den = 1
-    for x in promoted:
-        den = lcm(den, x.den)
-    return [[c * (den // x.den) for c in x.num] for x in promoted]
-
-
-def _int_action(m, conductor):
-    """Integer matrix of the projective action of `m` on coefficient vectors.
-
-    A point of P^(d-1) over Q(zeta_N) is a vector in Z^(d*phi): coordinate
-    k occupies slots k*phi .. k*phi+phi-1.  Scaling `m` to integer entries
-    does not change its projective action; entry (i, k) then becomes the
-    phi x phi block of multiplication by it mod Phi_N.  The result is stored
-    by columns: for each input slot, the (output slot, coefficient) pairs
-    that are nonzero.
-    """
-    d = m.rows
-    phi = euler_phi(conductor)
-    entries = _int_vectors(m.entries, conductor)
-    cols = []
-    for k in range(d):
-        for t in range(phi):
-            unit = [0] * phi
-            unit[t] = 1
-            col = []
-            for i in range(d):
-                block_col = _mul_mod(conductor, entries[i * d + k], unit)
-                col.extend((i * phi + r, a) for r, a in enumerate(block_col) if a)
-            cols.append(tuple(col))
-    return cols
-
-
-def _canon(w, conductor, phi, inverses):
-    """Canonical integer vector of the point [w].
-
-    The first nonzero coordinate becomes a positive integer c and the
-    vector is primitive: read as coordinates over the denominator c, that
-    is ProjClass's form with the first nonzero coordinate equal to 1.  The
-    zero vector stays as it is.  `inverses` maps a primitive pivot to its
-    `_int_inverse`; an orbit meets few distinct pivots (179 for the
-    25920-point n=6 orbit, against 345k canonicalizations).
-    """
-    for i in range(0, len(w), phi):
-        if any(w[i : i + phi]):
-            break
-    else:
-        return tuple(w)
-    if any(w[i + 1 : i + phi]):
-        pivot = w[i : i + phi]
-        g = gcd(*pivot)
-        key = tuple(x // g for x in pivot)
-        try:
-            s, c = inverses[key]
-        except KeyError:
-            s, c = inverses[key] = _int_inverse(conductor, key)
-        out = w[:i] + [c * g] + [0] * (phi - 1)
-        for k in range(i + phi, len(w), phi):
-            out += _mul_mod(conductor, w[k : k + phi], s)
-        w = out
-    if w[i] < 0:
-        w = [-x for x in w]
-    g = gcd(*w)
-    if g > 1:
-        w = [x // g for x in w]
-    return tuple(w)
-
-
 def _proj_class(n, w, conductor, phi):
     """The ProjClass of a canonical integer vector."""
     den = next((x for x in w if x), 1)
@@ -478,11 +405,10 @@ def orbit(cls, linear, bound=200_000, gens=None):
     Stops once more than `bound` points have been found; that outcome
     only means the bound was exceeded, never that the orbit is infinite.
 
-    The search runs on integers at one conductor N, the lcm of the
-    conductors of the linear part, the start coordinates and the generator
-    entries: points are canonical coefficient vectors (see `_canon`) and
-    generators act through `_int_action`.  The points come back as
-    ProjClass in discovery order, the first being `cls` itself.
+    The search is `kernel.int_line_orbit` at the lcm of the conductors of
+    the linear part, the start coordinates and the generator entries.  The
+    points come back as ProjClass in discovery order, the first being
+    `cls` itself.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
@@ -490,32 +416,8 @@ def orbit(cls, linear, bound=200_000, gens=None):
         return OrbitResult(points=[cls], size=1)
     if gens is None:
         gens = reduced_generators(linear)
-    conductor = linear.conductor()
-    for x in cls.coords:
-        conductor = lcm(conductor, x.n)
-    for m in gens:
-        for x in m.entries:
-            conductor = lcm(conductor, x.n)
-    phi = euler_phi(conductor)
-    actions = [_int_action(m, conductor) for m in gens]
-    dim = len(cls.coords) * phi
-    inverses = {}
-    start = _canon(
-        [c for v in _int_vectors(cls.coords, conductor) for c in v], conductor, phi, inverses
+    conductor, phi, found, exceeded = int_line_orbit(
+        gens, cls.coords, bound, linear.conductor()
     )
-
-    def step(v):
-        for cols in actions:
-            w = [0] * dim
-            for j, x in enumerate(v):
-                if x:
-                    for r, a in cols[j]:
-                        w[r] += a * x
-            yield _canon(w, conductor, phi, inverses)
-
-    try:
-        found, exceeded = bfs(start, step, bound), False
-    except BoundExceeded as exc:
-        found, exceeded = exc.found, True
     points = [cls] + [_proj_class(cls.n, w, conductor, phi) for w in found[1:]]
     return OrbitResult(points=points, size=len(points), exceeded_bound=exceeded)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 from math import lcm
 
 from . import kernel
@@ -354,18 +355,60 @@ def _g32_proper_planes(group):
 
 
 def _plane_orbit_py(gens, basis, conductor, bound):
-    """Orbit of a subspace given by basis rows, with canonical RREF keys."""
+    """Orbit of the plane spanned by two basis rows, as RREF row pairs.
 
-    def canon(rows):
-        red, _ = Mat.from_rows(rows).rref()
-        return [list(red.row(i)) for i in range(len(rows))]
+    The plane is the line through its Pluecker vector p_kl = r1_k r2_l -
+    r1_l r2_k (k < l, in lexicographic order) in the exterior square, on
+    which g acts by its second compound (`_compound2`).  So the plane orbit
+    is one `kernel.int_line_orbit`, at the lcm of `conductor` and the
+    conductors of the entries, and each plane's RREF is read off its
+    canonical vector (`_plucker_rref`).  Returns the RREF bases in
+    discovery order, the first being that of `basis`; raises BoundExceeded
+    once more than `bound` planes are found.
+    """
+    r1, r2 = ([cyc(x) for x in row] for row in basis)
+    pairs = list(combinations(range(len(r1)), 2))
+    start = [r1[k] * r2[l] - r1[l] * r2[k] for k, l in pairs]
+    compounds = [_compound2(g, pairs) for g in gens]
+    conductor, phi, found, exceeded = kernel.int_line_orbit(compounds, start, bound, conductor)
+    planes = [_plucker_rref(w, pairs, len(r1), conductor, phi) for w in found]
+    if exceeded:
+        raise BoundExceeded(bound, planes)
+    return planes
 
-    def key(rows):
-        return tuple(e.key_at(conductor) for row in rows for e in row)
 
-    return kernel.bfs(
-        canon(basis), lambda rows: (canon([g.apply(r) for r in rows]) for g in gens), bound, key
+def _compound2(g, pairs):
+    """The second compound of g, its action on Pluecker vectors.
+
+    Rows and columns are indexed by `pairs`; entry ((i, j), (k, l)) is
+    g_ik g_jl - g_il g_jk.
+    """
+    return Mat.from_rows(
+        [[g[i, k] * g[j, l] - g[i, l] * g[j, k] for k, l in pairs] for i, j in pairs]
     )
+
+
+def _plucker_rref(w, pairs, dim, conductor, phi):
+    """RREF rows of the plane whose canonical Pluecker vector is `w`.
+
+    The pivot columns (a, b) are the first pair with p_ab != 0, which
+    `kernel._canon` made a positive integer.  With p_lk = -p_kl and
+    p_ll = 0, row 1 is p_lb / p_ab and row 2 is p_al / p_ab over l.
+    """
+    blocks = dict(zip(pairs, (w[i : i + phi] for i in range(0, len(w), phi))))
+    a, b = next(pair for pair in pairs if any(blocks[pair]))
+    den = blocks[a, b][0]
+
+    def entry(k, l):  # p_kl / p_ab
+        if k == l:
+            coeffs = [0] * phi
+        elif k < l:
+            coeffs = blocks[k, l]
+        else:
+            coeffs = [-x for x in blocks[l, k]]
+        return Cyclotomic._make(conductor, coeffs, den)
+
+    return [[entry(l, b) for l in range(dim)], [entry(a, l) for l in range(dim)]]
 
 
 # ---- incidence, stabilizers, strata -----------------------------------------
@@ -392,9 +435,17 @@ def proper_planes_through(group, point):
             if acc.is_zero():
                 count += 1
         return count
-    for rows in group.proper_planes:
-        stacked = Mat.from_rows(list(rows) + [list(point)])
-        if stacked.rank() == 2:
+    # the point lies in the plane iff it is point[a] row1 + point[b] row2,
+    # with a and b the pivot columns of the RREF rows
+    for row1, row2 in group.proper_planes:
+        a = next(k for k, e in enumerate(row1) if e)
+        b = next(k for k, e in enumerate(row2) if e)
+        pa, pb = point[a], point[b]
+        if all(
+            point[k] == pa * row1[k] + pb * row2[k]
+            for k in range(len(point))
+            if k != a and k != b
+        ):
             count += 1
     return count
 
@@ -452,13 +503,26 @@ class StratumLabel:
 
 
 def stratify(group, point):
-    """Incidence counts plus the exact orbit size by stabilizer scan."""
+    """Incidence counts plus the exact orbit size of the line through `point`.
+
+    The size is that of the line's orbit under the generators
+    (`kernel.int_line_orbit`, at the lcm of the group's and the point's
+    conductors), bounded by |G|.  By the orbit-stabilizer theorem it
+    divides |G|, and |G| / size is the order of the line stabilizer that
+    `line_stabilizer_order` counts by a scan of the elements.
+    """
     point = tuple(cyc(e) for e in point)
+    if len(point) != group.dim:
+        raise ValueError(f"{group.name} acts on points with {group.dim} coordinates")
+    if all(e.is_zero() for e in point):
+        raise ValueError("the zero vector spans no line")
     nh = hyperplanes_through(group, point)
     np_ = proper_planes_through(group, point)
-    stab = line_stabilizer_order(group, point)
-    assert group.order % stab == 0
-    size = group.order // stab
+    _, _, orbit, _ = kernel.int_line_orbit(
+        group.generators, point, group.order, group.conductor
+    )
+    size = len(orbit)
+    assert group.order % size == 0
     table = G25_STRATA if group.name == "g25" else G32_STRATA
     in_table = (size, nh, np_) in table
     tag = None

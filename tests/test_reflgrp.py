@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from braidorbit import reflgrp
+from braidorbit import kernel, reflgrp
 from braidorbit.cyclo import cyc, order_of_root, zeta
-from braidorbit.linalg import Mat, is_complex_reflection, mat_parallel, matrix_order
+from braidorbit.linalg import Mat, eigenspace, is_complex_reflection, mat_parallel, matrix_order
 
 W = zeta(3, 1)
 ONE = cyc(1)
@@ -35,8 +35,6 @@ def test_g25_order_and_counts(g25):
 
 
 def test_g25_reflections_all_order_3(g25):
-    from braidorbit import kernel
-
     for blob in g25.reflections:
         m = kernel.from_blob_matrix(blob, 3, 3)
         assert matrix_order(m, 4) == 3
@@ -57,8 +55,6 @@ def test_g25_proper_planes_match_display(g25):
 
 
 def test_g25_hyperplane_orbit_transitive(g25):
-    from braidorbit import kernel
-
     phi, red = kernel.ring_params(3)
     gens = [kernel.to_blob_matrix(g.inverse().transpose(), 3) for g in g25.generators]
     v = kernel.to_blob_vector((ZERO, ZERO, ONE), 3)
@@ -66,18 +62,22 @@ def test_g25_hyperplane_orbit_transitive(g25):
     assert len(orbit) == 12
 
 
+# (point, orbit size, hyperplanes, proper planes) for seven rows of Table 4;
+# the order-54 row needs the group (g25_order12_representative)
+NU9 = zeta(9, 1)
+G25_TABLE4 = [
+    ((NU9, NU9**2, ONE), 72, 0, 0),
+    ((ONE, ZERO, ZERO), 12, 2, 3),
+    ((ONE, -ONE, ZERO), 9, 4, 0),
+    ((ONE, ONE, ZERO), 36, 1, 1),
+    ((ONE, cyc(2), ZERO), 72, 1, 0),
+    ((ONE, ONE, cyc(3)), 108, 0, 1),
+    ((ONE, cyc(2), cyc(5)), 216, 0, 0),
+]
+
+
 def test_g25_strata_representatives(g25):
-    nu = zeta(9, 1)
-    cases = [
-        ((nu, nu**2, ONE), 72, 0, 0),
-        ((ONE, ZERO, ZERO), 12, 2, 3),
-        ((ONE, -ONE, ZERO), 9, 4, 0),
-        ((ONE, ONE, ZERO), 36, 1, 1),
-        ((ONE, cyc(2), ZERO), 72, 1, 0),
-        ((ONE, ONE, cyc(3)), 108, 0, 1),
-        ((ONE, cyc(2), cyc(5)), 216, 0, 0),
-    ]
-    for point, size, nh, np_ in cases:
+    for point, size, nh, np_ in G25_TABLE4:
         s = reflgrp.stratify(g25, point)
         assert (s.orbit_size, s.num_hyperplanes, s.num_proper_planes) == (size, nh, np_)
         assert s.in_table
@@ -150,20 +150,69 @@ def test_line_stabilizers_cyclic(g25):
 
 
 def test_orbit_stabilizer_consistency(g25):
+    # stratify's line orbit against the element scan, on all eight Table-4
+    # rows (the order-9 and order-12 lines at conductors 9 and 12) and on
+    # random lines
     rng = random.Random(17)
+    points = [row[0] for row in G25_TABLE4]
+    points.append(reflgrp.g25_order12_representative(g25)[0])
     for _ in range(5):
-        p = (ONE, cyc(rng.randrange(-4, 5)), cyc(rng.randrange(-4, 5)))
+        points.append((ONE, cyc(rng.randrange(-4, 5)), cyc(rng.randrange(-4, 5))))
+    for p in points:
         stab = reflgrp.line_stabilizer_order(g25, p)
-        assert 648 % stab == 0
         s = reflgrp.stratify(g25, p)
         assert s.orbit_size * stab == 648
         assert s.in_table
+    assert {reflgrp.point_conductor(g25, p) for p in points} == {3, 9, 12}
+
+
+def _plane_orbit_by_rref(gens, basis, conductor, bound):
+    """The plane orbit as a BFS keyed on exact RREF rows (the reference)."""
+
+    def canon(rows):
+        red, _ = Mat.from_rows(rows).rref()
+        return [list(red.row(i)) for i in range(len(rows))]
+
+    def key(rows):
+        return tuple(e.key_at(conductor) for row in rows for e in row)
+
+    return kernel.bfs(
+        canon(basis), lambda rows: (canon([g.apply(r) for r in rows]) for g in gens), bound, key
+    )
+
+
+def test_plane_orbit_matches_rref_bfs():
+    seed = Mat.from_rows([[0, -1, 0], [-W, 0, 0], [0, 0, -(W * W)]])
+    basis = eigenspace(seed, -(W * W))
+    gens = reflgrp.g25_generators()
+    planes = reflgrp._plane_orbit_py(gens, basis, 3, 100)
+    assert len(planes) == 9
+    assert planes == _plane_orbit_by_rref(gens, basis, 3, 100)
+
+
+def test_g32_plane_orbit_is_closed_rref():
+    basis, _ = reflgrp._g32_seed_plane()
+    gens = reflgrp.g32_generators()
+    planes = reflgrp._plane_orbit_py(gens, basis, 12, 600)
+    assert len(planes) == 540
+
+    def key(rows):
+        return tuple(e.key_at(12) for row in rows for e in row)
+
+    keys = set()
+    for rows in planes:
+        red, _ = Mat.from_rows(rows).rref()
+        assert [list(red.row(i)) for i in range(2)] == rows
+        keys.add(key(rows))
+    assert len(keys) == 540
+    for rows in planes:
+        for g in gens:
+            red, _ = Mat.from_rows([g.apply(r) for r in rows]).rref()
+            assert key([red.row(0), red.row(1)]) in keys
 
 
 def test_reflection_agreement_with_pointwise_fix(g25):
     # every reflection fixes its hyperplane pointwise and has order > 1
-    from braidorbit import kernel
-
     for blob in g25.reflections[:8]:
         m = kernel.from_blob_matrix(blob, 3, 3)
         normal = reflgrp._reflection_normal(m)
@@ -179,8 +228,6 @@ def test_conjugacy_both_roots_n5_n6():
 
 
 def test_braid_action_group_is_g25_sized():
-    from braidorbit import kernel
-
     mats = reflgrp.braid_action_matrices(5, -W)
     phi, red = kernel.ring_params(6)
     blobs = [kernel.to_blob_matrix(m, 6) for m in mats]
@@ -298,8 +345,6 @@ def test_in_plane_orbit_pattern(g25):
     # inside one reflection plane the stabilizer quotient acts with
     # line-orbit pattern 2 / 3 / 3 / 6; equivalently the ambient orbits
     # meet the plane {z=0} in that many lines
-    from braidorbit import kernel
-
     phi, red = kernel.ring_params(3)
     gens = [kernel.to_blob_matrix(g, 3) for g in g25.generators]
     expected = {

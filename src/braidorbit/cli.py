@@ -130,16 +130,12 @@ def cmd_gate(args):
     return 0
 
 
-def _build_group(which, cache_dir=None):
-    if which == "g25":
-        return reflgrp.build_g25()
-    if which == "g32":
-        return reflgrp.build_g32(cache_dir=cache_dir)
-    raise ValueError("group must be g25 or g32")
+def _build_group(which):
+    return {"g25": reflgrp.build_g25, "g32": reflgrp.build_g32}[which]()
 
 
 def cmd_group(args):
-    g = _build_group(args.which, args.cache_dir)
+    g = _build_group(args.which)
     import math
 
     payload = {
@@ -162,7 +158,7 @@ def cmd_group(args):
 
 
 def cmd_strata(args):
-    g = _build_group(args.which, args.cache_dir)
+    g = _build_group(args.which)
     point = tuple(parse_cyclo(tok) for tok in args.point.strip("[]").split(":"))
     label = reflgrp.stratify(g, point)
     payload = {
@@ -179,7 +175,7 @@ def cmd_strata(args):
 
 
 def cmd_lattice(args):
-    g = _build_group(args.which, args.cache_dir)
+    g = _build_group(args.which)
     census = reflgrp.lattice_census(g)
     payload = {
         "group": g.name,
@@ -335,7 +331,7 @@ def cmd_tables(args):
         from .cyclo import zeta
 
         if args.which == 4:
-            g = _build_group("g25", args.cache_dir)
+            g = _build_group("g25")
             nu = zeta(9, 1)
             rep54, _ = reflgrp.g25_order12_representative(g)
             cases = [
@@ -349,7 +345,7 @@ def cmd_tables(args):
                 ("generic", (cyc(1), cyc(2), cyc(5)), 216),
             ]
         else:
-            g = _build_group("g32", args.cache_dir)
+            g = _build_group("g32")
             nu9, eta = zeta(9, 1), zeta(12, 1)
             v30, _, _, _ = reflgrp.g32_order30_representative()
             v24, _, _, _ = reflgrp.g32_order24_representative()
@@ -443,20 +439,17 @@ def main(argv=None):
     p = sub.add_parser("group", help="build and summarize G25 or G32")
     p.add_argument("--which", required=True, choices=["g25", "g32"])
     p.add_argument("--full", action="store_true")
-    p.add_argument("--cache-dir", default=None)
     p.add_argument("--format", default="json", choices=["json", "pretty"])
     p.set_defaults(fn=cmd_group)
 
     p = sub.add_parser("strata", help="stratum of a projective point")
     p.add_argument("--which", required=True, choices=["g25", "g32"])
     p.add_argument("--point", required=True, help="colon-separated cyclotomic literals")
-    p.add_argument("--cache-dir", default=None)
     p.add_argument("--format", default="json", choices=["json", "pretty"])
     p.set_defaults(fn=cmd_strata)
 
     p = sub.add_parser("lattice", help="hyperplane intersection census")
     p.add_argument("--which", required=True, choices=["g25", "g32"])
-    p.add_argument("--cache-dir", default=None)
     p.add_argument("--format", default="json", choices=["json", "pretty"])
     p.set_defaults(fn=cmd_lattice)
 
@@ -483,7 +476,6 @@ def main(argv=None):
     p = sub.add_parser("tables", help="regenerate an orbit table as CSV")
     p.add_argument("--which", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(fn=cmd_tables)
 
     args = parser.parse_args(argv)

@@ -104,6 +104,16 @@ def _int_action(m, conductor):
     return cols
 
 
+def int_apply(cols, v):
+    """The integer matrix `cols` (by columns, see `_int_action`) times v."""
+    w = [0] * len(v)
+    for j, x in enumerate(v):
+        if x:
+            for r, a in cols[j]:
+                w[r] += a * x
+    return w
+
+
 def _canon(w, conductor, phi, inverses):
     """Canonical integer vector of the point [w].
 
@@ -157,7 +167,6 @@ def int_line_orbit(mats, coords, bound, conductor):
             conductor = lcm(conductor, x.n)
     phi = euler_phi(conductor)
     actions = [_int_action(m, conductor) for m in mats]
-    dim = len(coords) * phi
     inverses = {}
     start = _canon(
         [c for v in _int_vectors(coords, conductor) for c in v], conductor, phi, inverses
@@ -165,12 +174,7 @@ def int_line_orbit(mats, coords, bound, conductor):
 
     def step(v):
         for cols in actions:
-            w = [0] * dim
-            for j, x in enumerate(v):
-                if x:
-                    for r, a in cols[j]:
-                        w[r] += a * x
-            yield _canon(w, conductor, phi, inverses)
+            yield _canon(int_apply(cols, v), conductor, phi, inverses)
 
     try:
         return conductor, phi, bfs(start, step, bound), False

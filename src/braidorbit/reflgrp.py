@@ -1,18 +1,17 @@
 """The complex reflection groups G25 and G32: construction and orbit data.
 
-Both groups are generated by order-3 reflections with entries in Q(omega)
-and are enumerated explicitly (648 and 155520 elements) by the kernel.
-On top of the raw closure this module computes reflections, reflection
-hyperplanes, the regular eigenplanes ("proper planes"), orbit strata of
-projective points, the intersection lattice census, the regular polytopes
-they preserve, and the conjugation to the braid-action matrices.
+Both groups are generated by order-3 reflections with entries in Q(omega).
+The order is the size of one regular orbit (`RegularOrbit`), which also
+decides membership; only G25 keeps its 648 elements, for stabilizer scans.
+This module computes reflections, reflection hyperplanes, the regular
+eigenplanes ("proper planes"), orbit strata of projective points, the
+intersection lattice census, the regular polytopes they preserve, and the
+conjugation to the braid-action matrices.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import lcm
 
@@ -24,12 +23,6 @@ from .linalg import Mat, eigenspace, is_complex_reflection, mat_parallel, matrix
 W = zeta(3, 1)  # omega
 ONE = cyc(1)
 ZERO = cyc(0)
-
-CACHE_ENV = "BRAIDORBIT_CACHE"
-# the file keeps its name across header versions, so an older file is
-# found, reported and replaced instead of lying around unused
-_G32_CACHE_NAME = "g32_elements_v1.bin"
-_G32_BLOB_SIZE = 8 * (1 + 2 * 16)  # den + phi=2 coefficients for 16 entries
 
 G25_DEGREES = (6, 9, 12)
 G25_CODEGREES = (0, 3, 6)
@@ -136,36 +129,94 @@ class ReflGroup:
     dim: int
     conductor: int
     generators: list
-    elements: list  # kernel blobs at `conductor`
+    order: int
     degrees: tuple
     codegrees: tuple
-    reflections: list = None
+    elements: list = None  # kernel blobs at `conductor`; G25 only
+    reflections: list = None  # kernel blobs at `conductor`
     hyperplanes: list = None  # canonical normals, tuples of Cyclotomic
     proper_planes: list = None  # G25: normals; G32: 2-row RREF bases
-
-    @property
-    def order(self):
-        return len(self.elements)
+    regular_orbit: RegularOrbit = field(default=None, repr=False)
 
     def ring(self):
         return kernel.ring_params(self.conductor)
 
-    def element_set(self):
-        if not hasattr(self, "_element_set"):
-            self._element_set = set(self.elements)
-        return self._element_set
-
     def contains(self, mat):
-        blob = kernel.to_blob_matrix(mat, self.conductor)
-        return blob in self.element_set()
+        return self.regular_orbit.contains(mat)
 
     def element_mats(self):
-        for blob in self.elements:
-            yield kernel.from_blob_matrix(blob, self.dim, self.conductor)
+        if self.elements is None:
+            raise ValueError(f"{self.name} is built without its element list")
+        return (kernel.from_blob_matrix(b, self.dim, self.conductor) for b in self.elements)
 
 
 # what build_g25, build_g32 and _plane_orbit_py raise past their bounds
 BoundExceeded = kernel.BoundExceeded
+
+
+class RegularOrbit:
+    """The orbit of a vector on no reflection hyperplane: a copy of the group.
+
+    By Steinberg's fixed-point theorem such a vector has a trivial
+    stabilizer, so g -> g(base) is a bijection from the group onto the
+    orbit, and the orbit's level-order BFS is a Schreier tree for it.
+    Points are integer coefficient vectors at `conductor`; a generator acts
+    by its integer matrix (`kernel._int_action`) over its integer scale.
+    """
+
+    def __init__(self, gens, base, conductor, bound):
+        self.generators = gens
+        self.conductor = conductor
+        self.base = tuple(cyc(x) for x in base)
+        actions = [_exact_action(g, conductor) for g in gens]
+        self._inverse_actions = [_exact_action(g.inverse(), conductor) for g in gens]
+        start = self._coefficients(self.base)
+        self.points = kernel.bfs(start, lambda v: (_act(a, v) for a in actions), bound)
+        self.index = {v: i for i, v in enumerate(self.points)}
+
+    def __len__(self):
+        return len(self.points)
+
+    def _coefficients(self, vec):
+        """The integer coefficient vector of `vec`; ValueError if it has none."""
+        fitted = [x.fit(self.conductor) for x in vec]
+        if any(x.den != 1 for x in fitted):
+            raise ValueError("not an integral vector")
+        return tuple(c for x in fitted for c in x.num)
+
+    def contains(self, mat):
+        """Whether `mat` is the group element that maps base to mat(base).
+
+        That element is rebuilt from the Schreier tree: from the point
+        mat(base), step to the image of smallest index under an inverse
+        generator (a BFS parent, a level lower) until the base is reached.
+        """
+        try:
+            i = self.index.get(self._coefficients(mat.apply(self.base)))
+        except ValueError:
+            return False
+        if i is None:
+            return False
+        elem = Mat.identity(len(self.base))
+        while i:
+            v = self.points[i]
+            i, a = min((self.index[_act(inv, v)], a) for a, inv in enumerate(self._inverse_actions))
+            elem = elem @ self.generators[a]
+        return elem == mat
+
+
+def _exact_action(m, conductor):
+    """(integer columns, scale) with m v = columns(v) / scale (see `_act`)."""
+    scale = lcm(*(x.promote(conductor).den for x in m.entries))
+    return kernel._int_action(m, conductor), scale
+
+
+def _act(action, v):
+    cols, scale = action
+    w = kernel.int_apply(cols, v)
+    if any(x % scale for x in w):
+        raise ArithmeticError("a generator took an orbit point off the integer lattice")
+    return tuple(x // scale for x in w)
 
 
 def _closure_blobs(gens, dim, conductor, bound):
@@ -195,110 +246,71 @@ def _line_key(vec, conductor):
     return tuple(e.key_at(conductor) for e in v)
 
 
-def build_g25():
-    gens = g25_generators()
+def _build(name, gens, base, bound, degrees, codegrees):
+    """The group generated by `gens`, of order the size of the orbit of `base`."""
     for g in gens:
         assert matrix_order(g, 4) == 3
+    orbit = RegularOrbit(gens, base, 3, bound)
     group = ReflGroup(
-        name="g25",
-        dim=3,
+        name=name,
+        dim=len(base),
         conductor=3,
         generators=gens,
-        elements=_closure_blobs(gens, 3, 3, 1000),
-        degrees=G25_DEGREES,
-        codegrees=G25_CODEGREES,
+        order=len(orbit),
+        degrees=degrees,
+        codegrees=codegrees,
+        regular_orbit=orbit,
     )
     _fill_reflection_data(group)
+    # the premise of the regular orbit: base lies on no reflection hyperplane
+    assert hyperplanes_through(group, orbit.base) == 0
+    return group
+
+
+def build_g25():
+    group = _build("g25", g25_generators(), (1, 2, 3), 1000, G25_DEGREES, G25_CODEGREES)
+    # the stabilizer scans and their oracle tests read the 648 elements
+    group.elements = _closure_blobs(group.generators, 3, 3, group.order)
     group.proper_planes = _g25_proper_planes(group)
     return group
 
 
-def build_g32(cache_dir=None, bound=160_000):
-    gens = g32_generators()
-    for g in gens:
-        assert matrix_order(g, 4) == 3
-    elements = _load_g32_cache(cache_dir)
-    if elements is None:
-        elements = _closure_blobs(gens, 4, 3, bound)
-        _store_g32_cache(cache_dir, elements)
-    group = ReflGroup(
-        name="g32",
-        dim=4,
-        conductor=3,
-        generators=gens,
-        elements=elements,
-        degrees=G32_DEGREES,
-        codegrees=G32_CODEGREES,
-    )
-    _fill_reflection_data(group)
+def build_g32():
+    group = _build("g32", g32_generators(), (1, 2, 3, 5), 160_000, G32_DEGREES, G32_CODEGREES)
     group.proper_planes = _g32_proper_planes(group)
     return group
 
 
-def _cache_path(cache_dir):
-    base = cache_dir or os.environ.get(CACHE_ENV)
-    if not base:
-        return None
-    return os.path.join(base, _G32_CACHE_NAME)
-
-
-def _g32_cache_header(data):
-    """The v2 header line for the element bytes `data` (a SHA-256 of them)."""
-    # imported here: hashlib loads OpenSSL, about 3 MB of resident memory
-    # that only a G32 cache needs
-    import hashlib
-
-    count = len(data) // _G32_BLOB_SIZE
-    digest = hashlib.sha256(data).hexdigest()
-    return f"braidorbit g32 v2 dim=4 conductor=3 count={count} sha256={digest}\n".encode()
-
-
-def _store_g32_cache(cache_dir, elements):
-    path = _cache_path(cache_dir)
-    if path is None:
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    data = b"".join(elements)
-    # write a temp file and rename it, so a reader never sees half a file
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_g32_cache_header(data))
-            fh.write(data)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def _load_g32_cache(cache_dir):
-    """The cached G32 elements, or None (with a warning) if the file is unusable."""
-    path = _cache_path(cache_dir)
-    if path is None or not os.path.exists(path):
-        return None
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        data = fh.read()
-    if len(data) % _G32_BLOB_SIZE or header != _g32_cache_header(data):
-        warnings.warn(
-            f"ignoring G32 cache {path}: its header does not match its contents "
-            "(an older format or a corrupt file); rebuilding the group",
-            stacklevel=2,
-        )
-        return None
-    return [data[i : i + _G32_BLOB_SIZE] for i in range(0, len(data), _G32_BLOB_SIZE)]
-
-
 def _fill_reflection_data(group):
+    """Reflections as conjugation orbits of the generators and their squares.
+
+    Every reflection of G25 and G32 has order 3 and is conjugate to a
+    generator or to its square; the hyperplanes follow in discovery order.
+    """
     phi, red = group.ring()
-    idxs = kernel.reflection_indices(group.elements, group.dim, phi, red)
-    group.reflections = [group.elements[i] for i in idxs]
-    seen = {}
+    d, c = group.dim, group.conductor
+    pairs = [
+        (kernel.to_blob_matrix(g, c), kernel.to_blob_matrix(g.inverse(), c))
+        for g in group.generators
+    ]
+
+    def conjugates(x):
+        for g, g_inv in pairs:
+            yield kernel.mat_mul(kernel.mat_mul(g, x, d, phi, red), g_inv, d, phi, red)
+
+    group.reflections = []
+    seen = set()
+    for g, _ in pairs:
+        for r in (g, kernel.mat_mul(g, g, d, phi, red)):
+            if r not in seen:
+                orbit = kernel.bfs(r, conjugates, group.order)
+                seen.update(orbit)
+                group.reflections.extend(orbit)
+    hyperplanes = {}
     for blob in group.reflections:
-        mat = kernel.from_blob_matrix(blob, group.dim, group.conductor)
-        normal = _reflection_normal(mat)
-        seen[_line_key(normal, group.conductor * 4)] = normal
-    group.hyperplanes = list(seen.values())
+        normal = _reflection_normal(kernel.from_blob_matrix(blob, d, c))
+        hyperplanes[_line_key(normal, c * 4)] = normal
+    group.hyperplanes = list(hyperplanes.values())
 
 
 def _g25_proper_planes(group):
@@ -457,40 +469,23 @@ def point_conductor(group, point):
     return c
 
 
-def line_stabilizer_order(group, point):
+def _scan(group, point):
+    """The arguments of a kernel stabilizer scan of `point`, at its conductor."""
     c = point_conductor(group, point)
+    mats = group.element_mats()  # G25 only: a ValueError without the elements
+    elements = group.elements
+    if c != group.conductor:
+        elements = [kernel.to_blob_matrix(m, c) for m in mats]
     phi, red = kernel.ring_params(c)
-    v = kernel.to_blob_vector(point, c)
-    if c == group.conductor:
-        elements = group.elements
-    else:
-        elements = (_promote_blob(b, group, c) for b in group.elements)
-    return kernel.stab_count_line(list(elements), v, group.dim, phi, red)
+    return elements, kernel.to_blob_vector(point, c), group.dim, phi, red
 
 
-def _promote_blob(blob, group, conductor):
-    # conductor-3 pairs (a, b) map to a*row0 + b*row1 in the bigger basis
-    from .cyclo import _promotion_rows, euler_phi
-
-    rows = _promotion_rows(group.conductor, conductor)
-    phi = euler_phi(conductor)
-    den, nums = kernel.unpack_values(blob)
-    out = []
-    for k in range(group.dim * group.dim):
-        a, b = nums[2 * k], nums[2 * k + 1]
-        out.extend(a * rows[0][j] + b * rows[1][j] for j in range(phi))
-    return kernel.pack_values(den, out)
+def line_stabilizer_order(group, point):
+    return kernel.stab_count_line(*_scan(group, point))
 
 
 def point_stabilizer_order(group, point):
-    c = point_conductor(group, point)
-    phi, red = kernel.ring_params(c)
-    v = kernel.to_blob_vector(point, c)
-    if c == group.conductor:
-        elements = group.elements
-    else:
-        elements = [_promote_blob(b, group, c) for b in group.elements]
-    return kernel.stab_count_point(list(elements), v, group.dim, phi, red)
+    return kernel.stab_count_point(*_scan(group, point))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """Session-wide fixtures: each reflection group is built once per test run,
 and the G32 Table-5 strata are computed once."""
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -17,10 +16,8 @@ def g25():
 
 
 @pytest.fixture(scope="session")
-def g32(tmp_path_factory):
-    # BRAIDORBIT_CACHE lets repeated runs share a built G32
-    cache = os.environ.get("BRAIDORBIT_CACHE") or str(tmp_path_factory.mktemp("g32"))
-    return reflgrp.build_g32(cache_dir=cache)
+def g32():
+    return reflgrp.build_g32()
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 
 from braidorbit import reflgrp
 from braidorbit.cli import main
-from braidorbit.cyclo import cyc
+from braidorbit.cyclo import cyc, render
 
 
 def run(capsys, *argv):
@@ -330,3 +330,78 @@ def test_tables_command_table4(tmp_path, capsys):
     code, out = run(capsys, "tables", "--which", "4", "--out", str(out_path))
     assert code == 0
     assert out_path.read_bytes() == TABLE4_CSV
+
+
+TABLE5_CSV = "".join(
+    line + "\r\n"
+    for line in [
+        "case-id,lambda,tau,expected_size,computed_size,status",
+        "generic,g32,[1 : 2 : 3 : 5],25920,25920,PASS",
+        "order-30-line,g32,[1 : -2 + z30^3 + z30^4 + z30^5 - 2*z30^7 : -3 - z30 + z30^2 + 2*z30^3 + 2*z30^4 + z30^5 - z30^6 - 3*z30^7 : -1 + z30 + z30^2 + z30^3 - z30^6 - z30^7],5184,5184,PASS",
+        "generic-on-proper,g32,[1 : 2 : -1 - 4*z12 - z12^2 + 2*z12^3 : 1 - 4*z12^2 - 3*z12^3],12960,12960,PASS",
+        "order-24-line,g32,[1 : -2/3*z24 + 1/3*z24^2 + 2/3*z24^3 + 1/3*z24^5 - 2/3*z24^6 - 1/3*z24^7 : -1/3*z24 - 1/3*z24^2 + 1/3*z24^3 - 1/3*z24^5 + 2/3*z24^6 - 2/3*z24^7 : 2/3*z24 + 2/3*z24^2 + 1/3*z24^3 - 1/3*z24^5 - 1/3*z24^6 - 2/3*z24^7],6480,6480,PASS",
+        "generic-in-hyperplane,g32,[1 : 2 : 5 : 0],8640,8640,PASS",
+        "order-9-line,g32,[z9 : z9^2 : 1 : 0],2880,2880,PASS",
+        "line-on-2-hyperplanes,g32,[1 : 2 : 0 : 0],2880,2880,PASS",
+        "on-2-and-3-proper,g32,[1 : z12 : 0 : 0],1440,1440,PASS",
+        "line-on-4-hyperplanes,g32,[2 : 1 : 1 : 0],1080,1080,PASS",
+        "on-4-and-6-proper,g32,[-3 : 0 : -3 + 3*z12^2 : -3 - 6*z12 + 3*z12^3],540,540,PASS",
+        "line-on-5-hyperplanes,g32,[1 : 1 : 0 : 0],360,360,PASS",
+        "line-on-12-hyperplanes,g32,[0 : 1 : 0 : 0],40,40,PASS",
+    ]
+).encode()
+
+LATTICE_G32_JSON = """\
+{
+  "group": "g32",
+  "hyperplanes": 40,
+  "codim2_incidences": {
+    "4": 90,
+    "2": 240
+  },
+  "codim3_incidences": {
+    "12": 40,
+    "5": 360
+  },
+  "orthogonality_consistent": true
+}
+"""
+
+
+@pytest.fixture
+def shared_g32(monkeypatch, g32):
+    # the commands build G32 from scratch; here they reuse the session's
+    monkeypatch.setattr(reflgrp, "build_g32", lambda: g32)
+
+
+@pytest.mark.parametrize(
+    "which, counts, normals",
+    [
+        ("g25", (648, 24, 12, 9), reflgrp.g25_hyperplane_normals),
+        ("g32", (155520, 80, 40, 540), reflgrp.g32_hyperplane_normals),
+    ],
+)
+def test_group_command_full(capsys, shared_g32, which, counts, normals):
+    # the normals come in the order the conjugation orbits find them, so
+    # only their set is fixed
+    code, out = run(capsys, "group", "--which", which, "--full")
+    data = json.loads(out)
+    assert code == 0
+    assert (data["order"], data["reflections"], data["hyperplanes"], data["proper_planes"]) == counts
+    assert data["degrees_product_equals_order"]
+    displayed = {"[" + " : ".join(render(c) for c in n) + "]" for n in normals()}
+    assert len(data["hyperplane_normals"]) == counts[2]
+    assert set(data["hyperplane_normals"]) == displayed
+
+
+def test_tables_command_table5(tmp_path, capsys, shared_g32):
+    out_path = tmp_path / "t5.csv"
+    code, out = run(capsys, "tables", "--which", "5", "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == TABLE5_CSV
+
+
+def test_lattice_command_g32(capsys, shared_g32):
+    code, out = run(capsys, "lattice", "--which", "g32")
+    assert code == 0
+    assert out == LATTICE_G32_JSON

@@ -263,6 +263,47 @@ def test_g32_t_element(g32):
     assert len(found) == 4
 
 
+def test_g32_membership(g32):
+    t = reflgrp.g32_t_element()
+    base = g32.regular_orbit.base
+    assert base == (ONE, cyc(2), cyc(3), cyc(5))
+    assert g32.contains(t)
+    assert g32.contains(Mat.identity(4).scale(-1))
+    assert not g32.contains(Mat.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]))
+    # a transvection fixing the base vector: t @ p maps the base into the
+    # orbit, to the image under t, but p has infinite order
+    p = Mat.identity(4) + Mat.from_rows([[2, -1, 0, 0], [4, -2, 0, 0], [0] * 4, [0] * 4])
+    assert p.apply(base) == base and p != Mat.identity(4)
+    assert not g32.contains(t @ p)
+
+
+def test_reflections_by_conjugation(g25, g32):
+    # the conjugation orbits against the rank scan of all 648 elements
+    assert g25.order == len(g25.elements)
+    phi, red = g25.ring()
+    scanned = {g25.elements[i] for i in kernel.reflection_indices(g25.elements, 3, phi, red)}
+    assert set(g25.reflections) == scanned
+    assert len(set(g32.reflections)) == 80
+    for blob in g32.reflections:
+        m = kernel.from_blob_matrix(blob, 4, 3)
+        assert matrix_order(m, 4) == 3
+        assert is_complex_reflection(m)[0]
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        reflgrp.line_stabilizer_order,
+        reflgrp.point_stabilizer_order,
+        reflgrp.steinberg_check,
+        reflgrp.line_stabilizer_is_cyclic,
+    ],
+)
+def test_element_scans_need_the_element_list(g32, scan):
+    with pytest.raises(ValueError, match="g32"):
+        scan(g32, (ONE, cyc(2), cyc(3), cyc(5)))
+
+
 def test_g32_seed_plane_matches_displayed_equations():
     basis, z = reflgrp._g32_seed_plane()
     assert z * z == -(W * W)
@@ -293,25 +334,6 @@ def test_g32_strata_table5(g32_table5):
         assert s.in_table
 
 
-def test_g32_cache_rejects_corruption(g32, tmp_path):
-    cache = str(tmp_path)
-    path = tmp_path / reflgrp._G32_CACHE_NAME
-    reflgrp._store_g32_cache(cache, g32.elements)
-    assert reflgrp._load_g32_cache(cache) == g32.elements
-    raw = bytearray(path.read_bytes())
-    header, data = raw[: raw.index(b"\n") + 1], raw[raw.index(b"\n") + 1 :]
-    # flip one coefficient of one element: a G32 with one wrong element
-    data[1000 * reflgrp._G32_BLOB_SIZE + 8] ^= 1
-    path.write_bytes(bytes(header + data))
-    with pytest.warns(UserWarning, match="rebuilding"):
-        assert reflgrp._load_g32_cache(cache) is None
-    # an intact file in the unchecked v1 format is not trusted either
-    v1 = f"braidorbit g32 v1 dim=4 conductor=3 count={len(g32.elements)}\n".encode()
-    path.write_bytes(v1 + b"".join(g32.elements))
-    with pytest.warns(UserWarning, match="rebuilding"):
-        assert reflgrp._load_g32_cache(cache) is None
-
-
 def test_g32_census(g32):
     c = reflgrp.lattice_census(g32)
     assert c["hyperplanes"] == 40
@@ -333,12 +355,14 @@ def test_g32_special_line_stabilizer_generators(g32):
     img = s30.apply(v30)
     pivot = next(i for i, e in enumerate(v30) if not e.is_zero())
     assert order_of_root(img[pivot] / v30[pivot]) == 30
-    assert reflgrp.line_stabilizer_order(g32, v30) == 30
+    assert g32.contains(s30)
+    assert g32.order // reflgrp.stratify(g32, v30).orbit_size == 30
     v24, _, t24, _ = reflgrp.g32_order24_representative()
     img = t24.apply(v24)
     pivot = next(i for i, e in enumerate(v24) if not e.is_zero())
     assert order_of_root(img[pivot] / v24[pivot]) == 24
-    assert reflgrp.line_stabilizer_order(g32, v24) == 24
+    assert g32.contains(t24)
+    assert g32.order // reflgrp.stratify(g32, v24).orbit_size == 24
 
 
 def test_in_plane_orbit_pattern(g25):

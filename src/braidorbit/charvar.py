@@ -390,13 +390,22 @@ class OrbitResult:
 
 
 def _proj_class(n, w, conductor, phi):
-    """The ProjClass of a canonical integer vector."""
-    den = next((x for x in w if x), 1)
+    """The ProjClass of a canonical nonzero integer vector.
+
+    Over the denominator `den` (its first nonzero coordinate) the vector
+    is already ProjClass's canonical form, with that coordinate equal to
+    1, so the point is built without `__post_init__`'s normalization.
+    """
+    den = next(x for x in w if x)
     coords = tuple(
         Cyclotomic._make(conductor, list(w[k : k + phi]), den)
         for k in range(0, len(w), phi)
     )
-    return ProjClass(n, coords)
+    point = object.__new__(ProjClass)
+    object.__setattr__(point, "n", n)
+    object.__setattr__(point, "coords", coords)
+    object.__setattr__(point, "is_zero_class", False)
+    return point
 
 
 def orbit(cls, linear, bound=200_000, gens=None):

@@ -488,7 +488,7 @@ def main(argv=None):
 
 def _numeric_errors():
     # evaluated only when an exception reaches `main`, so the other
-    # commands never import numpy
+    # commands import numpy only for the batched levels of a large orbit
     from .connect import AmbiguousMatch, IntegrationFailure
 
     return AmbiguousMatch, IntegrationFailure

@@ -12,16 +12,24 @@ x^(phi+t) in the power basis, t = 0 .. phi-2.  Projective operations
 (line_canon, line_orbit) are implemented for quadratic rings only,
 where red = (p, q) gives the closed-form inverse.
 
-`bfs` is the level-order search behind every exact orbit and closure of
-the package, and `BoundExceeded` is what each of them raises past its
-bound.  `int_line_orbit` runs a projective orbit on Python-int
-coefficient vectors at any conductor (no int64 limit); the braid orbits
-of `charvar` and the G25/G32 line and plane orbits of `reflgrp` use it.
+`bfs` is the level-order search over objects (the closure, the
+conjugation orbits, classify's projective closure), and `BoundExceeded`
+is what every search raises past its bound.  `int_bfs` is the same
+search over integer coefficient vectors: a large level applies each
+generator to a chunk of the frontier at a time as one int64 numpy
+product and canonicalizes the images in batch, guarded so that no value
+can reach 2^62; a small level, or a chunk the guard refuses, runs the
+per-item Python-int step, which has no size limit.  Both give the same vectors
+in the same order.  `int_line_orbit` (the braid orbits of `charvar`,
+the G25/G32 line and plane orbits of `reflgrp`) and the regular orbit
+of `reflgrp` run on it.
 """
 
 from __future__ import annotations
 
+import random
 import struct
+from functools import lru_cache
 from math import gcd, lcm
 
 from .cyclo import Cyclotomic, _int_inverse, _mul_mod, _reduction_rows, cyc, euler_phi
@@ -114,6 +122,19 @@ def int_apply(cols, v):
     return w
 
 
+_OFF_LATTICE = "a generator took an orbit point off the integer lattice"
+
+
+def _scaled_apply(cols, scale, v):
+    """cols(v) / scale as a tuple; ArithmeticError if the division is inexact."""
+    w = int_apply(cols, v)
+    if scale != 1:
+        if any(x % scale for x in w):
+            raise ArithmeticError(_OFF_LATTICE)
+        w = [x // scale for x in w]
+    return tuple(w)
+
+
 def _canon(w, conductor, phi, inverses):
     """Canonical integer vector of the point [w].
 
@@ -122,7 +143,9 @@ def _canon(w, conductor, phi, inverses):
     is ProjClass's form with the first nonzero coordinate equal to 1.  The
     zero vector stays as it is.  `inverses` maps a primitive pivot to its
     `_int_inverse`; an orbit meets few distinct pivots (179 for the
-    25920-point n=6 orbit, against 345k canonicalizations).
+    25920-point n=6 orbit, against 345k canonicalizations).  This is the
+    per-item form; `_Batch.canon` computes the same vectors for a chunk
+    of a level at once.
     """
     for i in range(0, len(w), phi):
         if any(w[i : i + phi]):
@@ -149,16 +172,256 @@ def _canon(w, conductor, phi, inverses):
     return tuple(w)
 
 
+# a level whose frontier is smaller runs the per-item step: converting a
+# few vectors to an array costs more than the product saves
+_BATCH_MIN = 64
+# a batched level runs in chunks of about this many images, which bounds
+# its arrays' memory
+_CHUNK_IMAGES = 4096
+# bound on every int64 value of a batched level, products included
+_INT64_LIMIT = 1 << 62
+
+
+def int_bfs(start, actions, bound, scales=None, ring=None):
+    """All integer vectors reachable from `start`, in level (discovery) order.
+
+    `start` is a tuple of ints and each action an integer matrix by
+    columns (`_int_action`).  With `ring` = (conductor, phi) the search is
+    projective: every image is replaced by its canonical vector (`_canon`;
+    `start` must be canonical).  Otherwise it is linear, and the image
+    under action a is divided by `scales[a]` (default 1), raising
+    ArithmeticError if a division is inexact.  Raises BoundExceeded with
+    the first bound+1 vectors once a (bound+1)-th appears, as `bfs` does,
+    whose discovery order this keeps: a level's images are scanned by
+    item, then by action.
+
+    A level whose frontier has at least `_BATCH_MIN` vectors runs in
+    chunks of consecutive items, each computed by `_Batch` as int64
+    arrays if its guard admits it; any other level or chunk runs the
+    per-item Python-int step.  The vectors found are the same tuples of
+    Python ints either way.
+    """
+    scales = [1] * len(actions) if scales is None else list(scales)
+    inverses = {}
+
+    def step(v):
+        for cols, scale in zip(actions, scales):
+            if ring is None:
+                yield _scaled_apply(cols, scale, v)
+            else:
+                yield _canon(int_apply(cols, v), *ring, inverses)
+
+    batch = _Batch(actions, scales, ring, inverses)
+    width = max(1, _CHUNK_IMAGES // max(1, len(actions)))  # items per chunk
+    seen = {start}
+    found = [start]
+    level, frontier = [start], None
+    while level:
+        mark = len(found)
+        parts = []  # the new vectors as int64 arrays, while every chunk is batched
+        for lo in range(0, len(level), width):
+            items = level[lo : lo + width]
+            rows = None
+            if len(level) >= _BATCH_MIN:
+                array = None if frontier is None else frontier[lo : lo + width]
+                rows = batch.distinct_images(items, array)
+            if rows is None:
+                parts = None
+                images = (w for v in items for w in step(v))
+            else:
+                images = map(tuple, rows.tolist())
+            kept = []
+            for i, w in enumerate(images):
+                if w not in seen:
+                    seen.add(w)
+                    found.append(w)
+                    kept.append(i)
+                    if len(found) > bound:
+                        raise BoundExceeded(bound, found)
+            if parts is not None:
+                parts.append(rows[kept])
+        level = found[mark:]
+        frontier = np.concatenate(parts) if parts else None
+    return found
+
+
+np = None  # numpy, imported by the first batched level
+
+
+class _Batch:
+    """The batched step of `int_bfs`: every action on a chunk of a level.
+
+    The actions are stacked side by side into one int64 matrix, so
+    frontier @ matrix holds, for each item, its images under every action;
+    reshaped to one image per row they come in `bfs`'s scan order.  The
+    guard: an image is at most max|frontier| times the largest row
+    l1-norm of an action, and a canonical vector at most max|image| times
+    the largest column l1-norm of its pivot's multiplication matrix; a
+    chunk where either bound reaches 2^62 is refused (None) and runs the
+    per-item step.
+    """
+
+    def __init__(self, actions, scales, ring, inverses):
+        self.actions = actions
+        self.scales = scales
+        self.ring = ring
+        self.inverses = inverses
+        self.pivots = {}  # primitive pivot -> (S, cap), see `_pivot`
+        self.norm = None  # set by the first batched level
+
+    def _build(self):
+        global np
+        import numpy
+
+        np = numpy
+        size = len(self.actions[0])
+        self.norm = 0
+        for cols in self.actions:
+            sums = [0] * size
+            for col in cols:
+                for r, a in col:
+                    sums[r] += abs(a)
+            self.norm = max(self.norm, *sums)
+        self.matrix = None  # an action or a scale too large for int64: never batch
+        self.divisors = None
+        if self.norm < _INT64_LIMIT and max(self.scales) < _INT64_LIMIT:
+            self.matrix = np.zeros((size, len(self.actions) * size), dtype=np.int64)
+            for k, cols in enumerate(self.actions):
+                for j, col in enumerate(cols):
+                    for r, a in col:
+                        self.matrix[j, k * size + r] = a
+            if any(x != 1 for x in self.scales):
+                self.divisors = np.array(self.scales, dtype=np.int64)[:, None]
+
+    def distinct_images(self, items, frontier):
+        """The distinct images of `items`, in scan order, or None if refused.
+
+        Each row is the first occurrence of its image.  `frontier` is
+        `items` as an int64 array, or None when the previous level was not
+        batched.
+        """
+        if self.norm is None:
+            self._build()
+        if self.matrix is None:
+            return None
+        if frontier is None:
+            top = max(abs(x) for v in items for x in v)
+        else:
+            top = int(np.abs(frontier).max())
+        if top * self.norm >= _INT64_LIMIT:
+            return None
+        if frontier is None:
+            frontier = np.array(items, dtype=np.int64)
+        n, size = frontier.shape
+        images = (frontier @ self.matrix).reshape(n, len(self.actions), size)
+        if self.ring is not None:
+            images = self.canon(images.reshape(-1, size))
+            if images is None:
+                return None
+        elif self.divisors is not None:
+            if (images % self.divisors).any():
+                raise ArithmeticError(_OFF_LATTICE)
+            images //= self.divisors
+        images = images.reshape(-1, size)
+        return images[np.sort(_group_rows(images)[1])]
+
+    def _pivot(self, key):
+        """(S, cap) for multiplication by the inverse of the pivot `key`.
+
+        A block b of phi coefficients times the matrix S is b * s mod
+        Phi_N, where key * s == c.  `cap` is the largest |image| entry the
+        guard admits: max|image| * (largest column l1-norm of S) < 2^62.
+        An S that does not fit int64 is zero with cap -1.
+        """
+        try:
+            return self.pivots[key]
+        except KeyError:
+            pass
+        conductor, phi = self.ring
+        try:
+            s, c = self.inverses[key]
+        except KeyError:
+            s, c = self.inverses[key] = _int_inverse(conductor, key)
+        rows = [_mul_mod(conductor, [int(t == j) for j in range(phi)], s) for t in range(phi)]
+        norm = max(sum(abs(row[q]) for row in rows) for q in range(phi))
+        if norm < _INT64_LIMIT:
+            out = np.array(rows, dtype=np.int64), (_INT64_LIMIT - 1) // norm
+        else:
+            out = np.zeros((phi, phi), dtype=np.int64), -1
+        self.pivots[key] = out
+        return out
+
+    def canon(self, w):
+        """`_canon` of every row of the int64 array `w`, or None if refused.
+
+        Each row whose first nonzero block is not an integer has its blocks
+        multiplied by the S of its primitive pivot (one `_int_inverse` per
+        distinct pivot), which turns the pivot block into c * g and leaves
+        the blocks before it zero.  Then each row gets a positive leading
+        coordinate and is divided by its gcd.
+        """
+        conductor, phi = self.ring
+        n, size = w.shape
+        blocks = w.reshape(n, size // phi, phi)
+        lead = blocks.any(axis=2).argmax(axis=1)  # block 0 for the zero vector
+        rows = np.arange(n)
+        if phi > 1:
+            pivots = blocks[rows, lead]
+            hard = np.flatnonzero(pivots[:, 1:].any(axis=1))
+            if len(hard):
+                p = pivots[hard]
+                keys = p // np.gcd.reduce(p, axis=1)[:, None]
+                labels, first = _group_rows(keys)
+                mats, caps = zip(*(self._pivot(tuple(k)) for k in keys[first].tolist()))
+                if (np.abs(w[hard]).max(axis=1) > np.array(caps)[labels]).any():
+                    return None
+                blocks[hard] = blocks[hard] @ np.array(mats)[labels]
+        lead_coeff = w[rows, lead * phi]
+        w[lead_coeff < 0] *= -1
+        g = np.gcd.reduce(w, axis=1)
+        g[g == 0] = 1
+        w //= g[:, None]
+        return w
+
+
+@lru_cache(maxsize=None)
+def _hash_weights(width):
+    rng = random.Random(width)
+    return np.array([rng.getrandbits(64) for _ in range(width)], dtype=np.uint64)
+
+
+def _group_rows(rows):
+    """Exact classes of equal rows of a 2-D int64 array.
+
+    Returns (labels, first): the class of each row and the index of each
+    class's first row.  Rows are hashed by a random linear form mod 2^64
+    and grouped by `np.unique` on the 1-D hashes; a collision, caught by
+    comparing every row with its class's first row, regroups the rows
+    exactly on their tuples.
+    """
+    h = np.ascontiguousarray(rows).view(np.uint64) @ _hash_weights(rows.shape[1])
+    _, first, labels = np.unique(h, return_index=True, return_inverse=True)
+    labels = labels.reshape(-1)
+    if (rows == rows[first[labels]]).all():
+        return labels, first
+    classes = {}
+    labels = [classes.setdefault(r, len(classes)) for r in map(tuple, rows.tolist())]
+    first = {}
+    for i, label in enumerate(labels):
+        first.setdefault(label, i)
+    return np.array(labels, dtype=np.intp), np.array(list(first.values()), dtype=np.intp)
+
+
 def int_line_orbit(mats, coords, bound, conductor):
     """Orbit of the line through `coords` under the matrices `mats`.
 
-    The search runs on integers at one conductor N, the lcm of
-    `conductor`, the conductors of the coordinates and those of the matrix
-    entries: points are canonical coefficient vectors (see `_canon`) and
-    each matrix acts through `_int_action`.  Returns (N, phi, vectors,
-    exceeded): the vectors in discovery order, the first being the start's,
-    and whether more than `bound` were found, in which case `vectors` holds
-    the first bound + 1 of them.
+    The search is one projective `int_bfs` at one conductor N, the lcm of
+    `conductor`, the conductors of the coordinates and those of the
+    matrix entries: points are canonical coefficient vectors (see
+    `_canon`) and each matrix acts through `_int_action`.  Returns (N,
+    phi, vectors, exceeded): the vectors in discovery order, the first
+    being the start's, and whether more than `bound` were found, in which
+    case `vectors` holds the first bound + 1 of them.
     """
     for x in coords:
         conductor = lcm(conductor, x.n)
@@ -167,17 +430,9 @@ def int_line_orbit(mats, coords, bound, conductor):
             conductor = lcm(conductor, x.n)
     phi = euler_phi(conductor)
     actions = [_int_action(m, conductor) for m in mats]
-    inverses = {}
-    start = _canon(
-        [c for v in _int_vectors(coords, conductor) for c in v], conductor, phi, inverses
-    )
-
-    def step(v):
-        for cols in actions:
-            yield _canon(int_apply(cols, v), conductor, phi, inverses)
-
+    start = _canon([c for v in _int_vectors(coords, conductor) for c in v], conductor, phi, {})
     try:
-        return conductor, phi, bfs(start, step, bound), False
+        return conductor, phi, int_bfs(start, actions, bound, ring=(conductor, phi)), False
     except BoundExceeded as exc:
         return conductor, phi, exc.found, True
 

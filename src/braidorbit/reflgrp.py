@@ -161,7 +161,8 @@ class RegularOrbit:
     stabilizer, so g -> g(base) is a bijection from the group onto the
     orbit, and the orbit's level-order BFS is a Schreier tree for it.
     Points are integer coefficient vectors at `conductor`; a generator acts
-    by its integer matrix (`kernel._int_action`) over its integer scale.
+    by its integer matrix (`kernel._int_action`) over its integer scale,
+    and the BFS is one linear `kernel.int_bfs`.
     """
 
     def __init__(self, gens, base, conductor, bound):
@@ -171,7 +172,9 @@ class RegularOrbit:
         actions = [_exact_action(g, conductor) for g in gens]
         self._inverse_actions = [_exact_action(g.inverse(), conductor) for g in gens]
         start = self._coefficients(self.base)
-        self.points = kernel.bfs(start, lambda v: (_act(a, v) for a in actions), bound)
+        self.points = kernel.int_bfs(
+            start, [cols for cols, _ in actions], bound, scales=[s for _, s in actions]
+        )
         self.index = {v: i for i, v in enumerate(self.points)}
 
     def __len__(self):
@@ -200,23 +203,18 @@ class RegularOrbit:
         elem = Mat.identity(len(self.base))
         while i:
             v = self.points[i]
-            i, a = min((self.index[_act(inv, v)], a) for a, inv in enumerate(self._inverse_actions))
+            i, a = min(
+                (self.index[kernel._scaled_apply(*inv, v)], a)
+                for a, inv in enumerate(self._inverse_actions)
+            )
             elem = elem @ self.generators[a]
         return elem == mat
 
 
 def _exact_action(m, conductor):
-    """(integer columns, scale) with m v = columns(v) / scale (see `_act`)."""
+    """(integer columns, scale) with m v = columns(v) / scale (`kernel._scaled_apply`)."""
     scale = lcm(*(x.promote(conductor).den for x in m.entries))
     return kernel._int_action(m, conductor), scale
-
-
-def _act(action, v):
-    cols, scale = action
-    w = kernel.int_apply(cols, v)
-    if any(x % scale for x in w):
-        raise ArithmeticError("a generator took an orbit point off the integer lattice")
-    return tuple(x // scale for x in w)
 
 
 def _closure_blobs(gens, dim, conductor, bound):

@@ -1,5 +1,5 @@
 """Session-wide fixtures: each reflection group is built once per test run,
-and the G32 Table-5 strata are computed once."""
+and the G32 Table-5 strata and lattice census are computed once."""
 
 import time
 from dataclasses import dataclass
@@ -18,6 +18,12 @@ def g25():
 @pytest.fixture(scope="session")
 def g32():
     return reflgrp.build_g32()
+
+
+@pytest.fixture(scope="session")
+def g32_census(g32):
+    """The hyperplane lattice census of G32, computed once per run."""
+    return reflgrp.lattice_census(g32)
 
 
 @dataclass

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from braidorbit import connect, kernel, reflgrp
-from braidorbit.charvar import LinearPart, ProjClass, orbit
+from braidorbit.charvar import (
+    AffineRep,
+    LinearPart,
+    ProjClass,
+    normalize,
+    orbit,
+    reduced_generators,
+)
 from braidorbit.classify import NotFiniteCase, _projective_closure
 from braidorbit.cyclo import cyc, zeta
 from braidorbit.linalg import Mat, eigenspace
@@ -182,3 +189,125 @@ def test_bound_meaning(case, size):
 
 def test_one_bound_exceeded_class():
     assert reflgrp.BoundExceeded is connect.BoundExceeded is kernel.BoundExceeded
+
+
+# ---- the batched integer search against its per-item step --------------------
+#
+# `int_bfs` batches a level only if its frontier has at least `_BATCH_MIN`
+# vectors; setting that constant to 1 batches every level and setting it
+# past any level size runs the per-item Python-int step everywhere.  Both
+# must give the same vectors in the same order.
+
+
+def _batched_and_per_item(monkeypatch, search):
+    monkeypatch.setattr(kernel, "_BATCH_MIN", 1)
+    batched = search()
+    monkeypatch.setattr(kernel, "_BATCH_MIN", 1 << 62)
+    per_item = search()
+    return batched, per_item
+
+
+def _n6_class():
+    # the n6-orbit benchmark's class: z6 x 6, tau (0, 2, 1, 1, 0)
+    z6 = zeta(6, 1)
+    rep = AffineRep(LinearPart((z6,) * 6), tuple(cyc(t) for t in (0, 2, 1, 1, 0)))
+    cls, _ = normalize(rep)
+    return cls, rep.linear
+
+
+def _line_orbit_case(name):
+    if name == "n6-2880":
+        cls, lp = _n6_class()
+        return reduced_generators(lp), cls.coords, 6, 2880
+    if name == "table3-conductor-60":
+        lp = LinearPart((zeta(60, 1), zeta(60, 29), zeta(60, 11), zeta(60, 19)))
+        return reduced_generators(lp), (cyc(1), cyc(2)), 60, 60
+    assert name == "g32-conductor-30"
+    v30 = reflgrp.g32_order30_representative()[0]
+    return reflgrp.g32_generators(), v30, 3, 5184
+
+
+@pytest.mark.parametrize("name", ["n6-2880", "table3-conductor-60", "g32-conductor-30"])
+def test_int_line_orbit_batched_matches_per_item(monkeypatch, name):
+    gens, coords, conductor, size = _line_orbit_case(name)
+    batched, per_item = _batched_and_per_item(
+        monkeypatch, lambda: kernel.int_line_orbit(gens, coords, 200_000, conductor)
+    )
+    assert len(batched[2]) == size
+    assert batched == per_item
+
+
+def test_regular_orbit_batched_matches_per_item(monkeypatch):
+    batched, per_item = _batched_and_per_item(
+        monkeypatch,
+        lambda: reflgrp.RegularOrbit(reflgrp.g25_generators(), (1, 2, 3), 3, 1000).points,
+    )
+    assert len(batched) == 648
+    assert batched == per_item
+
+
+def test_bound_inside_a_level_batched_matches_per_item(monkeypatch):
+    # the levels of the n=6 orbit hold 1, 18, 170, 918, ... vectors, so the
+    # 1001st vector comes in the middle of a batched level
+    cls, lp = _n6_class()
+    gens = reduced_generators(lp)
+    batched, per_item = _batched_and_per_item(
+        monkeypatch, lambda: kernel.int_line_orbit(gens, cls.coords, 1000, 6)
+    )
+    assert batched[3] is True and len(batched[2]) == 1001
+    assert batched == per_item
+
+
+@pytest.mark.parametrize("exponent, refused_by", [(61, "product"), (57, "pivot")])
+def test_int64_guard_falls_back_to_the_python_step(monkeypatch, exponent, refused_by):
+    # near 2^61 the product guard refuses the first level; near 2^57 the
+    # product fits, but multiplying by a pivot's inverse would not
+    refusals = []
+    for method in ("distinct_images", "canon"):
+        original = getattr(kernel._Batch, method)
+
+        def spy(self, *args, _original=original, _method=method):
+            out = _original(self, *args)
+            if out is None:
+                refusals.append(_method)
+            return out
+
+        monkeypatch.setattr(kernel._Batch, method, spy)
+    point = (cyc(1), cyc((1 << exponent) + 1), cyc(3))
+    gens = reflgrp.g25_generators()
+    batched, per_item = _batched_and_per_item(
+        monkeypatch, lambda: kernel.int_line_orbit(gens, point, 1000, 3)
+    )
+    assert len(batched[2]) == 216
+    assert batched == per_item
+    assert ("canon" in refusals) == (refused_by == "pivot")
+    assert "distinct_images" in refusals
+    # the orbit's coordinates outgrow int64: only the Python step holds them
+    assert max(abs(x) for v in batched[2] for x in v) >= 1 << 63
+
+
+@pytest.mark.parametrize("batch_min", [1, 1 << 62])
+def test_regular_orbit_off_the_lattice_is_an_error(monkeypatch, batch_min):
+    # (1, 2, 5): a generator with scale 3 takes the orbit off Z^(3 phi)
+    monkeypatch.setattr(kernel, "_BATCH_MIN", batch_min)
+    with pytest.raises(ArithmeticError, match="off the integer lattice"):
+        reflgrp.RegularOrbit(reflgrp.g25_generators(), (1, 2, 5), 3, 1000)
+
+
+def test_hash_collisions_regroup_exactly(monkeypatch):
+    # with every row hashed to 0, `_group_rows` must fall back to exact tuples
+    monkeypatch.setattr(kernel, "_hash_weights", lambda width: np.zeros(width, dtype=np.uint64))
+    cls, lp = _n6_class()
+    gens = reduced_generators(lp)
+    batched, per_item = _batched_and_per_item(
+        monkeypatch, lambda: kernel.int_line_orbit(gens, cls.coords, 6000, 6)
+    )
+    assert len(batched[2]) == 2880
+    assert batched == per_item
+
+
+def test_action_too_large_for_int64_runs_per_item(monkeypatch):
+    # x -> (2^70 x) / 2^70 cannot be stacked into an int64 matrix
+    monkeypatch.setattr(kernel, "_BATCH_MIN", 1)
+    huge = 1 << 70
+    assert kernel.int_bfs((1, 2), [[((0, huge),), ((1, huge),)]], 10, scales=[huge]) == [(1, 2)]

@@ -334,8 +334,8 @@ def test_g32_strata_table5(g32_table5):
         assert s.in_table
 
 
-def test_g32_census(g32):
-    c = reflgrp.lattice_census(g32)
+def test_g32_census(g32_census):
+    c = g32_census
     assert c["hyperplanes"] == 40
     assert c["codim2_incidences"] == {2: 240, 4: 90}
     assert c["codim3_incidences"] == {5: 360, 12: 40}

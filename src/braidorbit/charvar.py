@@ -14,7 +14,7 @@ from math import lcm
 
 from .braid import BraidWord, PureLetter
 from .cyclo import Cyclotomic, cyc, order_of_root
-from .kernel import int_line_orbit
+from .kernel import int_line_orbit, line_coords
 from .linalg import Mat
 
 ZERO = cyc(0)
@@ -153,9 +153,6 @@ class ProjClass:
                 inv = pivot.inverse()
                 coords = tuple(inv * x for x in coords)
         object.__setattr__(self, "coords", coords)
-
-    def key(self, conductor):
-        return (self.is_zero_class,) + tuple(x.key_at(conductor) for x in self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, ProjClass):
@@ -389,21 +386,16 @@ class OrbitResult:
     exceeded_bound: bool = False
 
 
-def _proj_class(n, w, conductor, phi):
+def _proj_class(n, w, conductor):
     """The ProjClass of a canonical nonzero integer vector.
 
-    Over the denominator `den` (its first nonzero coordinate) the vector
-    is already ProjClass's canonical form, with that coordinate equal to
-    1, so the point is built without `__post_init__`'s normalization.
+    Its coordinates (`kernel.line_coords`) are already ProjClass's
+    canonical form, with the first nonzero one equal to 1, so the point is
+    built without `__post_init__`'s normalization.
     """
-    den = next(x for x in w if x)
-    coords = tuple(
-        Cyclotomic._make(conductor, list(w[k : k + phi]), den)
-        for k in range(0, len(w), phi)
-    )
     point = object.__new__(ProjClass)
     object.__setattr__(point, "n", n)
-    object.__setattr__(point, "coords", coords)
+    object.__setattr__(point, "coords", line_coords(w, conductor))
     object.__setattr__(point, "is_zero_class", False)
     return point
 
@@ -425,8 +417,6 @@ def orbit(cls, linear, bound=200_000, gens=None):
         return OrbitResult(points=[cls], size=1)
     if gens is None:
         gens = reduced_generators(linear)
-    conductor, phi, found, exceeded = int_line_orbit(
-        gens, cls.coords, bound, linear.conductor()
-    )
-    points = [cls] + [_proj_class(cls.n, w, conductor, phi) for w in found[1:]]
+    conductor, _, found, exceeded = int_line_orbit(gens, cls.coords, bound, linear.conductor())
+    points = [cls] + [_proj_class(cls.n, w, conductor) for w in found[1:]]
     return OrbitResult(points=points, size=len(points), exceeded_bound=exceeded)

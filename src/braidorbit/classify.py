@@ -21,8 +21,8 @@ from .charvar import (
     normalize,
 )
 from .cyclo import Cyclotomic, cyc, order_of_root, sqrt_of_root, zeta
-from .kernel import BoundExceeded, bfs
-from .linalg import mat_parallel
+from .kernel import BoundExceeded, int_line_orbit, line_coords, line_vector
+from .linalg import Mat, mat_parallel
 
 ONE = cyc(1)
 ZERO = cyc(0)
@@ -529,8 +529,6 @@ def _derived_rows(lp, c):
     eigenlines can be found exactly by scanning k-th roots of the scalar
     produced by the element's projective order.
     """
-    from .linalg import eigenspace, projective_order
-
     m3 = action_matrix_reduced(lp, 1, 2)
     m1 = action_matrix_reduced(lp, 2, 3)
     group = _projective_closure([m1, m3], bound=200)
@@ -542,7 +540,7 @@ def _derived_rows(lp, c):
             continue
         for v in _eigenlines_finite(g):
             cls = ProjClass(4, v)
-            key = cls.key(lp.conductor() * 60)
+            key = line_vector(cls.coords, lp.conductor() * 60)
             if key in seen:
                 continue
             seen.add(key)
@@ -579,26 +577,24 @@ def _eigenlines_finite(m, max_order=5):
 
 
 def _projective_closure(gens, bound):
-    """Closure of 2x2 matrices up to scalar, by canonical rescaling."""
-    def canon(m):
-        pivot = next(e for e in m.entries if not e.is_zero())
-        inv = pivot.inverse()
-        return m.scale(inv)
+    """The group generated by square matrices, up to scalars, in BFS order.
 
-    from math import lcm
-
-    conductor = 1
-    for g in gens:
-        for e in g.entries:
-            conductor = lcm(conductor, e.n)
-    conductor = lcm(conductor, 4)
-
-    def key(m):
-        return tuple(e.key_at(conductor * 5) for e in m.entries)
-
-    gens = [canon(g) for g in gens] + [canon(g.inverse()) for g in gens]
-    start = canon(gens[0] @ gens[0].inverse())
-    try:
-        return bfs(start, lambda m: (canon(g @ m) for g in gens), bound, key=key)
-    except BoundExceeded as exc:
-        raise NotFiniteCase("projective closure exceeded bound") from exc
+    g acts on the row-major vec(m) of a matrix m as the Kronecker product
+    g (x) I, since vec(g m) = (g (x) I) vec(m).  So the group is the orbit
+    of the line through vec(I) under the generators and their inverses,
+    one `kernel.int_line_orbit`, and each element is read off its
+    canonical vector, with its first nonzero entry equal to 1.
+    """
+    d = gens[0].rows
+    lifts = [
+        Mat.from_rows(
+            [[g[i, k] if j == l else ZERO for k in range(d) for l in range(d)]
+             for i in range(d) for j in range(d)]
+        )
+        for g in gens + [g.inverse() for g in gens]
+    ]
+    conductor, _, found, exceeded = int_line_orbit(lifts, Mat.identity(d).entries, bound, 1)
+    group = [Mat(d, d, line_coords(w, conductor)) for w in found]
+    if exceeded:
+        raise NotFiniteCase("projective closure exceeded bound") from BoundExceeded(bound, group)
+    return group

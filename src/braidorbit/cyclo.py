@@ -431,11 +431,6 @@ class Cyclotomic:
                     break
         return x
 
-    def key_at(self, m):
-        """Canonical hashable key of the value inside Q(zeta_m)."""
-        p = self.promote(m)
-        return (p.den, p.num)
-
     def coeffs(self):
         return tuple(Fraction(x, self.den) for x in self.num)
 

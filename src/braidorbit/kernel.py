@@ -12,17 +12,21 @@ x^(phi+t) in the power basis, t = 0 .. phi-2.  Projective operations
 (line_canon, line_orbit) are implemented for quadratic rings only,
 where red = (p, q) gives the closed-form inverse.
 
-`bfs` is the level-order search over objects (the closure, the
-conjugation orbits, classify's projective closure), and `BoundExceeded`
-is what every search raises past its bound.  `int_bfs` is the same
-search over integer coefficient vectors: a large level applies each
-generator to a chunk of the frontier at a time as one int64 numpy
-product and canonicalizes the images in batch, guarded so that no value
-can reach 2^62; a small level, or a chunk the guard refuses, runs the
-per-item Python-int step, which has no size limit.  Both give the same vectors
-in the same order.  `int_line_orbit` (the braid orbits of `charvar`,
-the G25/G32 line and plane orbits of `reflgrp`) and the regular orbit
-of `reflgrp` run on it.
+`bfs` is the level-order search over objects (the blob closure, the
+conjugation orbits), and `BoundExceeded` is what every search raises
+past its bound.  `int_bfs` is the same search over integer coefficient
+vectors: a large level applies each generator to a chunk of the frontier
+at a time as one int64 numpy product and canonicalizes the images in
+batch, guarded so that no value can reach 2^62; a small level, or a
+chunk the guard refuses, runs the per-item Python-int step, which has no
+size limit.  Both give the same vectors in the same order.
+`int_line_orbit` (the braid orbits of `charvar`, classify's projective
+group, the G25/G32 line and plane orbits of `reflgrp`) and the regular
+orbit of `reflgrp` run on it.
+
+The identity of an exact point is its canonical integer vector:
+`line_vector` builds it from Cyclotomic values at an explicit conductor
+and `line_coords` reads the values back.
 """
 
 from __future__ import annotations
@@ -52,22 +56,21 @@ class BoundExceeded(RuntimeError):
         self.found = found
 
 
-def bfs(start, step, bound, key=None):
+def bfs(start, step, bound):
     """All items reachable from `start`, in level (discovery) order.
 
-    `step(item)` yields the neighbours of an item and `key(item)` is its
-    hashable identity (the item itself when `key` is None).  Raises
-    BoundExceeded once a (bound+1)-th distinct item appears.
+    `step(item)` yields the neighbours of an item; items are hashable and
+    equal exactly when they are the same point.  Raises BoundExceeded once
+    a (bound+1)-th distinct item appears.
     """
-    seen = {start if key is None else key(start)}
+    seen = {start}
     found = [start]
     # `found` doubles as the FIFO queue: items are expanded in the order
     # they were discovered, which is level order
     for item in found:
         for nxt in step(item):
-            k = nxt if key is None else key(nxt)
-            if k not in seen:
-                seen.add(k)
+            if nxt not in seen:
+                seen.add(nxt)
                 found.append(nxt)
                 if len(found) > bound:
                     raise BoundExceeded(bound, found)
@@ -412,6 +415,31 @@ def _group_rows(rows):
     return np.array(labels, dtype=np.intp), np.array(list(first.values()), dtype=np.intp)
 
 
+def line_vector(values, conductor):
+    """The canonical integer vector of the line through `values` (`_canon`).
+
+    Every value is promoted to `conductor`, which each of their conductors
+    must divide.  Two nonzero vectors give the same tuple exactly when they
+    span the same line, whatever conductors their values are stored at, so
+    the tuple is the hashable identity of the line.
+    """
+    flat = [c for v in _int_vectors(values, conductor) for c in v]
+    return _canon(flat, conductor, euler_phi(conductor), {})
+
+
+def line_coords(w, conductor):
+    """The coordinates of the nonzero canonical vector `w`, as Cyclotomic.
+
+    Read over the denominator of its first nonzero entry, `w` has its first
+    nonzero coordinate equal to 1 (see `_canon`).
+    """
+    phi = euler_phi(conductor)
+    den = next(x for x in w if x)
+    return tuple(
+        Cyclotomic._make(conductor, list(w[k : k + phi]), den) for k in range(0, len(w), phi)
+    )
+
+
 def int_line_orbit(mats, coords, bound, conductor):
     """Orbit of the line through `coords` under the matrices `mats`.
 
@@ -430,7 +458,7 @@ def int_line_orbit(mats, coords, bound, conductor):
             conductor = lcm(conductor, x.n)
     phi = euler_phi(conductor)
     actions = [_int_action(m, conductor) for m in mats]
-    start = _canon([c for v in _int_vectors(coords, conductor) for c in v], conductor, phi, {})
+    start = line_vector(coords, conductor)
     try:
         return conductor, phi, int_bfs(start, actions, bound, ring=(conductor, phi)), False
     except BoundExceeded as exc:

@@ -11,6 +11,7 @@ conjugation to the braid-action matrices.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import lcm
@@ -217,12 +218,6 @@ def _exact_action(m, conductor):
     return kernel._int_action(m, conductor), scale
 
 
-def _closure_blobs(gens, dim, conductor, bound):
-    phi, red = kernel.ring_params(conductor)
-    blobs = [kernel.to_blob_matrix(g, conductor) for g in gens]
-    return kernel.closure(blobs, dim, phi, red, bound)
-
-
 def _reflection_normal(mat):
     """Normal of the fixed hyperplane: a nonzero row of (m - I)."""
     diff = mat - Mat.identity(mat.rows)
@@ -239,9 +234,13 @@ def _canonical_line(vec):
     return tuple(inv * e for e in vec)
 
 
-def _line_key(vec, conductor):
-    v = _canonical_line(vec)
-    return tuple(e.key_at(conductor) for e in v)
+# the hashable identity of the line through a vector, at a given conductor
+_line_key = kernel.line_vector
+
+
+def _vector_key(vec, conductor):
+    """The hashable identity of the vector itself: the line through (vec, 1)."""
+    return kernel.line_vector(tuple(vec) + (ONE,), conductor)
 
 
 def _build(name, gens, base, bound, degrees, codegrees):
@@ -268,7 +267,9 @@ def _build(name, gens, base, bound, degrees, codegrees):
 def build_g25():
     group = _build("g25", g25_generators(), (1, 2, 3), 1000, G25_DEGREES, G25_CODEGREES)
     # the stabilizer scans and their oracle tests read the 648 elements
-    group.elements = _closure_blobs(group.generators, 3, 3, group.order)
+    phi, red = group.ring()
+    blobs = [kernel.to_blob_matrix(g, group.conductor) for g in group.generators]
+    group.elements = kernel.closure(blobs, group.dim, phi, red, group.order)
     group.proper_planes = _g25_proper_planes(group)
     return group
 
@@ -319,13 +320,12 @@ def _g25_proper_planes(group):
     assert len(basis) == 2
     normal = _plane_normal(basis)
     # orbit of the normal under (g^T)^-1 = transpose of g^-1
-    phi, red = group.ring()
-    gens = []
-    for g in group.generators:
-        gens.append(kernel.to_blob_matrix(g.inverse().transpose(), group.conductor))
-    vec = kernel.to_blob_vector(normal, group.conductor)
-    orbit = kernel.line_orbit(gens, vec, group.dim, phi, red, 100)
-    return [kernel.from_blob_vector(b, group.conductor) for b in orbit]
+    duals = [g.inverse().transpose() for g in group.generators]
+    conductor, _, found, exceeded = kernel.int_line_orbit(duals, normal, 100, group.conductor)
+    normals = [kernel.line_coords(w, conductor) for w in found]
+    if exceeded:
+        raise BoundExceeded(100, normals)
+    return normals
 
 
 def _plane_normal(basis):
@@ -617,52 +617,49 @@ def _hermitian_orthogonal(h1, h2):
     return acc.is_zero()
 
 
-def lattice_census(group_or_normals, dim=None, conductor=12):
+def lattice_census(group_or_normals, dim=None):
     """Intersections of the reflection hyperplanes, by codimension.
 
     Codimension-2 flats come from pairs of hyperplanes, codimension-3
-    flats from triples; each flat is keyed by its canonical kernel basis
-    and counted with the number of hyperplanes containing it.  For the
-    rank-4 group the codim-2 incidence-2 flats are checked to have
-    orthogonal normals and the incidence-4 ones non-orthogonal normals.
+    flats from triples.  A flat is keyed by the hyperplanes that contain
+    it, of which it is the intersection: a subset inside a found flat's
+    hyperplanes spans that flat and is skipped, and any other subset of
+    full rank gives a new flat.  Each flat is counted with the number of
+    hyperplanes containing it.  For the rank-4 group the codim-2
+    incidence-2 flats are checked to have orthogonal normals and the
+    incidence-4 ones non-orthogonal normals.
     """
     if isinstance(group_or_normals, ReflGroup):
         normals = group_or_normals.hyperplanes
         dim = group_or_normals.dim
-        conductor = group_or_normals.conductor * 4
     else:
         normals = list(group_or_normals)
         if dim is None:
             dim = len(normals[0])
 
-    def flats_from_subsets(size):
-        import itertools
-
-        flats = {}
-        for subset in itertools.combinations(range(len(normals)), size):
-            m = Mat.from_rows([list(normals[i]) for i in subset])
-            ker = m.kernel()
+    def flats(size):
+        """The hyperplanes containing each flat of codimension `size`."""
+        found = []
+        covered = set()  # the subsets whose hyperplanes contain a found flat
+        for subset in combinations(range(len(normals)), size):
+            if subset in covered:
+                continue
+            ker = Mat.from_rows([list(normals[i]) for i in subset]).kernel()
             if len(ker) != dim - size:
                 continue
-            key = tuple(e.key_at(conductor) for row in ker for e in row)
-            flats.setdefault(key, ker)
-        return flats
-
-    def incidences(flats):
-        stats = {}
-        details = []
-        for ker in flats.values():
             containing = [
-                h for h in normals if all(sum_is_zero(h, row) for row in ker)
+                i for i, h in enumerate(normals) if all(sum_is_zero(h, row) for row in ker)
             ]
-            c = len(containing)
-            stats[c] = stats.get(c, 0) + 1
-            details.append((ker, containing))
-        return stats, details
+            covered.update(combinations(containing, size))
+            found.append([normals[i] for i in containing])
+        return found
 
-    codim2_stats, codim2_details = incidences(flats_from_subsets(2))
+    def incidences(found):  # in the order each count first appears
+        return dict(Counter(len(containing) for containing in found))
+
+    codim2 = flats(2)
     ortho_ok = True
-    for _, containing in codim2_details:
+    for containing in codim2:
         if len(containing) == 2:
             ortho_ok = ortho_ok and _hermitian_orthogonal(containing[0], containing[1])
         elif len(containing) == 4:
@@ -671,13 +668,10 @@ def lattice_census(group_or_normals, dim=None, conductor=12):
                 for a in range(4)
                 for b in range(a + 1, 4)
             )
-    codim3_stats = {}
-    if dim >= 4:
-        codim3_stats, _ = incidences(flats_from_subsets(3))
     return {
         "hyperplanes": len(normals),
-        "codim2_incidences": codim2_stats,
-        "codim3_incidences": codim3_stats,
+        "codim2_incidences": incidences(codim2),
+        "codim3_incidences": incidences(flats(3)) if dim >= 4 else {},
         "orthogonality_consistent": ortho_ok,
     }
 
@@ -733,14 +727,8 @@ def polytope_vertices(which):
 
 def symmetry_check(gens, vertices):
     """True iff every generator permutes the vertex set (as exact vectors)."""
-    conductor = 12
-    keys = {tuple(e.key_at(conductor) for e in v) for v in vertices}
-    for g in gens:
-        for v in vertices:
-            img = g.apply(v)
-            if tuple(e.key_at(conductor) for e in img) not in keys:
-                return False
-    return True
+    keys = {_vector_key(v, 12) for v in vertices}
+    return all(_vector_key(g.apply(v), 12) in keys for g in gens for v in vertices)
 
 
 # ---- conjugacy with the braid action -----------------------------------------
@@ -809,7 +797,9 @@ def steinberg_check(group, point):
             fixing.append(mat)
     if not fixing:
         return stab_order == 1
-    sub = _closure_blobs(fixing, group.dim, group.conductor, group.order + 1)
+    # base lies on no reflection hyperplane, so the subgroup acts freely on
+    # its orbit, whose size is the subgroup's order
+    sub = RegularOrbit(fixing, group.regular_orbit.base, group.conductor, group.order)
     return len(sub) == stab_order
 
 

@@ -1,11 +1,20 @@
+import math
 import random
 
 import pytest
 
-from braidorbit.charvar import AffineRep, LinearPart, ProjClass, normalize, orbit
+from braidorbit.charvar import (
+    AffineRep,
+    LinearPart,
+    ProjClass,
+    action_matrix_reduced,
+    normalize,
+    orbit,
+)
 from braidorbit.classify import (
     GateVerdict,
     NotFiniteCase,
+    _projective_closure,
     classify_n4,
     gate,
     match_table_family,
@@ -256,3 +265,69 @@ def test_derived_rows_for_permuted_family():
     for row in fam.rows:
         cls, _ = normalize(row.rep)
         assert orbit(cls, row.rep.linear, bound=50).size == row.size
+
+
+# ---- the projective closure against an object search -------------------------
+
+# the linear parts of Tables 1-3 as (sign, N, k), meaning sign * zeta_N^k,
+# and the permuted tetrahedral one, which takes the derived path
+CLOSURE_CASES = {
+    "imprimitive-10": ((1, 10, 1), (-1, 10, 9), (-1, 10, 9), (1, 10, 1)),
+    "imprimitive-8": ((1, 8, 1), (-1, 8, 7), (-1, 8, 7), (1, 8, 1)),
+    "tetrahedral-12": ((1, 12, 1), (1, 12, 5), (1, 12, 3), (1, 12, 3)),
+    "tetrahedral-6": ((-1, 1, 0), (1, 6, 1), (1, 6, 1), (1, 6, 1)),
+    "octahedral-24": ((1, 24, 1), (1, 24, 5), (1, 24, 7), (1, 24, 11)),
+    "octahedral-12": ((1, 12, 1), (-1, 12, 1), (1, 12, 2), (1, 12, 2)),
+    "icosahedral-60": ((1, 60, 1), (1, 60, 29), (1, 60, 11), (1, 60, 19)),
+    "icosahedral-20": ((1, 20, 1), (1, 20, 9), (1, 20, 7), (1, 20, 3)),
+    "icosahedral-30a": ((1, 30, 9), (1, 30, 9), (1, 30, 1), (1, 30, 11)),
+    "icosahedral-30b": ((1, 30, 5), (1, 30, 5), (1, 30, 1), (1, 30, 19)),
+    "icosahedral-15": ((1, 15, 1), (1, 15, 4), (1, 15, 2), (1, 15, 8)),
+    "icosahedral-5": ((-1, 5, 1), (-1, 5, 1), (-1, 5, 1), (-1, 5, 2)),
+    "tetrahedral-permuted": ((1, 12, 3), (1, 12, 1), (1, 12, 5), (1, 12, 3)),
+}
+
+
+def _closure_by_object_bfs(gens, bound):
+    """The projective closure as a BFS over Mat objects (the reference).
+
+    Each matrix is scaled to first nonzero entry 1 and keyed by its
+    entries' coefficients at the lcm of the generators' conductors.
+    """
+    conductor = 1
+    for g in gens:
+        for e in g.entries:
+            conductor = math.lcm(conductor, e.n)
+
+    def canon(m):
+        pivot = next(e for e in m.entries if not e.is_zero())
+        return m.scale(pivot.inverse())
+
+    def key(m):
+        return tuple((p.den, p.num) for p in (e.promote(conductor) for e in m.entries))
+
+    gens = [canon(g) for g in gens] + [canon(g.inverse()) for g in gens]
+    found = [canon(gens[0] @ gens[0].inverse())]
+    seen = {key(found[0])}
+    for m in found:
+        for g in gens:
+            image = canon(g @ m)
+            if key(image) not in seen:
+                seen.add(key(image))
+                found.append(image)
+                assert len(found) <= bound
+    return found
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_CASES))
+def test_projective_closure_matches_object_bfs(name):
+    linear = lp(*((sign * zeta(n, k)) for sign, n, k in CLOSURE_CASES[name]))
+    gens = [action_matrix_reduced(linear, 2, 3), action_matrix_reduced(linear, 1, 2)]
+    got = _projective_closure(gens, 200)
+    want = _closure_by_object_bfs(gens, 200)
+    # a free action on the generic orbit: the group's order is its size
+    assert len(got) == classify_n4(linear).generic_orbit_size()
+    # the same matrices in the same order, with the same stored conductors
+    assert [[(e.n, e.num, e.den) for e in m.entries] for m in got] == [
+        [(e.n, e.num, e.den) for e in m.entries] for m in want
+    ]

@@ -1,5 +1,6 @@
 import cmath
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,6 +186,29 @@ def _numeric(bound):
 def test_bound_meaning(case, size):
     assert case(size) == (size, False)
     assert case(size - 1) == (size, True)
+
+
+def test_line_vector_is_the_identity_of_a_line():
+    w = zeta(3, 1)
+    one, two = cyc(1), cyc(2)
+    # the same value at conductors 6 and 3, and promoted or not
+    assert kernel.line_vector((one, zeta(6, 2)), 6) == kernel.line_vector((one, w), 6)
+    x = zeta(4, 1) + Fraction(1, 3)
+    assert kernel.line_vector((x, one), 12) == kernel.line_vector((x.promote(12), one), 12)
+    # v and lambda v span one line, and its coordinates start with 1
+    v = (w, two, cyc(0))
+    lam = 1 + zeta(4, 1)
+    key = kernel.line_vector(v, 12)
+    assert key == kernel.line_vector(tuple(lam * e for e in v), 12)
+    assert key != kernel.line_vector((w, cyc(3), cyc(0)), 12)
+    assert kernel.line_coords(key, 12) == (cyc(1), two / w, cyc(0))
+    # symmetry_check keys the vector itself, so v and -v differ
+    minus_v = tuple(-e for e in v)
+    assert reflgrp._vector_key(v, 12) != reflgrp._vector_key(minus_v, 12)
+    assert reflgrp._vector_key(v, 12) == reflgrp._vector_key(tuple(e.promote(12) for e in v), 12)
+    minus = Mat.identity(3).scale(-1)
+    assert not reflgrp.symmetry_check([minus], [v])
+    assert reflgrp.symmetry_check([minus], [v, minus_v])
 
 
 def test_one_bound_exceeded_class():

@@ -12,6 +12,12 @@ ONE = cyc(1)
 ZERO = cyc(0)
 
 
+def key_at(x, n):
+    """The value's coefficients at conductor n: equal values give equal keys."""
+    p = x.promote(n)
+    return p.den, p.num
+
+
 def test_g25_generators_are_order3_reflections():
     for g in reflgrp.g25_generators():
         assert matrix_order(g, 4) == 3
@@ -126,7 +132,7 @@ def test_census_single_hyperplane():
 def test_hessian_polytope(g25):
     verts = reflgrp.polytope_vertices("hessian")
     assert len(verts) == 27
-    assert len({tuple(e.key_at(12) for e in v) for v in verts}) == 27
+    assert len({tuple(key_at(e, 12) for e in v) for v in verts}) == 27
     assert reflgrp.symmetry_check(g25.generators, verts)
 
 
@@ -174,11 +180,18 @@ def _plane_orbit_by_rref(gens, basis, conductor, bound):
         return [list(red.row(i)) for i in range(len(rows))]
 
     def key(rows):
-        return tuple(e.key_at(conductor) for row in rows for e in row)
+        return tuple(key_at(e, conductor) for row in rows for e in row)
 
-    return kernel.bfs(
-        canon(basis), lambda rows: (canon([g.apply(r) for r in rows]) for g in gens), bound, key
-    )
+    found = [canon(basis)]
+    seen = {key(found[0])}
+    for rows in found:
+        for g in gens:
+            image = canon([g.apply(r) for r in rows])
+            if key(image) not in seen:
+                seen.add(key(image))
+                found.append(image)
+                assert len(found) <= bound
+    return found
 
 
 def test_plane_orbit_matches_rref_bfs():
@@ -197,7 +210,7 @@ def test_g32_plane_orbit_is_closed_rref():
     assert len(planes) == 540
 
     def key(rows):
-        return tuple(e.key_at(12) for row in rows for e in row)
+        return tuple(key_at(e, 12) for row in rows for e in row)
 
     keys = set()
     for rows in planes:
@@ -345,7 +358,7 @@ def test_g32_census(g32_census):
 def test_witting_polytope(g32):
     verts = reflgrp.polytope_vertices("witting")
     assert len(verts) == 240
-    assert len({tuple(e.key_at(12) for e in v) for v in verts}) == 240
+    assert len({tuple(key_at(e, 12) for e in v) for v in verts}) == 240
     assert reflgrp.symmetry_check(g32.generators, verts)
 
 

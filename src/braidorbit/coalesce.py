@@ -26,15 +26,15 @@ class CoalesceSpec:
 
     def __post_init__(self):
         if not (3 <= self.k < self.n):
-            raise IndexError(f"need 3 <= k < n, got k={self.k}, n={self.n}")
+            raise ValueError(f"need 3 <= k < n, got k={self.k}, n={self.n}")
         if not (1 <= self.ell <= self.k):
-            raise IndexError(f"need 1 <= ell <= k, got {self.ell}")
+            raise ValueError(f"need 1 <= ell <= k, got {self.ell}")
 
 
 def r_kl(rep, spec):
     """Merged representation over k punctures."""
     if rep.n != spec.n:
-        raise IndexError("representation size does not match the spec")
+        raise ValueError("representation size does not match the spec")
     n, k, ell = spec.n, spec.k, spec.ell
     lam = rep.linear.lambdas
     tau = rep.tau_full()

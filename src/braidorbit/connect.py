@@ -400,6 +400,8 @@ def monodromy_numeric(poles, residues, base=None, local_tol=1e-12, radius_factor
     Returns one matrix per pole, in the order given.
     """
     poles = [complex(p) for p in poles]
+    if not all(cmath.isfinite(p) for p in poles):
+        raise ValueError("poles must be finite")
     m = len(residues[0])
     gaps = []
     for i, p in enumerate(poles):
@@ -413,6 +415,8 @@ def monodromy_numeric(poles, residues, base=None, local_tol=1e-12, radius_factor
         spread = max(max(re) - min(re), max(im) - min(im), 1.0)
         base = complex((max(re) + min(re)) / 2, min(im) - 1.5 * spread)
     base = complex(base)
+    if not cmath.isfinite(base):
+        raise ValueError("the base point must be finite")
     if any(abs(base - p) < 1e-8 for p in poles):
         raise PoleTooClose("base point sits on a pole")
 

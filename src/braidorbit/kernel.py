@@ -19,7 +19,15 @@ vectors: a large level applies each generator to a chunk of the frontier
 at a time as one int64 numpy product and canonicalizes the images in
 batch, guarded so that no value can reach 2^62; a small level, or a
 chunk the guard refuses, runs the per-item Python-int step, which has no
-size limit.  Both give the same vectors in the same order.
+size limit.  Both give the same vectors in the same order.  Most
+images of a small orbit are points already found (83% in the n=4
+tables), so where phi(N) > 2 is at least twice the number of
+coordinates the per-item step first looks an image up by its line's
+image in P(F_p), for a prime p == 1 (mod N), and confirms a candidate
+with one exact product per coordinate; only an image it does not
+recognise pays for the exact canonical form and its pivot's inverse
+(`_LineKeys`).  The lookup is exact: a key only proposes, the product
+test decides.
 `int_line_orbit` (the braid orbits of `charvar`, classify's projective
 group, the G25/G32 line and plane orbits of `reflgrp`) and the regular
 orbit of `reflgrp` run on it.
@@ -35,8 +43,17 @@ import random
 import struct
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
-from .cyclo import Cyclotomic, _int_inverse, _mul_mod, _reduction_rows, cyc, euler_phi
+from .cyclo import (
+    Cyclotomic,
+    _int_inverse,
+    _mul_mod,
+    _prime_factors,
+    _reduction_rows,
+    cyc,
+    euler_phi,
+)
 from .linalg import Mat
 
 BACKEND = "python"  # named in CLI payloads and benchmark provenance
@@ -102,17 +119,29 @@ def _int_action(m, conductor):
     d = m.rows
     phi = euler_phi(conductor)
     entries = _int_vectors(m.entries, conductor)
+    # column t+1 of a block is x times column t: shift up, and fold the
+    # top coefficient back with x^phi mod Phi_N (phi = 1 needs no fold)
+    top = _reduction_rows(conductor)[0] if phi > 1 else ()
     cols = []
     for k in range(d):
+        block_cols = [entries[i * d + k] for i in range(d)]
         for t in range(phi):
-            unit = [0] * phi
-            unit[t] = 1
+            if t:
+                block_cols = [_times_x(b, top) for b in block_cols]
             col = []
-            for i in range(d):
-                block_col = _mul_mod(conductor, entries[i * d + k], unit)
+            for i, block_col in enumerate(block_cols):
                 col.extend((i * phi + r, a) for r, a in enumerate(block_col) if a)
             cols.append(tuple(col))
     return cols
+
+
+def _times_x(b, top):
+    """x * b mod Phi_N for a power-basis block b; `top` is x^phi mod Phi_N."""
+    h = b[-1]
+    out = [0] + b[:-1]
+    if h:
+        out = [y + h * z for y, z in zip(out, top)]
+    return out
 
 
 def int_apply(cols, v):
@@ -138,7 +167,7 @@ def _scaled_apply(cols, scale, v):
     return tuple(w)
 
 
-def _canon(w, conductor, phi, inverses):
+def _canon(w, conductor, phi, inverses, lines=None):
     """Canonical integer vector of the point [w].
 
     The first nonzero coordinate becomes a positive integer c and the
@@ -149,6 +178,11 @@ def _canon(w, conductor, phi, inverses):
     25920-point n=6 orbit, against 345k canonicalizations).  This is the
     per-item form; `_Batch.canon` computes the same vectors for a chunk
     of a level at once.
+
+    `lines` (a `_LineKeys`) holds canonical vectors already found.  Where
+    the pivot would cost a new inverse, it is first asked for a found
+    vector on the line of w (`_LineKeys.find`, an exact test); that
+    vector is the canonical vector of [w], since a line has only one.
     """
     for i in range(0, len(w), phi):
         if any(w[i : i + phi]):
@@ -162,6 +196,10 @@ def _canon(w, conductor, phi, inverses):
         try:
             s, c = inverses[key]
         except KeyError:
+            if lines is not None:
+                known = lines.find(w, i)
+                if known is not None:
+                    return known
             s, c = inverses[key] = _int_inverse(conductor, key)
         out = w[:i] + [c * g] + [0] * (phi - 1)
         for k in range(i + phi, len(w), phi):
@@ -183,6 +221,91 @@ _BATCH_MIN = 64
 _CHUNK_IMAGES = 4096
 # bound on every int64 value of a batched level, products included
 _INT64_LIMIT = 1 << 62
+# the per-item step keys found lines mod p only where an inverse costs more
+# than the keys that save one: from this phi(N) on, and only if phi(N) is at
+# least twice the number of coordinates d.  An inverse is an extended Euclid
+# on polynomials of degree phi; a key is d dot products of length phi, one
+# per found point and one per looked-up image.  Measured: phi = 2 (G25's
+# generic stratum) and phi = 4 with d = 3 or 6 (G25's conductor-12 stratum,
+# G32's plane orbit) lose; d = 2 with phi >= 4 (the n=4 tables) wins.
+_KEY_MIN_PHI = 3
+
+
+@lru_cache(maxsize=None)
+def _fp_powers(conductor):
+    """(p, (1, r, ..., r^(phi-1)) mod p) for the map Z[zeta_N] -> F_p, zeta_N -> r.
+
+    p is the least prime above 2^20 with p == 1 (mod N), so that Phi_N
+    splits into linear factors mod p (Cohen, A Course in Computational
+    Algebraic Number Theory, ch. 4), and r is an element of order exactly
+    N, a root of Phi_N mod p: the map is a ring homomorphism.  Two lines
+    of an orbit share a key with a chance of about 2^-20 per coordinate,
+    and `_LineKeys.find` rejects such a candidate exactly.
+    """
+    p = ((1 << 20) // conductor + 1) * conductor + 1
+    while _prime_factors(p) != [p]:
+        p += conductor
+    primes = _prime_factors(conductor)
+    x = 2
+    while True:
+        r = pow(x, (p - 1) // conductor, p)
+        if all(pow(r, conductor // q, p) != 1 for q in primes):
+            break
+        x += 1
+    return p, tuple(pow(r, t, p) for t in range(euler_phi(conductor)))
+
+
+class _LineKeys:
+    """The lines an `int_bfs` call has found, keyed by their images mod p.
+
+    The key of a vector w whose first nonzero block is at slot i is (i,
+    w_k(r) / w_i(r) for each later block k), evaluated in F_p through
+    `_fp_powers`; it is the same for every nonzero multiple of w whose
+    pivot does not map to 0, and None for one whose pivot does.  A key
+    only proposes a candidate: `find` accepts it after an exact test.
+    """
+
+    def __init__(self, conductor, phi):
+        self.conductor = conductor
+        self.phi = phi
+        self.p, self.powers = _fp_powers(conductor)
+        self.lines = {}
+
+    def key(self, w, i):
+        p, powers, phi = self.p, self.powers, self.phi
+        a = sum(map(mul, w[i : i + phi], powers)) % p
+        if not a:
+            return None
+        a = pow(a, -1, p)
+        later = range(i + phi, len(w), phi)
+        return (i, *[sum(map(mul, w[k : k + phi], powers)) * a % p for k in later])
+
+    def add(self, u):
+        """Key the new canonical vector u, unless its pivot maps to 0."""
+        i = next((j for j, x in enumerate(u) if x), None)
+        key = None if i is None else self.key(u, i)
+        if key is not None:
+            self.lines.setdefault(key, u)
+
+    def find(self, w, i):
+        """The found canonical vector on the line of w, or None.
+
+        i is the slot of w's first nonzero block.  A candidate u with the
+        same key has its first nonzero block at slot i too, and, being
+        canonical, that block is an integer c = u_i; so w is on u's line
+        exactly when c * w_k == w_i * u_k mod Phi_N for every later block
+        k, which says w = (w_i / c) u.  No inverse is needed.
+        """
+        key = self.key(w, i)
+        u = None if key is None else self.lines.get(key)
+        if u is None:
+            return None
+        phi, c = self.phi, u[i]
+        pivot = w[i : i + phi]
+        for k in range(i + phi, len(w), phi):
+            if [c * x for x in w[k : k + phi]] != _mul_mod(self.conductor, pivot, u[k : k + phi]):
+                return None
+        return u
 
 
 def int_bfs(start, actions, bound, scales=None, ring=None):
@@ -203,16 +326,29 @@ def int_bfs(start, actions, bound, scales=None, ring=None):
     arrays if its guard admits it; any other level or chunk runs the
     per-item Python-int step.  The vectors found are the same tuples of
     Python ints either way.
+
+    In a projective search with phi >= `_KEY_MIN_PHI` and phi >= 2 d, d
+    the number of coordinates, every vector the per-item step finds is
+    keyed in a `_LineKeys`.  An image whose pivot is not an integer and
+    has no inverse yet in the call's `inverses` is looked up there first
+    (`_canon`): a key hit that passes the exact test is the found vector
+    itself, which `seen` then drops, as it would drop the image's
+    canonical form.  So `found`, its order and the truncation point do
+    not depend on the keys.
     """
     scales = [1] * len(actions) if scales is None else list(scales)
     inverses = {}
+    lines = None
+    if ring is not None and ring[1] >= max(_KEY_MIN_PHI, 2 * len(start) // ring[1]):
+        lines = _LineKeys(*ring)
+        lines.add(start)
 
     def step(v):
         for cols, scale in zip(actions, scales):
             if ring is None:
                 yield _scaled_apply(cols, scale, v)
             else:
-                yield _canon(int_apply(cols, v), *ring, inverses)
+                yield _canon(int_apply(cols, v), *ring, inverses, lines)
 
     batch = _Batch(actions, scales, ring, inverses)
     width = max(1, _CHUNK_IMAGES // max(1, len(actions)))  # items per chunk
@@ -239,6 +375,8 @@ def int_bfs(start, actions, bound, scales=None, ring=None):
                     seen.add(w)
                     found.append(w)
                     kept.append(i)
+                    if lines is not None and rows is None:
+                        lines.add(w)
                     if len(found) > bound:
                         raise BoundExceeded(bound, found)
             if parts is not None:

@@ -116,6 +116,46 @@ def test_strata_rejects_a_point_that_is_no_line(capsys, point):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+L4 = "z12,z12^5,z12^3,z12^3"
+N5 = ["--lambda", "z6,z6,z6,z6,z6^2", "--tau", "1,2,3,4"]
+THETA = ["--theta", "1/6,1/6,1/6,1/6"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["orbit", "--lambda", L4, "--tau", "z12^3,0"], "tau must have n-1 entries"),
+        (["orbit", "--lambda", L4, "--tau", "z12^3,0,0", "--bound", "0"], "bound must be positive"),
+        (["classify4", "--lambda", "z12,z12^5,z12^3"], "product of the linear part"),
+        (["gate", "--lambda", "z4,1,1,1,1,z4^-1"], "--tau"),
+        (["group", "--which", "g7"], "invalid choice"),
+        (["strata", "--which", "g25", "--point", "[0:0:0]"], "spans no line"),
+        (["lattice", "--which", "g7"], "invalid choice"),
+        (["coalesce", "--n", "5", "--k", "9", "--l", "1", *N5], "3 <= k < n"),
+        (["coalesce", "--n", "5", "--k", "4", "--l", "0", *N5], "1 <= ell <= k"),
+        (["coalesce", "--n", "5", "--k", "4", "--l", "5", *N5], "1 <= ell <= k"),
+        (["coalesce", "--n", "4", "--k", "3", "--l", "1", *N5], "--n disagree"),
+        (["monodromy", *THETA, "--poles=nan,0,1"], "poles must be finite"),
+        (["monodromy", *THETA, "--poles=inf,0,1"], "poles must be finite"),
+        (["monodromy", *THETA, "--poles=0,1"], "need 3 poles"),
+        (["monodromy", *THETA, "--poles=0,0,1"], "nearly coincide"),
+        (["tables", "--which", "9"], "numbered 1 to 5"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+)
+def test_bad_input_exits_2_with_an_error_line(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects an invalid choice itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = [x for x in captured.err.splitlines() if "error: " in x]
+    assert message in line
+    assert "Traceback" not in captured.err
+
+
 def test_classify4_command(capsys):
     code, out = run(capsys, "classify4", "--lambda", "z12,z12^5,z12^3,z12^3")
     data = json.loads(out)

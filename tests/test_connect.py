@@ -344,3 +344,18 @@ def test_numeric_closure_rejects_non_finite_entries(bad):
     m[0, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         numeric_closure([m])
+
+
+@pytest.mark.parametrize(
+    "poles, base, message",
+    [
+        ([float("nan"), 0, 1], None, "poles must be finite"),
+        ([complex(float("inf"), 0), 0, 1], None, "poles must be finite"),
+        ([-0.7 + 0.3j, 0, 1], complex(0, float("nan")), "base point must be finite"),
+    ],
+)
+def test_monodromy_numeric_rejects_non_finite_input(poles, base, message):
+    # rejected before integrating, which would end in "step size underflow"
+    residues = [np.zeros((2, 2), dtype=complex)] * len(poles)
+    with pytest.raises(ValueError, match=message):
+        monodromy_numeric(poles, residues, base=base)

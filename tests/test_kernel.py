@@ -1,6 +1,9 @@
 import cmath
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +17,8 @@ from braidorbit.charvar import (
     orbit,
     reduced_generators,
 )
-from braidorbit.classify import NotFiniteCase, _projective_closure
-from braidorbit.cyclo import cyc, zeta
+from braidorbit.classify import NotFiniteCase, _projective_closure, table_rows
+from braidorbit.cyclo import _mul_mod, cyc, euler_phi, zeta
 from braidorbit.linalg import Mat, eigenspace
 
 
@@ -335,3 +338,187 @@ def test_action_too_large_for_int64_runs_per_item(monkeypatch):
     monkeypatch.setattr(kernel, "_BATCH_MIN", 1)
     huge = 1 << 70
     assert kernel.int_bfs((1, 2), [[((0, huge),), ((1, huge),)]], 10, scales=[huge]) == [(1, 2)]
+
+
+# ---- the mod-p line keys of the per-item step ------------------------------------
+#
+# In a ring with phi >= `_KEY_MIN_PHI`, the per-item projective step asks
+# `_LineKeys` for a found vector on the line of an image before it pays
+# for a new pivot inverse.  Setting that constant past any phi turns the
+# keys off; both must give the same vectors in the same order.
+
+
+def _n4_families():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return [
+        (name, LinearPart(tuple(module._lambda(*x) for x in lams)))
+        for name, lams, _, _ in module.N4_FAMILIES
+    ]
+
+
+def _recorded_searches(monkeypatch, search):
+    """Every int_bfs result of `search`, keyed and unkeyed, and the key hits."""
+    outcomes = []
+    hits = []
+    int_bfs, find = kernel.int_bfs, kernel._LineKeys.find
+
+    def recording_bfs(*args, **kwargs):
+        try:
+            found = int_bfs(*args, **kwargs)
+        except kernel.BoundExceeded as exc:
+            outcomes.append(("exceeded", exc.found))
+            raise
+        outcomes.append(("found", found))
+        return found
+
+    def counting_find(self, w, i):
+        u = find(self, w, i)
+        hits.append(u is not None)
+        return u
+
+    monkeypatch.setattr(kernel, "int_bfs", recording_bfs)
+    monkeypatch.setattr(kernel._LineKeys, "find", counting_find)
+    runs = []
+    for min_phi in (3, 1 << 62):
+        monkeypatch.setattr(kernel, "_KEY_MIN_PHI", min_phi)
+        outcomes.clear()
+        hits.clear()
+        search()
+        runs.append((list(outcomes), list(hits)))
+    (keyed, keyed_hits), (unkeyed, unkeyed_hits) = runs
+    assert unkeyed_hits == []
+    return keyed, unkeyed, keyed_hits
+
+
+def _table_orbits(lp, bound):
+    # every row of the family's table, and tau = (0, 1, c) as the generic search tries it
+    reps = [row.rep for row in table_rows(lp).rows]
+    reps += [AffineRep(lp, (cyc(0), cyc(1), cyc(c))) for c in range(2, 6)]
+    for rep in reps:
+        cls, rot = normalize(rep)
+        orbit(cls, lp.rotated(rot) if rot else lp, bound=bound)
+
+
+@pytest.mark.parametrize("lp", [pytest.param(lp, id=name) for name, lp in _n4_families()])
+def test_line_keys_keep_the_table_orbits(monkeypatch, lp):
+    keyed, unkeyed, hits = _recorded_searches(monkeypatch, lambda: _table_orbits(lp, 200))
+    assert keyed == unkeyed
+    assert len(keyed) >= 5
+    if lp.conductor() not in (3, 4, 6):
+        assert any(hits)
+
+
+def _g25_order9_orbit(bound):
+    nu = zeta(9, 1)
+    return kernel.int_line_orbit(reflgrp.g25_generators(), (nu, nu * nu, cyc(1)), bound, 3)
+
+
+@pytest.mark.parametrize("bound", [1000, 40])
+def test_line_keys_keep_a_g25_stratum_and_its_truncation(monkeypatch, bound):
+    # the order-9 line of Table 4: 72 points at conductor 9 (phi 6)
+    keyed, unkeyed, hits = _recorded_searches(monkeypatch, lambda: _g25_order9_orbit(bound))
+    assert keyed == unkeyed
+    ((outcome, found),) = keyed
+    if bound == 1000:
+        assert (outcome, len(found)) == ("found", 72)
+        assert any(hits)
+    else:
+        assert (outcome, len(found)) == ("exceeded", 41)
+
+
+def test_line_keys_need_phi_at_least_twice_the_coordinates(monkeypatch):
+    # G25 on a point at conductor 12: phi = 4 < 2 * 3, so no image is looked up
+    point = (cyc(1), zeta(12, 1), cyc(0))
+    keyed, unkeyed, hits = _recorded_searches(
+        monkeypatch, lambda: kernel.int_line_orbit(reflgrp.g25_generators(), point, 1000, 3)
+    )
+    assert keyed == unkeyed
+    assert hits == []
+
+
+def test_line_keys_keep_a_truncated_table3_orbit(monkeypatch):
+    lp = LinearPart((zeta(60, 1), zeta(60, 29), zeta(60, 11), zeta(60, 19)))
+    keyed, unkeyed, hits = _recorded_searches(monkeypatch, lambda: _table_orbits(lp, 7))
+    assert keyed == unkeyed
+    assert any(outcome == "exceeded" and len(found) == 8 for outcome, found in keyed)
+    assert any(hits)
+
+
+def test_line_key_collisions_are_confirmed_exactly(monkeypatch):
+    # with the F_p map constant, every line with the same first block shares
+    # one key, so each candidate must be rejected by the exact test
+    monkeypatch.setattr(kernel._LineKeys, "key", lambda self, w, i: (i,))
+    lp = LinearPart((zeta(60, 1), zeta(60, 29), zeta(60, 11), zeta(60, 19)))
+    keyed, unkeyed, hits = _recorded_searches(monkeypatch, lambda: _table_orbits(lp, 200))
+    assert keyed == unkeyed
+    assert True in hits and False in hits
+
+
+def test_pivot_that_maps_to_zero_takes_the_exact_path():
+    conductor = 60
+    phi = euler_phi(conductor)
+    lines = kernel._LineKeys(conductor, phi)
+    r = lines.powers[1]  # the image of zeta
+    # the pivot zeta - r maps to r - r = 0 in F_p
+    w = [-r, 1] + [0] * (phi - 2) + [3, 0, 5] + [0] * (phi - 3)
+    assert lines.key(w, 0) is None
+    exact = kernel._canon(w, conductor, phi, {})
+    lines.add(exact)
+    assert lines.find(w, 0) is None
+    inverses = {}
+    assert kernel._canon(w, conductor, phi, inverses, lines) == exact
+    assert list(inverses) == [(-r, 1) + (0,) * (phi - 2)]
+
+
+@pytest.mark.parametrize("conductor", [7, 9, 12, 60])
+def test_fp_map_is_a_ring_homomorphism(conductor):
+    p, powers = kernel._fp_powers(conductor)
+    assert p % conductor == 1 and all(p % q for q in range(2, 1 << 11))
+    rng = random.Random(conductor)
+    phi = euler_phi(conductor)
+
+    def image(a):
+        return sum(x * y for x, y in zip(a, powers)) % p
+
+    for _ in range(20):
+        a = [rng.randrange(-99, 100) for _ in range(phi)]
+        b = [rng.randrange(-99, 100) for _ in range(phi)]
+        assert image(_mul_mod(conductor, a, b)) == image(a) * image(b) % p
+
+
+def _int_action_by_unit_vectors(m, conductor):
+    # column t of a block is the entry times x^t, one product per column
+    d = m.rows
+    phi = euler_phi(conductor)
+    entries = kernel._int_vectors(m.entries, conductor)
+    cols = []
+    for k in range(d):
+        for t in range(phi):
+            unit = [0] * phi
+            unit[t] = 1
+            col = []
+            for i in range(d):
+                block_col = _mul_mod(conductor, entries[i * d + k], unit)
+                col.extend((i * phi + r, a) for r, a in enumerate(block_col) if a)
+            cols.append(tuple(col))
+    return cols
+
+
+@pytest.mark.parametrize("conductor", [1, 2, 3, 4, 5, 8, 9, 12, 15, 60])
+def test_int_action_recurrence_matches_unit_vectors(conductor):
+    rng = random.Random(conductor)
+    for _ in range(4):
+        rows = [
+            [
+                Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+                + rng.randrange(-3, 4) * zeta(conductor, rng.randrange(conductor))
+                for _ in range(3)
+            ]
+            for _ in range(3)
+        ]
+        m = Mat.from_rows(rows)
+        assert kernel._int_action(m, conductor) == _int_action_by_unit_vectors(m, conductor)

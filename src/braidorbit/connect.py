@@ -18,6 +18,7 @@ determinant of G are asserted exactly.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -330,67 +331,6 @@ def corollary_connection(rank, s_points, sign=+1):
     return poles, mats
 
 
-def _integrate(f, path, z0, local_tol):
-    """Adaptive RK4 with step doubling along a parametrized path.
-
-    The ODE is linear, so its coefficients at a parameter s are the pair
-    (f(path(s)), path'(s)); step doubling asks for the same s several
-    times (full step, both half steps, the next k1, a rejected step), so
-    each pair is computed once per path piece.
-    """
-    cache = {}
-
-    def coeffs(s):
-        hit = cache.get(s)
-        if hit is None:
-            hit = cache[s] = (f(path(s)), _path_derivative(path, s))
-        return hit
-
-    z = z0
-    t = 0.0
-    h = 0.05
-    min_h = 1e-13
-    while t < 1.0:
-        # no later step evaluates before t; dropping those keeps memory flat
-        cache = {s: c for s, c in cache.items() if s >= t}
-        h = min(h, 1.0 - t)
-        z1 = _rk4_param_step(coeffs, t, h, z)
-        z2 = _rk4_param_step(coeffs, t, h / 2, z)
-        z2 = _rk4_param_step(coeffs, t + h / 2, h / 2, z2)
-        err = np.max(np.abs(z1 - z2)) / 15
-        scale = 1 + np.max(np.abs(z2))
-        if err <= local_tol * scale:
-            z = z2 + (z2 - z1) / 15
-            t += h
-            if err < local_tol * scale / 32:
-                h *= 2
-        else:
-            h /= 2
-            if h < min_h:
-                raise IntegrationFailure("step size underflow")
-    return z
-
-
-def _rk4_param_step(coeffs, t, h, z):
-    def rhs(s, zz):
-        a, dx = coeffs(s)
-        return (a @ zz) * dx
-
-    k1 = rhs(t, z)
-    k2 = rhs(t + h / 2, z + (h / 2) * k1)
-    k3 = rhs(t + h / 2, z + (h / 2) * k2)
-    k4 = rhs(t + h, z + h * k3)
-    return z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _path_derivative(path, s, eps=1e-7):
-    if s < eps:
-        return (path(s + eps) - path(s)) / eps
-    if s > 1 - eps:
-        return (path(s) - path(s - eps)) / eps
-    return (path(s + eps) - path(s - eps)) / (2 * eps)
-
-
 def monodromy_numeric(poles, residues, base=None, local_tol=1e-12, radius_factor=0.4):
     """Monodromy matrices along counterclockwise loops around each pole.
 
@@ -398,10 +338,24 @@ def monodromy_numeric(poles, residues, base=None, local_tol=1e-12, radius_factor
     the base point straight toward the pole, once around the circle of
     radius radius_factor * (distance to nearest other pole), and back.
     Returns one matrix per pole, in the order given.
+
+    Each loop is three pieces: the segment base -> entry, the circle and
+    the segment entry -> base.  Every piece of every loop is parametrized
+    by s in [0, 1] as x(s) = start + s*slope + swing*e^(2 pi i s) (swing
+    = 0 on a segment, slope = 0 on a circle), with the exact derivative
+    x'(s) = slope + 2 pi i swing e^(2 pi i s), and its transport is solved
+    from I.  The 3k transports of k poles are one stack, advanced together
+    by adaptive RK4 with step doubling on one shared parameter step: a
+    step is accepted only if every transport's error estimate is within
+    local_tol * (1 + its largest entry), and the step doubles only if
+    every one is below 1/32 of that.  The monodromy of a pole is
+    T_out @ T_circle @ T_in.
     """
     poles = [complex(p) for p in poles]
     if not all(cmath.isfinite(p) for p in poles):
         raise ValueError("poles must be finite")
+    if not (local_tol > 0 and math.isfinite(local_tol)):
+        raise ValueError("local_tol must be positive and finite")
     m = len(residues[0])
     gaps = []
     for i, p in enumerate(poles):
@@ -420,34 +374,60 @@ def monodromy_numeric(poles, residues, base=None, local_tol=1e-12, radius_factor
     if any(abs(base - p) < 1e-8 for p in poles):
         raise PoleTooClose("base point sits on a pole")
 
-    mats = [np.asarray(a, dtype=complex) for a in residues]
-
-    def f(x):
-        acc = np.zeros((m, m), dtype=complex)
-        for p, a in zip(poles, mats):
-            acc += a / (x - p)
-        return acc
-
-    out = []
+    k = len(poles)
+    # the stack holds the k segments in, then the k circles, then the k
+    # segments out, in the order of the poles
+    start = np.empty(3 * k, dtype=complex)
+    slope = np.zeros(3 * k, dtype=complex)
+    swing = np.zeros(3 * k, dtype=complex)
     for i, p in enumerate(poles):
         r = radius_factor * min(gaps[i], abs(base - p))
         u = (base - p) / abs(base - p)
         entry = p + r * u
+        start[i], slope[i] = base, entry - base
+        start[k + i], swing[k + i] = p, r * u
+        start[2 * k + i], slope[2 * k + i] = entry, base - entry
+    pole_array = np.array(poles)
+    flat = np.stack([np.asarray(a, dtype=complex) for a in residues]).reshape(k, m * m)
+    quarters = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
-        def seg_in(s, a=base, b=entry):
-            return a + s * (b - a)
+    def coeffs(t, h):
+        """x'(s) sum_p A_p / (x(s) - p) for every piece at s = t + (0..4) h/4."""
+        s = (t + h * quarters)[:, None]
+        turn = swing * np.exp(2j * np.pi * s)
+        x = start + s * slope + turn
+        dx = slope + 2j * np.pi * turn
+        return ((dx[..., None] / (x[..., None] - pole_array)) @ flat).reshape(5, 3 * k, m, m)
 
-        def circle(s, c=p, r0=r, u0=u):
-            return c + r0 * u0 * cmath.exp(2j * cmath.pi * s)
+    def rk4(a0, a_mid, a1, h, z):
+        k1 = a0 @ z
+        k2 = a_mid @ (z + (h / 2) * k1)
+        k3 = a_mid @ (z + (h / 2) * k2)
+        k4 = a1 @ (z + h * k3)
+        return z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        def seg_out(s, a=entry, b=base):
-            return a + s * (b - a)
-
-        z = np.eye(m, dtype=complex)
-        for piece in (seg_in, circle, seg_out):
-            z = _integrate(f, piece, z, local_tol)
-        out.append(z)
-    return out
+    z = np.tile(np.eye(m, dtype=complex), (3 * k, 1, 1))
+    t = 0.0
+    h = 0.05
+    min_h = 1e-13
+    while t < 1.0:
+        h = min(h, 1.0 - t)
+        a = coeffs(t, h)
+        z1 = rk4(a[0], a[2], a[4], h, z)
+        z2 = rk4(a[0], a[1], a[2], h / 2, z)
+        z2 = rk4(a[2], a[3], a[4], h / 2, z2)
+        err = np.abs(z1 - z2).max(axis=(1, 2)) / 15
+        room = local_tol * (1 + np.abs(z2).max(axis=(1, 2)))
+        if (err <= room).all():
+            z = z2 + (z2 - z1) / 15
+            t += h
+            if (err < room / 32).all():
+                h *= 2
+        else:
+            h /= 2
+            if h < min_h:
+                raise IntegrationFailure("step size underflow")
+    return list(z[2 * k :] @ z[k : 2 * k] @ z[:k])
 
 
 def local_eigenvalues(mat):

@@ -483,7 +483,11 @@ class _Batch:
             s, c = self.inverses[key]
         except KeyError:
             s, c = self.inverses[key] = _int_inverse(conductor, key)
-        rows = [_mul_mod(conductor, [int(t == j) for j in range(phi)], s) for t in range(phi)]
+        # row t is x^t * s mod Phi_N, so row t+1 is x times row t
+        top = _reduction_rows(conductor)[0]
+        rows = [list(s)]
+        for _ in range(phi - 1):
+            rows.append(_times_x(rows[-1], top))
         norm = max(sum(abs(row[q]) for row in rows) for q in range(phi))
         if norm < _INT64_LIMIT:
             out = np.array(rows, dtype=np.int64), (_INT64_LIMIT - 1) // norm

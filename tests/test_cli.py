@@ -119,6 +119,7 @@ def test_strata_rejects_a_point_that_is_no_line(capsys, point):
 L4 = "z12,z12^5,z12^3,z12^3"
 N5 = ["--lambda", "z6,z6,z6,z6,z6^2", "--tau", "1,2,3,4"]
 THETA = ["--theta", "1/6,1/6,1/6,1/6"]
+POLES = "--poles=-0.7+0.3j,0,1"
 
 
 @pytest.mark.parametrize(
@@ -139,6 +140,10 @@ THETA = ["--theta", "1/6,1/6,1/6,1/6"]
         (["monodromy", *THETA, "--poles=inf,0,1"], "poles must be finite"),
         (["monodromy", *THETA, "--poles=0,1"], "need 3 poles"),
         (["monodromy", *THETA, "--poles=0,0,1"], "nearly coincide"),
+        (["monodromy", *THETA, POLES, "--local-tol", "0"], "local_tol must be positive"),
+        (["monodromy", *THETA, POLES, "--local-tol", "-1"], "local_tol must be positive"),
+        (["monodromy", *THETA, POLES, "--local-tol", "nan"], "local_tol must be positive"),
+        (["monodromy", *THETA, POLES, "--local-tol", "inf"], "local_tol must be positive"),
         (["tables", "--which", "9"], "numbered 1 to 5"),
     ],
     ids=lambda x: " ".join(x) if isinstance(x, list) else None,
@@ -239,58 +244,97 @@ MONODROMY_README_JSON = {
     "poles": ["(-0.7+0.3j)", "0j", "(1+0j)"],
     "generators": [
         [
-            [-0.20874260810965667, -0.6218057723068058],
-            [0.03717518063851774, -0.4682221451837538],
-            [0.11316618018764324, -0.27003238165666255],
-            [-0.5591020877058305, 0.4469301515666055],
-            [0.7830108208714455, -0.11869653892773754],
-            [-0.10538814682687851, -0.11253188847519212],
-            [-0.6079339151446864, 0.29817804646280527],
-            [-0.17607158816436352, -0.15408624925513717],
-            [0.9257317877193117, -0.12552309268151254],
+            [-0.20874260838975706, -0.6218057722078739],
+            [0.03717518062043974, -0.468222145386847],
+            [0.11316618019687273, -0.2700323817552061],
+            [-0.5591020877587458, 0.4469301519372124],
+            [0.7830108207755274, -0.11869653886558612],
+            [-0.1053881469332412, -0.11253188849457733],
+            [-0.6079339152147907, 0.2981780467964818],
+            [-0.17607158828792757, -0.1540862492726011],
+            [0.9257317876141707, -0.12552309271102513],
         ],
         [
-            [0.9346167990579914, -0.03602841354565689],
-            [-0.17731325218040248, -0.2821967925754042],
-            [0.02270404328087085, -0.07266724422492331],
-            [-0.34733862617836614, -0.0012508674943249544],
-            [-0.35351328093538203, -0.756688335240359],
-            [-0.06940317202995057, -0.3473561176953678],
-            [-0.08630292079462241, 0.06359176469823513],
-            [-0.4746214626771094, 0.061500713053399374],
-            [0.91889648240879, -0.07330865514541544],
+            [0.9346167990665214, -0.03602841349394247],
+            [-0.17731325205840615, -0.2821967925034713],
+            [0.02270404327832392, -0.07266724420148807],
+            [-0.3473386263175275, -0.0012508674336007383],
+            [-0.35351328140733773, -0.756688335130401],
+            [-0.06940317213752265, -0.347356117826444],
+            [-0.08630292080020953, 0.06359176476833395],
+            [-0.4746214627674328, 0.06150071330216055],
+            [0.9188964823407942, -0.07330865516012192],
         ],
         [
-            [0.8890204408544269, -0.006934495052018927],
-            [-0.15868456521638896, -0.03155520152829006],
-            [-0.15223872137126457, -0.627622019906038],
-            [-0.11079083834471849, -0.024308684731499],
-            [0.8449621832521056, -0.05657196135111451],
-            [-0.05552382635626687, -0.6564313616791266],
-            [-0.19485191276856087, 0.16206852953154594],
-            [-0.3124534073724075, 0.19585489015868232],
-            [-0.23398262361926192, -0.8025189475458081],
+            [0.8890204408163105, -0.006934495035944041],
+            [-0.1586845652531043, -0.031555201545954974],
+            [-0.15223872128634675, -0.627622019994939],
+            [-0.11079083838252106, -0.02430868475417371],
+            [0.8449621832350457, -0.05657196137862695],
+            [-0.055523826207497184, -0.6564313618141799],
+            [-0.19485191279954017, 0.1620685296490796],
+            [-0.31245340744770056, 0.19585489031815898],
+            [-0.23398262405134918, -0.8025189473699142],
         ],
     ],
     "local_eigenvalues": [
         [
-            [-0.49999999947538476, -0.8660254038428727],
-            [0.9999999999348529, -6.996203616438379e-11],
-            [1.000000000021632, -3.221186138598108e-12],
+            [-0.5000000000000471, -0.8660254037844889],
+            [0.9999999999999952, 5.029121928012248e-15],
+            [0.9999999999999932, -7.077671781985373e-16],
         ],
         [
-            [-0.4999999994767318, -0.8660254038974697],
-            [1.000000000012968, -5.648559397997133e-11],
-            [0.9999999999951632, 2.2523715061498134e-11],
+            [-0.5000000000000009, -0.8660254037844713],
+            [0.9999999999999893, 9.992007221626409e-16],
+            [0.9999999999999893, 5.250574280912801e-15],
         ],
         [
-            [-0.4999999994906056, -0.8660254038881704],
-            [1.0000000000009321, -2.953245981096586e-11],
-            [0.999999999976944, -3.123926050413143e-11],
+            [-0.499999999999989, -0.8660254037844768],
+            [0.999999999999999, -1.6653345369377348e-15],
+            [0.9999999999999972, -6.719017703327168e-15],
         ],
     ],
     "closure_size": 648,
 }
+
+# the generators as printed when path derivatives were central differences
+# (eps = 1e-7), which left about 5e-10 of error in every entry
+MONODROMY_CENTRAL_DIFFERENCE_GENERATORS = [
+    [
+        [-0.20874260810965667, -0.6218057723068058],
+        [0.03717518063851774, -0.4682221451837538],
+        [0.11316618018764324, -0.27003238165666255],
+        [-0.5591020877058305, 0.4469301515666055],
+        [0.7830108208714455, -0.11869653892773754],
+        [-0.10538814682687851, -0.11253188847519212],
+        [-0.6079339151446864, 0.29817804646280527],
+        [-0.17607158816436352, -0.15408624925513717],
+        [0.9257317877193117, -0.12552309268151254],
+    ],
+    [
+        [0.9346167990579914, -0.03602841354565689],
+        [-0.17731325218040248, -0.2821967925754042],
+        [0.02270404328087085, -0.07266724422492331],
+        [-0.34733862617836614, -0.0012508674943249544],
+        [-0.35351328093538203, -0.756688335240359],
+        [-0.06940317202995057, -0.3473561176953678],
+        [-0.08630292079462241, 0.06359176469823513],
+        [-0.4746214626771094, 0.061500713053399374],
+        [0.91889648240879, -0.07330865514541544],
+    ],
+    [
+        [0.8890204408544269, -0.006934495052018927],
+        [-0.15868456521638896, -0.03155520152829006],
+        [-0.15223872137126457, -0.627622019906038],
+        [-0.11079083834471849, -0.024308684731499],
+        [0.8449621832521056, -0.05657196135111451],
+        [-0.05552382635626687, -0.6564313616791266],
+        [-0.19485191276856087, 0.16206852953154594],
+        [-0.3124534073724075, 0.19585489015868232],
+        [-0.23398262361926192, -0.8025189475458081],
+    ],
+]
+
 
 def test_monodromy_readme_output_pinned(capsys):
     code, out = run(
@@ -298,6 +342,10 @@ def test_monodromy_readme_output_pinned(capsys):
     )
     assert code == 0
     assert out == json.dumps(MONODROMY_README_JSON, indent=2) + "\n"
+    pinned = MONODROMY_README_JSON["generators"]
+    for new, old in zip(pinned, MONODROMY_CENTRAL_DIFFERENCE_GENERATORS, strict=True):
+        for (x, y), (u, v) in zip(new, old, strict=True):
+            assert abs(complex(x, y) - complex(u, v)) < 1e-9
 
 
 def test_monodromy_rank4_past_bound_is_an_error(capsys):

@@ -239,8 +239,62 @@ def test_corollary63_local_eigenvalues_and_closure():
     )
     for m in monos:
         got = local_eigenvalues(m)
-        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-8
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-10
     assert numeric_closure(monos, tol=1e-6, bound=2000) == 648
+
+
+def _dop853_monodromy(poles, residues):
+    """Each loop piece solved on its own by scipy's DOP853, then composed.
+
+    The loops are the ones `monodromy_numeric` documents: from the default
+    base point straight toward the pole, around the circle of radius 0.4 *
+    (distance to the nearest other pole or to the base), and back.
+    """
+    from scipy.integrate import solve_ivp
+
+    poles = [complex(p) for p in poles]
+    m = len(residues[0])
+    re = [p.real for p in poles]
+    im = [p.imag for p in poles]
+    spread = max(max(re) - min(re), max(im) - min(im), 1.0)
+    base = complex((max(re) + min(re)) / 2, min(im) - 1.5 * spread)
+
+    def transport(x, dx):
+        def rhs(s, y):
+            a = sum(r / (x(s) - p) for p, r in zip(poles, residues))
+            return (dx(s) * a @ y.reshape(m, m)).ravel()
+
+        y0 = np.eye(m, dtype=complex).ravel()
+        sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-13, atol=1e-14)
+        assert sol.success
+        return sol.y[:, -1].reshape(m, m)
+
+    out = []
+    for i, p in enumerate(poles):
+        gap = min(abs(p - q) for j, q in enumerate(poles) if j != i)
+        r = 0.4 * min(gap, abs(base - p))
+        u = (base - p) / abs(base - p)
+        entry = p + r * u
+        t_in = transport(lambda s: base + s * (entry - base), lambda s: entry - base)
+        circle = transport(
+            lambda s: p + r * u * cmath.exp(2j * cmath.pi * s),
+            lambda s: 2j * cmath.pi * r * u * cmath.exp(2j * cmath.pi * s),
+        )
+        t_out = transport(lambda s: entry + s * (base - entry), lambda s: base - entry)
+        out.append(t_out @ circle @ t_in)
+    return out
+
+
+@pytest.mark.parametrize(
+    "rank, s_points", [(3, [-0.7 + 0.3j]), (4, [-0.7 + 0.3j, 2.1 + 0.4j])], ids=["rank3", "rank4"]
+)
+def test_monodromy_numeric_matches_dop853(rank, s_points):
+    poles, residues = corollary_connection(rank, s_points, sign=+1)
+    got = monodromy_numeric(poles, residues, local_tol=1e-12)
+    want = _dop853_monodromy(poles, residues)
+    assert len(got) == len(want) == rank
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() < 1e-11
 
 
 def test_numeric_closure_basics():

@@ -305,6 +305,140 @@ def exp_residue_reflection(c_mat, trace_fraction):
 
 # ---- numeric monodromy --------------------------------------------------------
 
+# The Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett and Wanner,
+# Solving ODEs I, 2nd ed., 1993, II.5 and II.10): the nodes c_i, the stage
+# matrix a (each row from its nonzero entries), the 8th-order weights b,
+# and the weights of the 3rd- and 5th-order error estimates; the 3rd-order
+# one is b minus the weights of the embedded 3rd-order method.
+
+
+def _dense(weights):
+    out = np.zeros(12)
+    for j, w in weights.items():
+        out[j] = w
+    return out
+
+
+DOP853_C = np.array(
+    [
+        0.0,
+        0.526001519587677318785587544488e-1,
+        0.789002279381515978178381316732e-1,
+        0.118350341907227396726757197510,
+        0.281649658092772603273242802490,
+        0.333333333333333333333333333333,
+        0.25,
+        0.307692307692307692307692307692,
+        0.651282051282051282051282051282,
+        0.6,
+        0.857142857142857142857142857142,
+        1.0,
+    ]
+)
+DOP853_A = np.stack(
+    [
+        _dense(row)
+        for row in (
+            {},
+            {0: 5.26001519587677318785587544488e-2},
+            {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+            {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+            {
+                0: 2.41365134159266685502369798665e-1,
+                2: -8.84549479328286085344864962717e-1,
+                3: 9.24834003261792003115737966543e-1,
+            },
+            {
+                0: 3.7037037037037037037037037037e-2,
+                3: 1.70828608729473871279604482173e-1,
+                4: 1.25467687566822425016691814123e-1,
+            },
+            {
+                0: 3.7109375e-2,
+                3: 1.70252211019544039314978060272e-1,
+                4: 6.02165389804559606850219397283e-2,
+                5: -1.7578125e-2,
+            },
+            {
+                0: 3.70920001185047927108779319836e-2,
+                3: 1.70383925712239993810214054705e-1,
+                4: 1.07262030446373284651809199168e-1,
+                5: -1.53194377486244017527936158236e-2,
+                6: 8.27378916381402288758473766002e-3,
+            },
+            {
+                0: 6.24110958716075717114429577812e-1,
+                3: -3.36089262944694129406857109825,
+                4: -8.68219346841726006818189891453e-1,
+                5: 2.75920996994467083049415600797e1,
+                6: 2.01540675504778934086186788979e1,
+                7: -4.34898841810699588477366255144e1,
+            },
+            {
+                0: 4.77662536438264365890433908527e-1,
+                3: -2.48811461997166764192642586468,
+                4: -5.90290826836842996371446475743e-1,
+                5: 2.12300514481811942347288949897e1,
+                6: 1.52792336328824235832596922938e1,
+                7: -3.32882109689848629194453265587e1,
+                8: -2.03312017085086261358222928593e-2,
+            },
+            {
+                0: -9.3714243008598732571704021658e-1,
+                3: 5.18637242884406370830023853209,
+                4: 1.09143734899672957818500254654,
+                5: -8.14978701074692612513997267357,
+                6: -1.85200656599969598641566180701e1,
+                7: 2.27394870993505042818970056734e1,
+                8: 2.49360555267965238987089396762,
+                9: -3.0467644718982195003823669022,
+            },
+            {
+                0: 2.27331014751653820792359768449,
+                3: -1.05344954667372501984066689879e1,
+                4: -2.00087205822486249909675718444,
+                5: -1.79589318631187989172765950534e1,
+                6: 2.79488845294199600508499808837e1,
+                7: -2.85899827713502369474065508674,
+                8: -8.87285693353062954433549289258,
+                9: 1.23605671757943030647266201528e1,
+                10: 6.43392746015763530355970484046e-1,
+            },
+        )
+    ]
+)
+DOP853_B = _dense(
+    {
+        0: 5.42937341165687622380535766363e-2,
+        5: 4.45031289275240888144113950566,
+        6: 1.89151789931450038304281599044,
+        7: -5.8012039600105847814672114227,
+        8: 3.1116436695781989440891606237e-1,
+        9: -1.52160949662516078556178806805e-1,
+        10: 2.01365400804030348374776537501e-1,
+        11: 4.47106157277725905176885569043e-2,
+    }
+)
+DOP853_E3 = DOP853_B - _dense(
+    {
+        0: 0.244094488188976377952755905512,
+        8: 0.733846688281611857341361741547,
+        11: 0.220588235294117647058823529412e-1,
+    }
+)
+DOP853_E5 = _dense(
+    {
+        0: 0.1312004499419488073250102996e-1,
+        5: -0.1225156446376204440720569753e1,
+        6: -0.4957589496572501915214079952,
+        7: 0.1664377182454986536961530415e1,
+        8: -0.3503288487499736816886487290,
+        9: 0.3341791187130174790297318841,
+        10: 0.8192320648511571246570742613e-1,
+        11: -0.2235530786388629525884427845e-1,
+    }
+)
+
 
 def corollary_connection(rank, s_points, sign=+1):
     """Poles and ODE residues of the displayed rank-3 / rank-4 connection.
@@ -344,18 +478,41 @@ def monodromy_numeric(poles, residues, base=None, local_tol=1e-12, radius_factor
     by s in [0, 1] as x(s) = start + s*slope + swing*e^(2 pi i s) (swing
     = 0 on a segment, slope = 0 on a circle), with the exact derivative
     x'(s) = slope + 2 pi i swing e^(2 pi i s), and its transport is solved
-    from I.  The 3k transports of k poles are one stack, advanced together
-    by adaptive RK4 with step doubling on one shared parameter step: a
-    step is accepted only if every transport's error estimate is within
-    local_tol * (1 + its largest entry), and the step doubles only if
-    every one is below 1/32 of that.  The monodromy of a pole is
-    T_out @ T_circle @ T_in.
+    from I.  The monodromy of a pole is T_out @ T_circle @ T_in.
+
+    Method: the 3k transports of k poles are one stack, advanced together
+    on one shared parameter step by the Dormand-Prince 8(5,3) embedded
+    pair (DOP853; Hairer, Norsett and Wanner, Solving ODEs I, II.10).
+    The coefficients of the whole stack are evaluated at the twelve nodes
+    t + c_i h in one call; each stage is one combination of the earlier
+    stages and one batched product with the coefficients at its node.
+
+    Error test: each transport passes its own.  With e5 and e3 the largest
+    entries of its 5th- and 3rd-order error estimates, a step h is
+    accepted only if h e5^2 / sqrt(e5^2 + 0.01 e3^2) <= local_tol * (1 +
+    its largest entry).
+
+    Controller: with r the largest ratio of the two sides over the stack,
+    the next step, after an accepted or a rejected one, is
+    h * clip(0.9 r^(-1/8), 0.2, 10).
+
+    Failures: PoleTooClose before integrating if two poles, or the base
+    point and a pole, lie within 1e-8, or a segment base -> entry passes
+    within 1e-8 of another pole.  IntegrationFailure for a non-finite
+    error estimate, for a rejected step below 1e-13, and at once for a
+    local_tol below machine epsilon: the estimate sees only truncation
+    error, and below that the rounding of each update is not negligible.
     """
     poles = [complex(p) for p in poles]
     if not all(cmath.isfinite(p) for p in poles):
         raise ValueError("poles must be finite")
     if not (local_tol > 0 and math.isfinite(local_tol)):
         raise ValueError("local_tol must be positive and finite")
+    eps = np.finfo(float).eps
+    if local_tol < eps:
+        raise IntegrationFailure(
+            f"local_tol {local_tol:g} is below the rounding error of a step ({eps:.1e})"
+        )
     m = len(residues[0])
     gaps = []
     for i, p in enumerate(poles):
@@ -384,50 +541,64 @@ def monodromy_numeric(poles, residues, base=None, local_tol=1e-12, radius_factor
         r = radius_factor * min(gaps[i], abs(base - p))
         u = (base - p) / abs(base - p)
         entry = p + r * u
+        for j, q in enumerate(poles):
+            if j != i and _segment_distance(q, base, entry) < 1e-8:
+                raise PoleTooClose(
+                    f"the path from the base point {base} to pole {p} passes through pole {q}"
+                )
         start[i], slope[i] = base, entry - base
         start[k + i], swing[k + i] = p, r * u
         start[2 * k + i], slope[2 * k + i] = entry, base - entry
     pole_array = np.array(poles)
     flat = np.stack([np.asarray(a, dtype=complex) for a in residues]).reshape(k, m * m)
-    quarters = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    n_stages = len(DOP853_C)
 
     def coeffs(t, h):
-        """x'(s) sum_p A_p / (x(s) - p) for every piece at s = t + (0..4) h/4."""
-        s = (t + h * quarters)[:, None]
+        """x'(s) sum_p A_p / (x(s) - p) for every piece at each node s = t + c_i h."""
+        s = (t + h * DOP853_C)[:, None]
         turn = swing * np.exp(2j * np.pi * s)
         x = start + s * slope + turn
         dx = slope + 2j * np.pi * turn
-        return ((dx[..., None] / (x[..., None] - pole_array)) @ flat).reshape(5, 3 * k, m, m)
-
-    def rk4(a0, a_mid, a1, h, z):
-        k1 = a0 @ z
-        k2 = a_mid @ (z + (h / 2) * k1)
-        k3 = a_mid @ (z + (h / 2) * k2)
-        k4 = a1 @ (z + h * k3)
-        return z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return ((dx[..., None] / (x[..., None] - pole_array)) @ flat).reshape(
+            n_stages, 3 * k, m, m
+        )
 
     z = np.tile(np.eye(m, dtype=complex), (3 * k, 1, 1))
+    stages = np.empty((n_stages, 3 * k, m, m), dtype=complex)
+    flat_stages = stages.reshape(n_stages, -1)
     t = 0.0
     h = 0.05
     min_h = 1e-13
     while t < 1.0:
         h = min(h, 1.0 - t)
         a = coeffs(t, h)
-        z1 = rk4(a[0], a[2], a[4], h, z)
-        z2 = rk4(a[0], a[1], a[2], h / 2, z)
-        z2 = rk4(a[2], a[3], a[4], h / 2, z2)
-        err = np.abs(z1 - z2).max(axis=(1, 2)) / 15
-        room = local_tol * (1 + np.abs(z2).max(axis=(1, 2)))
-        if (err <= room).all():
-            z = z2 + (z2 - z1) / 15
+        ha = h * DOP853_A
+        stages[0] = a[0] @ z
+        for i in range(1, n_stages):
+            stages[i] = a[i] @ (z + (ha[i, :i] @ flat_stages[:i]).reshape(z.shape))
+        z_new = z + (h * DOP853_B @ flat_stages).reshape(z.shape)
+        e5 = np.abs(DOP853_E5 @ flat_stages).reshape(3 * k, -1).max(axis=1)
+        e3 = np.abs(DOP853_E3 @ flat_stages).reshape(3 * k, -1).max(axis=1)
+        denom = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
+        err = h * e5 * e5 / np.where(denom > 0, denom, 1.0)
+        room = local_tol * (1 + np.abs(z_new).reshape(3 * k, -1).max(axis=1))
+        ratio = float((err / room).max())
+        if not math.isfinite(ratio):
+            raise IntegrationFailure(f"non-finite error estimate at s = {t:.6g}")
+        if ratio <= 1.0:
+            z = z_new
             t += h
-            if (err < room / 32).all():
-                h *= 2
-        else:
-            h /= 2
-            if h < min_h:
-                raise IntegrationFailure("step size underflow")
+        elif h < min_h:
+            raise IntegrationFailure("step size underflow")
+        h *= 10.0 if ratio == 0 else min(10.0, max(0.2, 0.9 * ratio ** -0.125))
     return list(z[2 * k :] @ z[k : 2 * k] @ z[:k])
+
+
+def _segment_distance(q, a, b):
+    """Distance from the point q to the segment from a to b."""
+    d = b - a
+    s = min(1.0, max(0.0, ((q - a) * d.conjugate()).real / abs(d) ** 2))
+    return abs(q - (a + s * d))
 
 
 def local_eigenvalues(mat):

@@ -1,14 +1,21 @@
 import cmath
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from braidorbit.connect import (
+    DOP853_A,
+    DOP853_B,
+    DOP853_C,
+    DOP853_E3,
+    DOP853_E5,
     AmbiguousMatch,
     ConnectionSpec,
     DegenerateParameters,
+    IntegrationFailure,
     LauricellaParams,
     ThetaOneZero,
     completed_E_family,
@@ -295,6 +302,46 @@ def test_monodromy_numeric_matches_dop853(rank, s_points):
     assert len(got) == len(want) == rank
     for g, w in zip(got, want):
         assert np.abs(g - w).max() < 1e-11
+
+
+@pytest.mark.parametrize("local_tol", [1e-6, 1e-9, 1e-14])
+def test_monodromy_numeric_local_tol_sweep(local_tol):
+    poles, residues = corollary_connection(3, [-0.7 + 0.3j], sign=+1)
+    got = monodromy_numeric(poles, residues, local_tol=local_tol)
+    want = _dop853_monodromy(poles, residues)
+    for g, w in zip(got, want, strict=True):
+        assert np.abs(g - w).max() < max(100 * local_tol, 1e-11)
+
+
+def test_dop853_tableau_matches_scipy():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    stages = ref.N_STAGES
+    assert np.array_equal(DOP853_C, ref.C[:stages])
+    assert np.array_equal(DOP853_A, ref.A[:stages, :stages])
+    assert np.array_equal(DOP853_B, ref.B)
+    # scipy's estimates carry a zero weight for the stage at the new point
+    assert np.array_equal(DOP853_E3, ref.E3[:stages]) and ref.E3[stages] == 0
+    assert np.array_equal(DOP853_E5, ref.E5[:stages]) and ref.E5[stages] == 0
+    # the row-sum and weight conditions a typo in a literal would break
+    assert np.allclose(DOP853_A.sum(axis=1), DOP853_C, rtol=0, atol=1e-13)
+    assert abs(DOP853_B.sum() - 1) < 1e-14
+    assert abs(DOP853_E3.sum()) < 1e-14 and abs(DOP853_E5.sum()) < 1e-14
+
+
+def test_monodromy_non_finite_estimate_fails_at_once():
+    # a NaN estimate must not pass for a failed test that shrinks the step
+    a = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(IntegrationFailure, match="non-finite error estimate at s = 0"):
+        monodromy_numeric([0.0], [a])
+
+
+def test_monodromy_local_tol_below_rounding_fails_fast():
+    poles, residues = corollary_connection(3, [-0.7 + 0.3j], sign=+1)
+    began = time.perf_counter()
+    with pytest.raises(IntegrationFailure, match="below the rounding error"):
+        monodromy_numeric(poles, residues, local_tol=1e-18)
+    assert time.perf_counter() - began < 0.1
 
 
 def test_numeric_closure_basics():

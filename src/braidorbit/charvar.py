@@ -9,7 +9,8 @@ with nontrivial linear part live in P^(n-3) with homogeneous coordinates
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .braid import BraidWord, PureLetter
@@ -270,7 +271,12 @@ def action_matrix_reduced(linear, i, j):
 
 
 def reduced_generators(linear, include_inverses=True):
-    """All reduced matrices M_{i,j} (and inverses), skipping identities."""
+    """All reduced matrices M_{i,j}, skipping identities.
+
+    With `include_inverses` each M is followed by its adjugate, which is
+    M^-1 up to the scalar det(M): the same projective map, built without
+    a Cyclotomic inverse.  So gens[a ^ 1] inverts gens[a].
+    """
     n = linear.n
     gens = []
     for i in range(1, n - 1):
@@ -280,7 +286,7 @@ def reduced_generators(linear, include_inverses=True):
                 continue
             gens.append(m)
             if include_inverses:
-                gens.append(m.inverse())
+                gens.append(m.adjugate())
     return gens
 
 
@@ -379,11 +385,26 @@ def matrix_of_sigma(linear, i):
 # ---- orbit enumeration -----------------------------------------------------
 
 
-@dataclass
 class OrbitResult:
-    points: list[ProjClass] = field(default_factory=list)
-    size: int = 0
-    exceeded_bound: bool = False
+    """An orbit's size, whether its search passed the bound, and its points.
+
+    `points` are ProjClass in discovery order, the first being the start
+    class.  They are built from the search's canonical vectors on first
+    read, since most callers read only `size`.
+    """
+
+    def __init__(self, start, vectors=(), conductor=1, exceeded_bound=False):
+        # `vectors` are the canonical vectors of the points after the first
+        self.size = 1 + len(vectors)
+        self.exceeded_bound = exceeded_bound
+        self._start = start
+        self._vectors = vectors
+        self._conductor = conductor
+
+    @cached_property
+    def points(self):
+        n, conductor = self._start.n, self._conductor
+        return [self._start] + [_proj_class(n, w, conductor) for w in self._vectors]
 
 
 def _proj_class(n, w, conductor):
@@ -409,14 +430,19 @@ def orbit(cls, linear, bound=200_000, gens=None):
     The search is `kernel.int_line_orbit` at the lcm of the conductors of
     the linear part, the start coordinates and the generator entries.  The
     points come back as ProjClass in discovery order, the first being
-    `cls` itself.
+    `cls` itself (`OrbitResult.points`, built on first read).  When it
+    builds the generators itself, as (M, adj M) pairs, it tells the search
+    which action inverts which, so each edge of the orbit is computed once.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
     if cls.is_zero_class:
-        return OrbitResult(points=[cls], size=1)
+        return OrbitResult(cls)
+    inverse = None
     if gens is None:
         gens = reduced_generators(linear)
-    conductor, _, found, exceeded = int_line_orbit(gens, cls.coords, bound, linear.conductor())
-    points = [cls] + [_proj_class(cls.n, w, conductor) for w in found[1:]]
-    return OrbitResult(points=points, size=len(points), exceeded_bound=exceeded)
+        inverse = [a ^ 1 for a in range(len(gens))]
+    conductor, _, found, exceeded = int_line_orbit(
+        gens, cls.coords, bound, linear.conductor(), inverse
+    )
+    return OrbitResult(cls, found[1:], conductor, exceeded)

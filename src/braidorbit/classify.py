@@ -583,7 +583,9 @@ def _projective_closure(gens, bound):
     g (x) I, since vec(g m) = (g (x) I) vec(m).  So the group is the orbit
     of the line through vec(I) under the generators and their inverses,
     one `kernel.int_line_orbit`, and each element is read off its
-    canonical vector, with its first nonzero entry equal to 1.
+    canonical vector, with its first nonzero entry equal to 1.  The
+    inverses are the adjugates, which are the same projective maps; the
+    search is told that lift k and lift k + len(gens) invert each other.
     """
     d = gens[0].rows
     lifts = [
@@ -591,9 +593,13 @@ def _projective_closure(gens, bound):
             [[g[i, k] if j == l else ZERO for k in range(d) for l in range(d)]
              for i in range(d) for j in range(d)]
         )
-        for g in gens + [g.inverse() for g in gens]
+        for g in gens + [g.adjugate() for g in gens]
     ]
-    conductor, _, found, exceeded = int_line_orbit(lifts, Mat.identity(d).entries, bound, 1)
+    half = len(gens)
+    inverse = [(a + half) % (2 * half) for a in range(2 * half)]
+    conductor, _, found, exceeded = int_line_orbit(
+        lifts, Mat.identity(d).entries, bound, 1, inverse
+    )
     group = [Mat(d, d, line_coords(w, conductor)) for w in found]
     if exceeded:
         raise NotFiniteCase("projective closure exceeded bound") from BoundExceeded(bound, group)

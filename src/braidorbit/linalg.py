@@ -8,6 +8,8 @@ subspaces directly comparable and usable as hash keys.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .cyclo import Cyclotomic, cyc
 
 ZERO = cyc(0)
@@ -190,6 +192,36 @@ class Mat:
                     f = a[r][col]
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
         return Mat(n, n, [a[i][j + n] for i in range(n) for j in range(n)])
+
+    def adjugate(self):
+        """adj(M), with adj(M) M = M adj(M) = det(M) I, singular M included.
+
+        Faddeev-LeVerrier: with M_1 = I and M_k = A M_(k-1) + c_(n-k+1) I,
+        where c_(n-j) = -tr(A M_j) / j, adj(A) = (-1)^(n+1) M_n.  It uses
+        ring operations and division by the integers 1 .. n-1 only, no
+        Cyclotomic inverse.  For n = 2 that is tr(A) I - A, which is taken
+        in its closed form [[d, -b], [-c, a]].  As a projective map adj(M)
+        is M^-1 for every invertible M.
+        """
+        if self.rows != self.cols:
+            raise DimensionMismatch("adjugate of a non-square matrix")
+        n = self.rows
+        if n == 2:
+            a, b, c, d = self.entries
+            return Mat(2, 2, [d, -b, -c, a])
+        m = Mat.identity(n)
+        am = self  # A M_(k-1)
+        for k in range(2, n + 1):
+            c = am.trace() * Fraction(-1, k - 1)
+            entries = list(am.entries)
+            for i in range(0, n * n, n + 1):
+                entries[i] = entries[i] + c
+            m = Mat(n, n, entries)
+            if k < n:
+                am = self @ m
+        if n % 2 == 0:
+            m = Mat(n, n, [-e for e in m.entries])
+        return m
 
     def rref(self):
         """Reduced row-echelon form; returns (Mat, pivot column tuple)."""

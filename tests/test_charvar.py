@@ -226,6 +226,26 @@ def test_orbit_zero_class():
     assert res.size == 1 and not res.exceeded_bound
 
 
+def test_orbit_points_are_built_on_first_read(monkeypatch):
+    from braidorbit import charvar
+
+    built = []
+    proj_class = charvar._proj_class
+
+    def counting(*args):
+        built.append(1)
+        return proj_class(*args)
+
+    monkeypatch.setattr(charvar, "_proj_class", counting)
+    lp, e = tetra_linear()
+    cls, _ = normalize(AffineRep(lp, (ZERO, ZERO, e**3)))
+    res = orbit(cls, lp, bound=100)
+    assert (res.size, res.exceeded_bound, built) == (6, False, [])
+    points = res.points
+    assert len(points) == 6 and points[0] is cls and len(built) == 5
+    assert res.points is points and len(built) == 5
+
+
 def test_orbit_generator_order_independent():
     lp, e = tetra_linear()
     cls, _ = normalize(AffineRep(lp, (ZERO, ZERO, e**3)))

@@ -13,6 +13,7 @@ from braidorbit.charvar import (
     AffineRep,
     LinearPart,
     ProjClass,
+    action_matrix_reduced,
     normalize,
     orbit,
     reduced_generators,
@@ -472,6 +473,139 @@ def test_pivot_that_maps_to_zero_takes_the_exact_path():
     inverses = {}
     assert kernel._canon(w, conductor, phi, inverses, lines) == exact
     assert list(inverses) == [(-r, 1) + (0,) * (phi - 2)]
+
+
+# ---- the inverse pairing of the per-item step ---------------------------------
+#
+# Given `inverse`, the per-item step of `int_bfs` skips the image of v
+# under an action whose inverse already took some w to v.  Every search
+# below is run again without `inverse`: the vectors, their order and the
+# truncation point must be the same, and the paired run must skip work.
+
+
+def _searches_with_and_without_inverse(monkeypatch, search):
+    """Every paired int_bfs call of `search`, as (paired, unpaired) outcomes.
+
+    Each outcome is ("found" or "exceeded", vectors, `_canon` calls).
+    """
+    int_bfs, canon = kernel.int_bfs, kernel._canon
+    calls = [0]  # the last entry counts for the running search
+
+    def counting_canon(*args):
+        calls[-1] += 1
+        return canon(*args)
+
+    def outcome(*args, **kwargs):
+        calls.append(0)
+        try:
+            return "found", int_bfs(*args, **kwargs), calls[-1]
+        except kernel.BoundExceeded as exc:
+            return "exceeded", exc.found, calls[-1]
+
+    pairs = []
+
+    def both(*args, inverse=None, **kwargs):
+        assert inverse is not None
+        pairs.append((outcome(*args, inverse=inverse, **kwargs), outcome(*args, **kwargs)))
+        kind, found, _ = pairs[-1][1]
+        if kind == "exceeded":
+            raise kernel.BoundExceeded(args[2], found)
+        return found
+
+    monkeypatch.setattr(kernel, "_canon", counting_canon)
+    monkeypatch.setattr(kernel, "int_bfs", both)
+    search()
+    assert pairs
+    return pairs
+
+
+def _assert_same_with_fewer_images(pairs):
+    for (kind, found, paired_calls), (kind0, found0, calls0) in pairs:
+        assert (kind, found) == (kind0, found0)
+        assert paired_calls < calls0
+
+
+def _table3_conductor60():
+    return LinearPart((zeta(60, 1), zeta(60, 29), zeta(60, 11), zeta(60, 19)))
+
+
+def test_inverse_skip_keeps_the_conductor60_table3_orbit(monkeypatch):
+    # the keyed path: phi = 16 >= 2 d
+    pairs = _searches_with_and_without_inverse(
+        monkeypatch, lambda: orbit(ProjClass(4, (cyc(1), cyc(2))), _table3_conductor60())
+    )
+    ((kind, found, _), _), = pairs
+    assert (kind, len(found)) == ("found", 60)
+    _assert_same_with_fewer_images(pairs)
+
+
+def _n5_generic_orbit(bound):
+    # the n6-orbit benchmark's n=5 class: 216 points, d = 3
+    z6 = zeta(6, 1)
+    rep = AffineRep(LinearPart((z6, z6, z6, z6, z6**2)), tuple(cyc(t) for t in (0, 1, 2, 5)))
+    cls, _ = normalize(rep)
+    return orbit(cls, rep.linear, bound=bound)
+
+
+@pytest.mark.parametrize("batch_min", [64, 1 << 62], ids=["mixed-levels", "per-item"])
+def test_inverse_skip_keeps_the_n5_orbit(monkeypatch, batch_min):
+    monkeypatch.setattr(kernel, "_BATCH_MIN", batch_min)
+    pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n5_generic_orbit(1000))
+    ((kind, found, _), _), = pairs
+    assert (kind, len(found)) == ("found", 216)
+    _assert_same_with_fewer_images(pairs)
+
+
+def test_inverse_skip_keeps_an_orbit_with_fixed_points(monkeypatch):
+    # the README example, 4 points under 6 actions, some of which fix a point
+    lp = LinearPart((zeta(12, 1), zeta(12, 5), zeta(12, 3), zeta(12, 3)))
+    start = ProjClass(4, (cyc(1), cyc(0)))
+    gens = reduced_generators(lp)
+    conductor, phi, found, _ = kernel.int_line_orbit(gens, start.coords, 100, 12)
+    actions = [kernel._int_action(m, conductor) for m in gens]
+    assert any(
+        kernel._canon(kernel.int_apply(cols, v), conductor, phi, {}) == v
+        for v in found
+        for cols in actions
+    )
+    pairs = _searches_with_and_without_inverse(monkeypatch, lambda: orbit(start, lp, bound=100))
+    ((kind, found, _), _), = pairs
+    assert (kind, len(found)) == ("found", 4)
+    _assert_same_with_fewer_images(pairs)
+
+
+def test_inverse_skip_keeps_a_cut_inside_a_per_item_level(monkeypatch):
+    monkeypatch.setattr(kernel, "_BATCH_MIN", 1 << 62)
+    pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n5_generic_orbit(100))
+    ((kind, found, _), _), = pairs
+    assert (kind, len(found)) == ("exceeded", 101)
+    _assert_same_with_fewer_images(pairs)
+
+
+def test_inverse_skip_keeps_the_projective_closure(monkeypatch):
+    lp = _table3_conductor60()
+    gens = [action_matrix_reduced(lp, 2, 3), action_matrix_reduced(lp, 1, 2)]
+    pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _projective_closure(gens, 200))
+    ((kind, found, _), _), = pairs
+    assert (kind, len(found)) == ("found", 60)
+    _assert_same_with_fewer_images(pairs)
+
+
+def test_inverse_skip_bounds_the_work_per_orbit_point(monkeypatch):
+    # a deterministic count, not a time: 6 actions on each of the 60 points
+    # of the conductor-60 Table-3 orbit cost about 6 canonicalizations per
+    # point unpaired; each orbit edge computed once costs at most 4
+    calls = []
+    canon = kernel._canon
+
+    def counting_canon(*args):
+        calls.append(1)
+        return canon(*args)
+
+    monkeypatch.setattr(kernel, "_canon", counting_canon)
+    res = orbit(ProjClass(4, (cyc(1), cyc(2))), _table3_conductor60())
+    assert res.size == 60
+    assert len(calls) <= 4 * res.size
 
 
 @pytest.mark.parametrize("conductor", [7, 9, 12, 60])

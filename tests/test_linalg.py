@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from braidorbit.charvar import LinearPart, reduced_generators
 from braidorbit.cyclo import cyc, zeta
 from braidorbit.linalg import (
     DimensionMismatch,
@@ -83,6 +84,37 @@ def test_inverse_random():
             continue
         assert m.inverse() @ m == Mat.identity(m.rows)
         done += 1
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 12, 60])
+def test_adjugate_times_matrix_is_the_determinant(conductor):
+    rng = random.Random(conductor)
+    for d in range(1, 6):
+        mats = [rand_mat(rng, d, conductor) for _ in range(2)]
+        if d > 1:
+            # a singular M: its last row repeats its first
+            rows = rand_mat(rng, d, conductor).to_rows()
+            rows[-1] = list(rows[0])
+            mats.append(Mat.from_rows(rows))
+            assert mats[-1].det().is_zero()
+        for m in mats:
+            det = Mat.identity(d).scale(m.det())
+            adj = m.adjugate()
+            assert adj @ m == det and m @ adj == det
+    assert Mat.from_rows([[1, 1], [1, 1]]).adjugate() == Mat.from_rows([[1, -1], [-1, 1]])
+
+
+def test_reduced_generators_pair_each_matrix_with_its_inverse():
+    families = [
+        (zeta(60, 1), zeta(60, 29), zeta(60, 11), zeta(60, 19)),
+        (zeta(6, 1),) * 4 + (zeta(6, 2),),
+        (zeta(6, 1),) * 6,
+    ]
+    for lams in families:
+        gens = reduced_generators(LinearPart(lams))
+        assert gens and len(gens) % 2 == 0
+        for m, n in zip(gens[::2], gens[1::2]):
+            assert (m @ n).is_scalar() and (n @ m).is_scalar()
 
 
 def test_singular_raises():

@@ -5,17 +5,22 @@ Pure braids fix the linear part (lambda_1, ..., lambda_n) and act linearly
 on the translation parts.  After conjugating tau_1 to 0, conjugacy classes
 with nontrivial linear part live in P^(n-3) with homogeneous coordinates
 [tau_2 : ... : tau_(n-1)], plus the isolated abelian class [0].
+
+The exact action of a linear part (`BraidAction`: each pure letter's
+matrix and its adjugate, and their integer matrices per search
+conductor) is built once and shared by every orbit and `apply_braid`
+call on that part while it is one of the last two parts used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .braid import BraidWord, PureLetter
 from .cyclo import Cyclotomic, cyc, order_of_root
-from .kernel import int_line_orbit, line_coords
+from .kernel import IntActions, int_line_orbit, line_coords
 from .linalg import Mat
 
 ZERO = cyc(0)
@@ -270,6 +275,57 @@ def action_matrix_reduced(linear, i, j):
     return Mat.from_rows(rows)
 
 
+class BraidAction:
+    """The exact pure-braid action of one linear part, built once.
+
+    `pairs[(i, j)]` is (M, adj M) for the reduced matrix M of
+    sigma_{i,j}^2, or None where M is the identity; the adjugate is M^-1
+    up to the scalar det(M), the same projective map, built without a
+    Cyclotomic inverse.  `gens` lists the pairs that are not None, each M
+    followed by its adjugate, so gens[inverse[a]] = gens[a ^ 1] inverts
+    gens[a].  `actions` holds their integer matrices per search conductor
+    (`kernel.IntActions`), and `conductor` is the lcm of the linear part's
+    conductor and the generators'.
+    """
+
+    def __init__(self, linear):
+        n = linear.n
+        self.n = n
+        self.pairs = {}
+        gens = []
+        for i in range(1, n - 1):
+            for j in range(i + 1, n):
+                m = action_matrix_reduced(linear, i, j)
+                pair = None if m.is_identity() else (m, m.adjugate())
+                self.pairs[i, j] = pair
+                if pair is not None:
+                    gens.extend(pair)
+        self.gens = tuple(gens)
+        self.inverse = tuple(a ^ 1 for a in range(len(gens)))
+        self.actions = IntActions(gens)
+        self.conductor = lcm(linear.conductor(), self.actions.conductor)
+
+    def pair(self, i, j):
+        try:
+            return self.pairs[i, j]
+        except KeyError:
+            raise IndexError(f"need 1 <= i < j <= n-1, got ({i},{j}), n={self.n}") from None
+
+
+def braid_action(linear):
+    """The `BraidAction` of `linear`, shared while it is one of the last two used.
+
+    The linear part is looked up by its values as stored, conductors
+    included, so the shared generators are exactly those `linear` gives.
+    """
+    return _braid_action(tuple((x.n, x.num, x.den) for x in linear.lambdas))
+
+
+@lru_cache(maxsize=2)
+def _braid_action(key):
+    return BraidAction(LinearPart(tuple(Cyclotomic(n, num, den) for n, num, den in key)))
+
+
 def reduced_generators(linear, include_inverses=True):
     """All reduced matrices M_{i,j}, skipping identities.
 
@@ -277,29 +333,25 @@ def reduced_generators(linear, include_inverses=True):
     M^-1 up to the scalar det(M): the same projective map, built without
     a Cyclotomic inverse.  So gens[a ^ 1] inverts gens[a].
     """
-    n = linear.n
-    gens = []
-    for i in range(1, n - 1):
-        for j in range(i + 1, n):
-            m = action_matrix_reduced(linear, i, j)
-            if m.is_identity():
-                continue
-            gens.append(m)
-            if include_inverses:
-                gens.append(m.adjugate())
-    return gens
+    gens = braid_action(linear).gens
+    return list(gens if include_inverses else gens[::2])
 
 
 def apply_braid(cls, letters, linear):
-    """Apply a pure word (PureLetter sequence) to a projective class."""
-    if cls.is_zero_class:
+    """Apply a pure word (PureLetter sequence) to a projective class.
+
+    A negative letter acts by the adjugate of its matrix, the same
+    projective map as the inverse; ProjClass normalizes the result.
+    """
+    letters = list(letters)
+    if cls.is_zero_class or not letters:
         return cls
-    coords = list(cls.coords)
-    for let in reversed(list(letters)):
-        m = action_matrix_reduced(linear, let.i, let.j)
-        if let.sign < 0:
-            m = m.inverse()
-        coords = list(m.apply(coords))
+    action = braid_action(linear)
+    coords = cls.coords
+    for let in reversed(letters):
+        pair = action.pair(let.i, let.j)
+        if pair is not None:
+            coords = pair[let.sign < 0].apply(coords)
     return ProjClass(cls.n, tuple(coords))
 
 
@@ -430,19 +482,20 @@ def orbit(cls, linear, bound=200_000, gens=None):
     The search is `kernel.int_line_orbit` at the lcm of the conductors of
     the linear part, the start coordinates and the generator entries.  The
     points come back as ProjClass in discovery order, the first being
-    `cls` itself (`OrbitResult.points`, built on first read).  When it
-    builds the generators itself, as (M, adj M) pairs, it tells the search
-    which action inverts which, so each edge of the orbit is computed once.
+    `cls` itself (`OrbitResult.points`, built on first read).  Without
+    `gens` it searches under the linear part's shared `BraidAction`: its
+    (M, adj M) pairs, whose integer matrices are reused across calls, and
+    the pairing that tells the search which action inverts which, so each
+    edge of the orbit is computed once.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
     if cls.is_zero_class:
         return OrbitResult(cls)
-    inverse = None
     if gens is None:
-        gens = reduced_generators(linear)
-        inverse = [a ^ 1 for a in range(len(gens))]
-    conductor, _, found, exceeded = int_line_orbit(
-        gens, cls.coords, bound, linear.conductor(), inverse
-    )
+        action = braid_action(linear)
+        mats, inverse, conductor = action.actions, action.inverse, action.conductor
+    else:
+        mats, inverse, conductor = gens, None, linear.conductor()
+    conductor, _, found, exceeded = int_line_orbit(mats, cls.coords, bound, conductor, inverse)
     return OrbitResult(cls, found[1:], conductor, exceeded)

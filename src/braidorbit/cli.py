@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import reflgrp
@@ -50,6 +51,26 @@ def _load_rep(args):
     return rep
 
 
+@contextmanager
+def _exact_output():
+    """Print integers of any length while a payload is rendered and written.
+
+    Python 3.11+ refuses int <-> str conversions past 4300 digits by
+    default, and the points of a large orbit can pass that.  The limit is
+    lifted only here, after the input has been parsed under it.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
 def _emit(payload, args, stream=None):
     stream = stream or sys.stdout
     fmt = getattr(args, "format", "json")
@@ -68,22 +89,23 @@ def cmd_orbit(args):
     cls, rot = normalize(rep)
     linear = rep.linear.rotated(rot) if rot else rep.linear
     res = orbit(cls, linear, bound=args.bound)
-    payload = {
-        "n": rep.n,
-        "lambda": [render(x) for x in rep.linear.lambdas],
-        "tau": [render(x) for x in rep.tau],
-        "tau_n": render(rep.tau_n()),
-        "rotation": rot,
-        "size": res.size,
-        "exceeded_bound": res.exceeded_bound,
-        "points": [
-            "[" + " : ".join(render(c) for c in p.coords) + "]"
-            if not p.is_zero_class
-            else "[0]"
-            for p in res.points
-        ],
-    }
-    _emit(payload, args)
+    with _exact_output():
+        payload = {
+            "n": rep.n,
+            "lambda": [render(x) for x in rep.linear.lambdas],
+            "tau": [render(x) for x in rep.tau],
+            "tau_n": render(rep.tau_n()),
+            "rotation": rot,
+            "size": res.size,
+            "exceeded_bound": res.exceeded_bound,
+            "points": [
+                "[" + " : ".join(render(c) for c in p.coords) + "]"
+                if not p.is_zero_class
+                else "[0]"
+                for p in res.points
+            ],
+        }
+        _emit(payload, args)
     return 0
 
 
@@ -91,42 +113,44 @@ def cmd_classify4(args):
     lams = _parse_values(args.lam)
     lp = LinearPart(lams)
     c = classify_n4(lp)
-    payload = {
-        "lambda": [render(x) for x in lams],
-        "tag": c.tag,
-        "p_value": render(c.p),
-        "trace_squares": [render(t) for t in c.trace_squares],
-    }
-    if c.dihedral_order:
-        payload["dihedral_order"] = c.dihedral_order
-    try:
-        fam = table_rows(lp)
-        payload["table"] = {
-            "family": fam.name,
-            "rows": [
-                {"tau": [render(x) for x in row.rep.tau_full()], "size": row.size}
-                for row in fam.rows
-            ],
-            "generic_size": fam.generic_size,
+    with _exact_output():
+        payload = {
+            "lambda": [render(x) for x in lams],
+            "tag": c.tag,
+            "p_value": render(c.p),
+            "trace_squares": [render(t) for t in c.trace_squares],
         }
-    except NotFiniteCase:
-        pass
-    _emit(payload, args)
+        if c.dihedral_order:
+            payload["dihedral_order"] = c.dihedral_order
+        try:
+            fam = table_rows(lp)
+            payload["table"] = {
+                "family": fam.name,
+                "rows": [
+                    {"tau": [render(x) for x in row.rep.tau_full()], "size": row.size}
+                    for row in fam.rows
+                ],
+                "generic_size": fam.generic_size,
+            }
+        except NotFiniteCase:
+            pass
+        _emit(payload, args)
     return 0
 
 
 def cmd_gate(args):
     rep = _load_rep(args)
     verdict = gate(rep)
-    payload = {
-        "lambda": [render(x) for x in rep.linear.lambdas],
-        "tau": [render(x) for x in rep.tau],
-        "verdict": verdict.kind,
-        "size": verdict.size,
-        "reason": verdict.reason,
-        "rotation": verdict.rotation,
-    }
-    _emit(payload, args)
+    with _exact_output():
+        payload = {
+            "lambda": [render(x) for x in rep.linear.lambdas],
+            "tau": [render(x) for x in rep.tau],
+            "verdict": verdict.kind,
+            "size": verdict.size,
+            "reason": verdict.reason,
+            "rotation": verdict.rotation,
+        }
+        _emit(payload, args)
     return 0
 
 
@@ -161,16 +185,17 @@ def cmd_strata(args):
     g = _build_group(args.which)
     point = tuple(parse_cyclo(tok) for tok in args.point.strip("[]").split(":"))
     label = reflgrp.stratify(g, point)
-    payload = {
-        "group": g.name,
-        "point": "[" + " : ".join(render(c) for c in point) + "]",
-        "orbit_size": label.orbit_size,
-        "reflection_hyperplanes": label.num_hyperplanes,
-        "proper_planes": label.num_proper_planes,
-        "special_tag": label.special_tag,
-        "in_table": label.in_table,
-    }
-    _emit(payload, args)
+    with _exact_output():
+        payload = {
+            "group": g.name,
+            "point": "[" + " : ".join(render(c) for c in point) + "]",
+            "orbit_size": label.orbit_size,
+            "reflection_hyperplanes": label.num_hyperplanes,
+            "proper_planes": label.num_proper_planes,
+            "special_tag": label.special_tag,
+            "in_table": label.in_table,
+        }
+        _emit(payload, args)
     return 0 if label.in_table else 1
 
 
@@ -194,14 +219,15 @@ def cmd_coalesce(args):
     if rep.n != args.n:
         raise ValueError("representation size and --n disagree")
     merged = r_kl(rep, spec)
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "l": args.l,
-        "lambda": [render(x) for x in merged.linear.lambdas],
-        "tau": [render(x) for x in merged.tau_full()],
-    }
-    _emit(payload, args)
+    with _exact_output():
+        payload = {
+            "n": args.n,
+            "k": args.k,
+            "l": args.l,
+            "lambda": [render(x) for x in merged.linear.lambdas],
+            "tau": [render(x) for x in merged.tau_full()],
+        }
+        _emit(payload, args)
     return 0
 
 

@@ -8,6 +8,10 @@ immutable, so they can be shared freely between threads, and hashable:
 the hash is taken from the value at its minimal conductor, so it does not
 depend on the stored conductor, and a rational value hashes like the equal
 int or Fraction.
+
+`order_of_root` and `sqrt_of_root` look a value up in a per-conductor
+table of the roots of unity of Q(zeta_N), the lcm(2, N)-th roots, so
+they raise nothing to a power.
 """
 
 from __future__ import annotations
@@ -491,19 +495,53 @@ ZERO = cyc(0)
 ONE = cyc(1)
 
 
+@lru_cache(maxsize=32)
+def _roots_of_unity(n):
+    """Every root of unity of Q(zeta_n), as stored at conductor n.
+
+    Maps the integer power-basis vector of each to (m, k) with the value
+    equal to zeta_m^k, k coprime to m (k = 0 for m = 1).  The roots of
+    unity of Q(zeta_n) are exactly the L-th roots, L = lcm(2, n), and
+    zeta_L^j = zeta_m^k with m = L / gcd(j, L) and k = j / gcd(j, L).  For
+    odd n, L = 2n and zeta_2n^j is zeta_n^(j/2) for even j and
+    -zeta_n^((j+n)/2) for odd j.  All are algebraic integers, stored over
+    the denominator 1.
+    """
+    phi = euler_phi(n)
+    top = [-c for c in cyclotomic_polynomial(n)[:phi]]  # zeta_n^phi
+    powers = []  # zeta_n^0 .. zeta_n^(n-1)
+    cur = [1] + [0] * (phi - 1)
+    for _ in range(n):
+        powers.append(tuple(cur))
+        head = cur[-1]
+        cur = [0] + cur[:-1]
+        if head:
+            cur = [a + head * b for a, b in zip(cur, top)]
+    big = lcm(2, n)
+    table = {}
+    for j in range(big):
+        if big == n:
+            num = powers[j]
+        elif j % 2 == 0:
+            num = powers[j // 2]
+        else:
+            num = tuple(-a for a in powers[(j + n) // 2 % n])
+        g = gcd(j, big)
+        table[num] = (big // g, j // g)
+    return table
+
+
+def _root_index(x):
+    """(m, k) with x = zeta_m^k as in `_roots_of_unity`, or None."""
+    if x.den != 1:
+        return None
+    return _roots_of_unity(x.n).get(x.num)
+
+
 def order_of_root(x):
     """Smallest m with x^m = 1, or None if x is not a root of unity."""
-    x = cyc(x)
-    if x.is_zero():
-        return None
-    bound = lcm(2, x.n)
-    if x ** bound != ONE:
-        return None
-    divisors = sorted(d for d in range(1, bound + 1) if bound % d == 0)
-    for d in divisors:
-        if x ** d == ONE:
-            return d
-    raise AssertionError("unreachable")
+    index = _root_index(cyc(x))
+    return None if index is None else index[0]
 
 
 def sqrt_of_root(x):
@@ -512,15 +550,13 @@ def sqrt_of_root(x):
     Deterministic, so equal inputs always receive equal square roots.
     """
     x = cyc(x)
-    m = order_of_root(x)
-    if m is None:
+    index = _root_index(x)
+    if index is None:
         raise NotRootOfUnity(f"{x} is not a root of unity")
+    m, k = index
     if m == 1:
         return ONE
-    for k in range(1, m):
-        if gcd(k, m) == 1 and x == zeta(m, k):
-            return zeta(2 * m, k)
-    raise AssertionError("an element of order m must be a primitive power")
+    return zeta(2 * m, k)
 
 
 # ---- text grammar ----------------------------------------------------------

@@ -34,7 +34,9 @@ inverse (`_LineKeys`).  The lookup is exact: a key only proposes, the
 product test decides.
 `int_line_orbit` (the braid orbits of `charvar`, classify's projective
 group, the G25/G32 line and plane orbits of `reflgrp`) and the regular
-orbit of `reflgrp` run on it.
+orbit of `reflgrp` run on it; `IntActions` keeps a matrix list's integer
+actions per conductor, so the braid orbits of one linear part build them
+once.
 
 The identity of an exact point is its canonical integer vector:
 `line_vector` builds it from Cyclotomic values at an explicit conductor
@@ -118,23 +120,28 @@ def _int_action(m, conductor):
     does not change its projective action; entry (i, k) then becomes the
     phi x phi block of multiplication by it mod Phi_N.  The result is stored
     by columns: for each input slot, the (output slot, coefficient) pairs
-    that are nonzero.
+    that are nonzero.  `m` may be rectangular: an r x c matrix gives c*phi
+    columns with output slots below r*phi.
     """
-    d = m.rows
+    rows, d = m.rows, m.cols
     phi = euler_phi(conductor)
     entries = _int_vectors(m.entries, conductor)
     # column t+1 of a block is x times column t: shift up, and fold the
     # top coefficient back with x^phi mod Phi_N (phi = 1 needs no fold)
     top = _reduction_rows(conductor)[0] if phi > 1 else ()
     cols = []
+    shared = {}  # each distinct pair once, which halves what a cached action holds
     for k in range(d):
-        block_cols = [entries[i * d + k] for i in range(d)]
+        block_cols = [entries[i * d + k] for i in range(rows)]
         for t in range(phi):
             if t:
                 block_cols = [_times_x(b, top) for b in block_cols]
             col = []
             for i, block_col in enumerate(block_cols):
-                col.extend((i * phi + r, a) for r, a in enumerate(block_col) if a)
+                for r, a in enumerate(block_col):
+                    if a:
+                        pair = (i * phi + r, a)
+                        col.append(shared.setdefault(pair, pair))
             cols.append(tuple(col))
     return cols
 
@@ -148,9 +155,12 @@ def _times_x(b, top):
     return out
 
 
-def int_apply(cols, v):
-    """The integer matrix `cols` (by columns, see `_int_action`) times v."""
-    w = [0] * len(v)
+def int_apply(cols, v, size=None):
+    """The integer matrix `cols` (by columns, see `_int_action`) times v.
+
+    The result has `size` slots, by default as many as v (a square matrix).
+    """
+    w = [0] * (len(v) if size is None else size)
     for j, x in enumerate(v):
         if x:
             for r, a in cols[j]:
@@ -606,25 +616,56 @@ def line_coords(w, conductor):
     )
 
 
+class IntActions:
+    """The `_int_action` matrices of a fixed list of matrices, per conductor.
+
+    `conductor` is the lcm of the conductors of the matrix entries.  The
+    integer matrices at a search conductor are built on first use and kept,
+    for the few conductors last used, so every search that shares the
+    object shares them.
+    """
+
+    _KEEP = 4  # conductors kept; a caller meets one or two
+
+    def __init__(self, mats):
+        self.mats = tuple(mats)
+        conductor = 1
+        for m in self.mats:
+            for x in m.entries:
+                conductor = lcm(conductor, x.n)
+        self.conductor = conductor
+        self._at = {}
+
+    def at(self, conductor):
+        """The integer actions at `conductor`, a multiple of `self.conductor`."""
+        actions = self._at.get(conductor)
+        if actions is None:
+            actions = [_int_action(m, conductor) for m in self.mats]
+            if len(self._at) >= self._KEEP:
+                del self._at[next(iter(self._at))]
+            self._at[conductor] = actions
+        return actions
+
+
 def int_line_orbit(mats, coords, bound, conductor, inverse=None):
     """Orbit of the line through `coords` under the matrices `mats`.
 
     The search is one projective `int_bfs` at one conductor N, the lcm of
     `conductor`, the conductors of the coordinates and those of the
     matrix entries: points are canonical coefficient vectors (see
-    `_canon`) and each matrix acts through `_int_action`.  `inverse`, if
-    given, is `int_bfs`'s: mats[inverse[a]] is mats[a]^-1 up to a scalar.
+    `_canon`) and each matrix acts through `_int_action`.  `mats` is a
+    list of matrices or an `IntActions`, whose integer matrices are then
+    reused.  `inverse`, if given, is `int_bfs`'s: mats[inverse[a]] is
+    mats[a]^-1 up to a scalar.
     Returns (N, phi, vectors, exceeded): the vectors in discovery order,
     the first being the start's, and whether more than `bound` were
     found, in which case `vectors` holds the first bound + 1 of them.
     """
-    for x in coords:
-        conductor = lcm(conductor, x.n)
-    for m in mats:
-        for x in m.entries:
-            conductor = lcm(conductor, x.n)
+    if not isinstance(mats, IntActions):
+        mats = IntActions(mats)
+    conductor = lcm(conductor, mats.conductor, *(x.n for x in coords))
     phi = euler_phi(conductor)
-    actions = [_int_action(m, conductor) for m in mats]
+    actions = mats.at(conductor)
     start = line_vector(coords, conductor)
     try:
         found = int_bfs(start, actions, bound, ring=(conductor, phi), inverse=inverse)

@@ -18,7 +18,7 @@ from math import lcm
 
 from . import kernel
 from .charvar import LinearPart, matrix_of_sigma
-from .cyclo import Cyclotomic, cyc, order_of_root, zeta
+from .cyclo import Cyclotomic, cyc, euler_phi, order_of_root, zeta
 from .linalg import Mat, eigenspace, is_complex_reflection, mat_parallel, matrix_order
 
 W = zeta(3, 1)  # omega
@@ -637,6 +637,14 @@ def lattice_census(group_or_normals, dim=None):
         if dim is None:
             dim = len(normals[0])
 
+    # incidence is tested on integers: h . v for every normal h at once is
+    # the integer matrix of the normals times v's coefficient vector
+    hyperplanes = Mat.from_rows([list(h) for h in normals])
+    conductor = lcm(*(x.n for x in hyperplanes.entries))
+    phi = euler_phi(conductor)
+    incidence = kernel._int_action(hyperplanes, conductor)
+    slots = len(normals) * phi
+
     def flats(size):
         """The hyperplanes containing each flat of codimension `size`."""
         found = []
@@ -647,8 +655,12 @@ def lattice_census(group_or_normals, dim=None):
             ker = Mat.from_rows([list(normals[i]) for i in subset]).kernel()
             if len(ker) != dim - size:
                 continue
+            vectors = ([c for x in kernel._int_vectors(row, conductor) for c in x] for row in ker)
+            images = [kernel.int_apply(incidence, v, slots) for v in vectors]
             containing = [
-                i for i, h in enumerate(normals) if all(sum_is_zero(h, row) for row in ker)
+                i
+                for i in range(len(normals))
+                if not any(any(w[i * phi : i * phi + phi]) for w in images)
             ]
             covered.update(combinations(containing, size))
             found.append([normals[i] for i in containing])
@@ -674,13 +686,6 @@ def lattice_census(group_or_normals, dim=None):
         "codim3_incidences": incidences(flats(3)) if dim >= 4 else {},
         "orthogonality_consistent": ortho_ok,
     }
-
-
-def sum_is_zero(h, v):
-    acc = ZERO
-    for a, b in zip(h, v):
-        acc = acc + a * b
-    return acc.is_zero()
 
 
 # ---- polytopes ----------------------------------------------------------------

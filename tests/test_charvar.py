@@ -354,3 +354,40 @@ def test_apply_braid_identity_and_zero():
     assert k is not None
     out = apply_braid(cls, [PureLetter(1, 2)] * (2 * k), lp)
     assert out == cls
+
+
+def _apply_braid_by_inverse(cls, letters, linear):
+    """apply_braid as a negative letter was once applied: by Mat.inverse."""
+    coords = cls.coords
+    for let in reversed(letters):
+        m = action_matrix_reduced(linear, let.i, let.j)
+        coords = (m.inverse() if let.sign < 0 else m).apply(coords)
+    return ProjClass(cls.n, coords)
+
+
+@pytest.mark.parametrize(
+    "lams, tau",
+    [
+        (((12, 1), (12, 5), (12, 3), (12, 3)), (0, 1, 2)),
+        (((60, 1), (60, 29), (60, 11), (60, 19)), (0, 1, 2)),
+        (((6, 1), (6, 1), (6, 1), (6, 1), (6, 2)), (0, 1, 2, 5)),
+    ],
+)
+def test_apply_braid_negative_letters_match_mat_inverse(lams, tau):
+    lp = LinearPart(tuple(_z(*x) for x in lams))
+    cls, _ = normalize(AffineRep(lp, tuple(cyc(t) for t in tau)))
+    pairs = [(i, j) for i in range(1, lp.n - 1) for j in range(i + 1, lp.n)]
+    rng = random.Random(len(lams))
+    for _ in range(6):
+        letters = [PureLetter(*rng.choice(pairs), rng.choice((1, -1))) for _ in range(5)]
+        assert apply_braid(cls, letters, lp) == _apply_braid_by_inverse(cls, letters, lp)
+    for i, j in pairs:
+        there_and_back = [PureLetter(i, j, -1), PureLetter(i, j, 1)]
+        assert apply_braid(cls, there_and_back, lp) == cls
+
+
+def test_apply_braid_rejects_a_letter_outside_the_linear_part():
+    lp, _ = tetra_linear()
+    cls, _ = normalize(AffineRep(lp, (ZERO, ONE, cyc(2))))
+    with pytest.raises(IndexError, match=r"got \(2,4\), n=4"):
+        apply_braid(cls, [PureLetter(2, 4)], lp)

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -107,6 +108,47 @@ def test_kernel_overflow_is_an_error(capsys, g25):
     assert (data["orbit_size"], data["reflection_hyperplanes"], data["proper_planes"]) == (72, 1, 0)
     with pytest.raises(OverflowError, match="100000000000000000000"):
         reflgrp.line_stabilizer_order(g25, (cyc(10**20), cyc(1), cyc(0)))
+
+
+def test_orbit_past_its_bound_prints_points_of_any_length(capsys):
+    # the search passes its bound, and its last points have coordinates of
+    # more digits than Python converts to text by default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run(
+        capsys, "orbit", "--lambda", "10^9,1/10^9,1,1", "--tau", "0,1,2", "--bound", "1000"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert (data["size"], data["exceeded_bound"], len(data["points"])) == (1001, True, 1001)
+    assert max(len(p) for p in data["points"]) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gate", "--lambda", "10^5000,1/10^5000,1,1", "--tau", "0,1,2"],
+        ["classify4", "--lambda", "10^5000,1/10^5000,1,1"],
+        ["strata", "--which", "g25", "--point", "[10^5000:1:0]"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_long_values_print_exactly(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert "1" + "0" * 5000 in out
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str limit before Python 3.11"
+)
+def test_long_input_literals_stay_refused(capsys):
+    # the limit on int <-> str is lifted only while the output is written
+    big = "1" + "0" * 5000
+    code = main(["gate", "--lambda", f"{big},1/{big},1,1", "--tau", "0,1,2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "digits" in err
 
 
 @pytest.mark.parametrize("point", ["[0:0:0]", "[1:2]"])

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -128,6 +128,70 @@ def test_sqrt_squares_back():
         k = rng.randrange(n)
         x = zeta(n, k)
         assert sqrt_of_root(x) ** 2 == x
+
+
+# ---- the root-of-unity table ----------------------------------------------
+#
+# order_of_root and sqrt_of_root look x up in a per-conductor table of the
+# roots of unity of Q(zeta_N).  The oracles below are the earlier powering
+# forms, which share no code with the table.
+
+
+def _order_by_powering(x):
+    """Smallest divisor d of lcm(2, N) with x^d = 1, or None."""
+    x = cyc(x)
+    if x.is_zero():
+        return None
+    bound = lcm(2, x.n)
+    if x**bound != 1:
+        return None
+    return min(d for d in range(1, bound + 1) if bound % d == 0 and x**d == 1)
+
+
+def _sqrt_by_search(x):
+    """zeta_(2m)^k for x = zeta_m^k, with k found by comparing every zeta_m^k."""
+    m = _order_by_powering(x)
+    if m is None:
+        raise NotRootOfUnity(str(x))
+    if m == 1:
+        return cyc(1)
+    return next(zeta(2 * m, k) for k in range(1, m) if gcd(k, m) == 1 and x == zeta(m, k))
+
+
+ROOT_TABLE_CONDUCTORS = sorted({d for big in (60, 24, 9) for d in range(1, big + 1) if big % d == 0})
+
+
+def _table_cases(n):
+    """Roots of unity and non-roots stored at conductor n."""
+    z = [zeta(n, k) for k in range(n)]
+    values = z + [-x for x in z]
+    # stored at n although they lie in a smaller field
+    values += [x.promote(n) for m in range(1, n + 1) if n % m == 0 for x in (zeta(m, 1), -zeta(m, 1))]
+    values += [cyc(q).promote(n) for q in (1, -1, 0, 2, -3, Fraction(1, 2), Fraction(-1, 3))]
+    # not roots: non-unit multiples, sums, and denominators other than 1
+    values += [2 * z[1 % n], z[1 % n] / 2, -z[-1] / 3, z[0] + z[1 % n], z[1 % n] + z[2 % n] + z[3 % n]]
+    values += [z[1 % n] - z[2 % n]]
+    return values
+
+
+@pytest.mark.parametrize("n", ROOT_TABLE_CONDUCTORS)
+def test_root_table_matches_powering(n):
+    for x in _table_cases(n):
+        assert x.n == n
+        assert order_of_root(x) == _order_by_powering(x), x
+
+
+@pytest.mark.parametrize("n", ROOT_TABLE_CONDUCTORS)
+def test_root_table_square_roots_match_the_search(n):
+    for x in _table_cases(n):
+        try:
+            expected = _sqrt_by_search(x)
+        except NotRootOfUnity:
+            with pytest.raises(NotRootOfUnity):
+                sqrt_of_root(x)
+            continue
+        got = sqrt_of_root(x)
+        assert (got.n, got.num, got.den) == (expected.n, expected.num, expected.den), x
 
 
 def test_parse_examples():

@@ -2,13 +2,14 @@ import cmath
 import importlib.util
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from braidorbit import connect, kernel, reflgrp
+from braidorbit import charvar, connect, kernel, reflgrp
 from braidorbit.charvar import (
     AffineRep,
     LinearPart,
@@ -349,12 +350,17 @@ def test_action_too_large_for_int64_runs_per_item(monkeypatch):
 # keys off; both must give the same vectors in the same order.
 
 
-def _n4_families():
+def _perfbench_workloads():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
+    return module
+
+
+def _n4_families():
+    module = _perfbench_workloads()
     return [
         (name, LinearPart(tuple(module._lambda(*x) for x in lams)))
         for name, lams, _, _ in module.N4_FAMILIES
@@ -656,3 +662,75 @@ def test_int_action_recurrence_matches_unit_vectors(conductor):
         ]
         m = Mat.from_rows(rows)
         assert kernel._int_action(m, conductor) == _int_action_by_unit_vectors(m, conductor)
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 12])
+def test_int_action_of_a_rectangular_matrix(conductor):
+    # r x c: c * phi columns, output slots below r * phi, as lattice_census uses it
+    rng = random.Random(conductor)
+    phi = euler_phi(conductor)
+    for rows, cols in ((5, 3), (2, 4), (1, 2)):
+        m = Mat.from_rows(
+            [
+                [cyc(rng.randrange(-3, 4)) + rng.randrange(-2, 3) * zeta(conductor, rng.randrange(conductor))
+                 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        )
+        action = kernel._int_action(m, conductor)
+        for _ in range(3):
+            v = [cyc(rng.randrange(-4, 5)) + zeta(conductor, rng.randrange(conductor)) for _ in range(cols)]
+            flat = [c for x in kernel._int_vectors(v, conductor) for c in x]
+            image = kernel.int_apply(action, flat, rows * phi)
+            expected = [c for x in kernel._int_vectors(m.apply(v), conductor) for c in x]
+            # both are integer vectors of the same values up to one positive scale
+            i = next((k for k, x in enumerate(expected) if x), 0)
+            assert image[i] * expected[i] >= 0
+            assert [x * expected[i] for x in image] == [y * image[i] for y in expected]
+            assert any(image) == any(expected)
+
+
+# ---- one braid action per linear part ------------------------------------------
+#
+# `charvar.braid_action` builds each linear part's generator pairs once and
+# shares them, with their integer matrices per search conductor, between
+# every orbit and apply_braid call of that part.
+
+
+def test_an_n4_pass_builds_each_action_once(monkeypatch):
+    workloads = _perfbench_workloads()
+    n4 = workloads.N4Tables()
+    n4.setup(n4.draw(random.Random(1)))
+    ops = n4.ops()
+    built = []  # (linear part as stored, BraidAction), kept so no id is reused
+    int_built = Counter()
+    init, int_action = charvar.BraidAction.__init__, kernel._int_action
+
+    def counting_init(self, linear):
+        init(self, linear)
+        built.append((tuple((x.n, x.num, x.den) for x in linear.lambdas), self))
+
+    def counting_int_action(m, conductor):
+        int_built[id(m), conductor] += 1
+        return int_action(m, conductor)
+
+    monkeypatch.setattr(charvar.BraidAction, "__init__", counting_init)
+    monkeypatch.setattr(kernel, "_int_action", counting_int_action)
+    for op in ops:
+        assert op.run() == op.expected, op.label
+    keys = [key for key, _ in built]
+    assert len(keys) == len(set(keys)) == len(workloads.N4_FAMILIES)
+    for _, action in built:
+        assert action.gens
+        for m in action.gens:
+            conductors = [c for (i, c), k in int_built.items() if i == id(m)]
+            assert conductors and all(int_built[id(m), c] == 1 for c in conductors)
+
+
+def test_braid_actions_are_kept_for_the_last_two_linear_parts():
+    lps = [lp for _, lp in _n4_families()[:3]]
+    actions = [charvar.braid_action(lp) for lp in lps]
+    assert charvar.braid_action(lps[2]) is actions[2]
+    assert charvar.braid_action(lps[1]) is actions[1]
+    assert charvar.braid_action(lps[0]) is not actions[0]
+    assert charvar._braid_action.cache_info().maxsize == 2

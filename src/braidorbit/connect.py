@@ -605,13 +605,55 @@ def local_eigenvalues(mat):
     return sorted(np.linalg.eigvals(mat), key=lambda z: (round(z.real, 9), round(z.imag, 9)))
 
 
+# numeric_closure matches a BFS level in chunks of about this many
+# products, which bounds the memory a level takes
+_CLOSURE_CHUNK = 4096
+# a chunk of fewer products is inserted one product at a time, which
+# costs less than the fixed array calls of matching it as a whole
+_THIN_CHUNK = 32
+# numeric_closure stores its elements in blocks of 2**_BLOCK_BITS rows
+_BLOCK_BITS = 14
+
+
+def _cell_keys(x, y):
+    """One int64 key per grid cell, from coordinates in grid steps, not
+    yet rounded: the high halves of the rounded coordinates' float bits
+    side by side, each XORed with the other's low half.  Cells within
+    2**21 steps of 0 have low halves of zero, so their keys differ;
+    cells of any size get a key, and cells that share one only add
+    candidates."""
+    # + 0.0 turns -0.0 into 0.0, so that each cell has one bit pattern
+    x, y = ((np.rint(c) + 0.0).view(np.uint64) for c in (x, y))
+    return (x ^ (y << 32 | y >> 32)).view(np.int64)
+
+
+def _key_pairs(sorted_keys, query, order):
+    """Every (i, p) with query[i] == sorted_keys[p]; `order` sorts `query`."""
+    # sorted queries search an order of magnitude faster in a large array
+    query = query[order]
+    lo = sorted_keys.searchsorted(query, "left")
+    counts = sorted_keys.searchsorted(query, "right") - lo
+    qi = order.repeat(counts)
+    return qi, np.arange(len(qi)) + (lo - counts.cumsum() + counts).repeat(counts)
+
+
+def _level_products(gens, items):
+    """vec(g @ m) for every item m and generator g, item first: one
+    matrix product of the stacked transposes, (m^T g^T)^T = g m."""
+    count, dim = len(items), gens.shape[1]
+    prods = items.transpose(0, 2, 1).reshape(-1, dim) @ gens.transpose(2, 0, 1).reshape(dim, -1)
+    return prods.reshape(count, dim, len(gens), dim).transpose(0, 2, 3, 1).reshape(-1, dim * dim)
+
+
 def numeric_closure(mats, tol=1e-6, bound=200_000):
     """Size of the group generated by `mats`, matching up to `tol`.
 
     A product matches a stored element when their max entry distance is
     below tol; a nearest stored element between tol and 2*tol raises
     AmbiguousMatch, so matches are unambiguous.  More than `bound`
-    elements raise BoundExceeded with the first bound+1 of them.
+    elements raise BoundExceeded with the first bound+1 of them.  The
+    result is that of inserting the products of each BFS level one by
+    one, item first, then generator, against everything stored before.
 
     Elements are bucketed by v = <w, vec(m)> for one fixed random complex
     w with |w|_1 = 1, on a grid of step max(100 tol, 1e-4).  Two matrices
@@ -620,9 +662,33 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
     and room for rounding) falls in, in each part: at most 2 x 2 cells,
     usually one, as 6*tol is below the grid step.  A product looks up
     the one cell that holds its own v, and every element that decides a
-    match or an ambiguity is among its candidates.  The products of a BFS
-    level are formed at once and inserted one by one, item first, then
-    generator.
+    match or an ambiguity is among its candidates.
+
+    A level is matched in chunks of about _CLOSURE_CHUNK products.  The
+    stored elements sit in blocks of rows, with their v beside them.
+    Their cell keys are indexed in sorted int64 runs, each over four
+    times the size of the next, so that a chunk's keys are merged in at
+    amortized cost.  A chunk of fewer than _THIN_CHUNK products is
+    inserted one product at a time, through a dict of the cells that it
+    and the thin chunks since the last larger one stored; a candidate
+    3*tol or more away in v is skipped there, as it is at least that far
+    away in max-norm.  A larger chunk first moves the dict into a run,
+    and is matched with array operations.  First each of its products
+    gets its nearest distance to the elements stored before the chunk;
+    those below tol are matched.  The rest are then compared with the
+    earlier products of the chunk that share a cell.  If no such distance, and
+    no nearest distance of the rest, lies in [tol, 2*tol), "within tol"
+    is an equivalence relation on the rest: a-b and b-c below tol put
+    a-c below 2*tol, so a and c share a cell and a-c is below tol.  The
+    one-by-one result is then the first product of each class.
+    Otherwise the chunk is decided one product at a time from the
+    distances already computed, a product matching an earlier one only
+    if that one was inserted; this raises AmbiguousMatch exactly where
+    the one-by-one insertion would, and stops at the (bound+1)-th
+    insertion, so that no ambiguity past it is raised.
+
+    A product that is no longer finite raises OverflowError: a finite
+    group has bounded entries.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if not mats:
@@ -636,6 +702,8 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
         raise ValueError("generator entries must be finite")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if bound < 1:
+        raise ValueError("bound must be positive")
     dim = shape[0]
     gens = np.stack(mats)
     grid = max(tol * 100, 1e-4)
@@ -644,44 +712,203 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
     rng = random.Random(0)
     w = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim * dim)])
     w /= np.abs(w).sum()
+    reach = 3 * tol  # the storage reach
+    block = 1 << _BLOCK_BITS
 
-    stored = []
-    buckets = {}
-    reach = 3 * tol
+    blocks = []  # vec(m) of the stored elements, `block` rows to a block
+    values = []  # their v, in blocks of the same size
+    count = 0
+    runs = []  # sorted (keys, owners) of storage cells and their elements
+    recent = {}  # storage-cell key -> elements, for the latest thin chunks
 
-    def cells(ms):
-        """The grid cell of each matrix's v, and the v itself."""
-        v = (ms.reshape(len(ms), -1) * w).sum(axis=1)
-        re = np.rint(v.real / grid).astype(np.int64).tolist()
-        im = np.rint(v.imag / grid).astype(np.int64).tolist()
-        return zip(zip(re, im), v.tolist())
+    def element(i):
+        return blocks[i >> _BLOCK_BITS][i & (block - 1)]
 
-    def insert(m, cell, v):
-        cand = buckets.get(cell)
-        if cand:
-            best = min(np.abs(stored[i] - m).max() for i in cand)
-            if best < tol:
-                return False
-            if best < 2 * tol:
-                raise AmbiguousMatch(
-                    f"element at distance {best:.2e} is between tol and 2 tol"
-                )
-        for x in {round((v.real + dr) / grid) for dr in (-reach, reach)}:
-            for y in {round((v.imag + di) / grid) for di in (-reach, reach)}:
-                buckets.setdefault((x, y), []).append(len(stored))
-        # a copy, so that the level's product array is not kept alive
-        stored.append(m.copy())
+    def value(i):
+        return values[i >> _BLOCK_BITS][i & (block - 1)]
+
+    def rows(idx):
+        """The stored elements with indices `idx`, as rows."""
+        if len(blocks) == 1:
+            return blocks[0][idx]
+        out = np.empty((len(idx), dim * dim), complex)
+        which = idx >> _BLOCK_BITS
+        for b, arr in enumerate(blocks):
+            sel = np.flatnonzero(which == b)
+            out[sel] = arr[idx[sel] & (block - 1)]
+        return out
+
+    def grow():
+        blocks.append(np.empty((block, dim * dim), complex))
+        values.append(np.empty(block, complex))
+
+    def store(new, v):
+        """Append the rows `new`, whose v is `v`, to the blocks."""
+        nonlocal count
+        done = 0
+        while done < len(new):
+            b, at = divmod(count, block)
+            if b == len(blocks):
+                grow()
+            k = min(block - at, len(new) - done)
+            blocks[b][at:at + k] = new[done:done + k]
+            values[b][at:at + k] = v[done:done + k]
+            done += k
+            count += k
+
+    def add_run(keys, owners):
+        """Index `owners` under `keys`, merging runs of similar size."""
+        while runs and len(runs[-1][0]) <= 4 * len(keys):
+            old, old_owners = runs.pop()
+            keys, owners = np.concatenate([old, keys]), np.concatenate([old_owners, owners])
+        order = keys.argsort(kind="stable")
+        runs.append((keys[order], owners[order]))
+
+    def storage_keys(v):
+        """Keys of the cells within 3*tol of each v, with its position."""
+        # [[re - 3 tol, re + 3 tol], [im - 3 tol, im + 3 tol]] as cells
+        cells = (v.view(float).reshape(-1, 2, 1) + [-reach, reach]) / grid
+        x, y = cells[:, 0], cells[:, 1]
+        corners = _cell_keys(x[:, :, None], y[:, None, :])
+        two_x, two_y = corners[:, 1, 0] != corners[:, 0, 0], corners[:, 0, 1] != corners[:, 0, 0]
+        distinct = np.stack([np.ones_like(two_x), two_y, two_x, two_x & two_y], axis=1)
+        return corners.reshape(-1, 4)[distinct], distinct.nonzero()[0]
+
+    def is_new(near):
+        """Whether a product whose nearest element is `near` away is new."""
+        if near < tol:
+            return False
+        if near < 2 * tol:
+            raise AmbiguousMatch(f"element at distance {near:.2e} is between tol and 2 tol")
         return True
 
-    frontier = np.eye(dim, dtype=complex)[None]
-    insert(frontier[0], *next(cells(frontier)))
-    while len(frontier):
-        prods = (gens[None] @ frontier[:, None]).reshape(-1, dim, dim)
-        fresh = []
-        for i, (cell, v) in enumerate(cells(prods)):
-            if insert(prods[i], cell, v):
-                if len(stored) > bound:
-                    raise BoundExceeded(bound, stored)
-                fresh.append(i)
-        frontier = prods[fresh]
-    return len(stored)
+    def thin(prods, v):
+        """Insert a few products one at a time, as a dict-indexed closure
+        does; their cells go into `recent`."""
+        nonlocal count
+        z = v.tolist()
+        # a v that is not finite, or whose cell overflows, is left to wide
+        if not all(abs(c) < 1e300 for c in z):
+            return wide(prods, v)
+        look = [(round(c.real / grid), round(c.imag / grid)) for c in z]
+        spans = []
+        if runs:
+            query = _cell_keys(v.real / grid, v.imag / grid)
+            for keys, owners in runs:
+                lo = keys.searchsorted(query, "left").tolist()
+                hi = keys.searchsorted(query, "right").tolist()
+                spans.append((owners, lo, hi))
+        for i, c in enumerate(z):
+            cand = recent.get(look[i], [])
+            for owners, lo, hi in spans:
+                cand = cand + owners[lo[i]:hi[i]].tolist()
+            p, near = prods[i], np.inf
+            for j in cand:
+                # v moves no more than the matrix does, so an element 3*tol
+                # or more away in v decides nothing, rounding included
+                if abs(value(j) - c) < reach:
+                    near = min(near, np.abs(element(j) - p).max())
+            if not is_new(near):
+                continue
+            b, at = divmod(count, block)
+            if b == len(blocks):
+                grow()
+            blocks[b][at], values[b][at] = p, c
+            count += 1
+            xs = {round((c.real - reach) / grid), round((c.real + reach) / grid)}
+            ys = {round((c.imag - reach) / grid), round((c.imag + reach) / grid)}
+            for x in xs:
+                for y in ys:
+                    recent.setdefault((x, y), []).append(count - 1)
+            if count > bound:
+                return
+
+    def one_by_one(best, pj, pk, pd):
+        """Positions of the products to insert, deciding each in turn.
+
+        `best` is each product's nearest distance to the elements stored
+        before the chunk; product pk[i] may also match pj[i] < pk[i] at
+        distance pd[i], once pj[i] is inserted."""
+        earlier = {}
+        for j, k, d in zip(pj.tolist(), pk.tolist(), pd.tolist()):
+            earlier.setdefault(k, []).append((j, d))
+        inserted = [False] * len(best)
+        new = []
+        for k, near in enumerate(best.tolist()):
+            for j, d in earlier.get(k, ()):
+                if inserted[j] and d < near:
+                    near = d
+            if not is_new(near):
+                continue
+            inserted[k] = True
+            new.append(k)
+            if count + len(new) > bound:
+                break
+        return np.array(new, dtype=np.int64)
+
+    def wide(prods, v):
+        """Insert the new products of one chunk, with array operations."""
+        if not np.isfinite(v).all():
+            raise OverflowError(
+                f"a product is no longer finite after {count} elements: the group is not finite"
+            )
+        if recent:
+            cells = np.array([k for k, js in recent.items() for _ in js], float)
+            elements = np.array([j for js in recent.values() for j in js], np.int64)
+            add_run(_cell_keys(cells[:, 0], cells[:, 1]), elements)
+            recent.clear()
+        look = _cell_keys(v.real / grid, v.imag / grid)
+        # nearest element stored before the chunk
+        order = look.argsort(kind="stable")
+        pairs = [_key_pairs(keys, look, order) for keys, _ in runs]
+        qi = np.concatenate([q for q, _ in pairs])
+        own = np.concatenate([owners[pos] for (_, owners), (_, pos) in zip(runs, pairs)])
+        best = np.full(len(prods), np.inf)
+        np.minimum.at(best, qi, np.abs(rows(own) - prods[qi]).max(axis=1))
+        rest = np.flatnonzero(best >= tol)
+        if not len(rest):
+            return
+        best, prods, look = best[rest], prods[rest], look[rest]
+        # earlier products of the chunk that share a cell
+        rest_keys, rest_own = storage_keys(v[rest])
+        order = rest_keys.argsort(kind="stable")
+        pk, pos = _key_pairs(rest_keys[order], look, look.argsort(kind="stable"))
+        pj = rest_own[order][pos]
+        later = pj < pk
+        pj, pk = pj[later], pk[later]
+        pd = np.abs(prods[pj] - prods[pk]).max(axis=1)
+        if best.min() < 2 * tol or ((pd >= tol) & (pd < 2 * tol)).any():
+            new = one_by_one(best, pj, pk, pd)
+        else:
+            # "within tol" is an equivalence: insert the first of each class
+            lead = np.ones(len(rest), bool)
+            lead[pk[pd < tol]] = False
+            new = lead.nonzero()[0]
+        rank = np.full(len(rest), -1)
+        rank[new] = np.arange(len(new))
+        rank = rank[rest_own]
+        add_run(rest_keys[rank >= 0], rank[rank >= 0] + count)
+        store(prods[new], v[rest[new]])
+
+    per_chunk = max(1, _CLOSURE_CHUNK // len(gens))
+    # a product that overflows is caught as not finite, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = np.eye(dim, dtype=complex).reshape(1, -1)
+        thin(first, first @ w)
+        start, end = 0, 1
+        while start < end:
+            a = start
+            while a < end:
+                # a chunk of the level's items, within one block
+                b = min(a + per_chunk, end, (a | (block - 1)) + 1)
+                at = a & (block - 1)
+                items = blocks[a >> _BLOCK_BITS][at:at + b - a]
+                prods = _level_products(gens, items.reshape(-1, dim, dim))
+                (thin if len(prods) < _THIN_CHUNK else wide)(prods, prods @ w)
+                a = b
+                if count > bound:
+                    found = [m for arr in blocks for m in arr.reshape(-1, dim, dim)]
+                    found = found[: bound + 1]
+                    raise BoundExceeded(bound, found)
+            start, end = end, count
+    return count

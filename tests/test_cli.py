@@ -188,6 +188,7 @@ POLES = "--poles=-0.7+0.3j,0,1"
         (["monodromy", *THETA, POLES, "--local-tol", "nan"], "local_tol must be positive"),
         (["monodromy", *THETA, POLES, "--local-tol", "inf"], "local_tol must be positive"),
         (["monodromy", *THETA, POLES, "--local-tol", "1e-18"], "below the rounding error"),
+        (["monodromy", *THETA, POLES, "--bound", "0"], "bound must be positive"),
         (["tables", "--which", "9"], "numbered 1 to 5"),
     ],
     ids=lambda x: " ".join(x) if isinstance(x, list) else None,

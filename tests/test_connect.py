@@ -1,11 +1,14 @@
 import cmath
+import functools
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from braidorbit import connect
 from braidorbit.connect import (
     DOP853_A,
     DOP853_B,
@@ -32,6 +35,7 @@ from braidorbit.connect import (
     wedge_vanishes,
 )
 from braidorbit.cyclo import cyc, zeta
+from braidorbit.kernel import BoundExceeded
 from braidorbit.linalg import Mat, is_complex_reflection
 
 ZERO, ONE = cyc(0), cyc(1)
@@ -377,31 +381,200 @@ def _rotation(n):
     return np.array([[c, -s], [s, c]])
 
 
+@functools.cache
+def _rank3_monodromy():
+    poles, residues = corollary_connection(3, [-0.7 + 0.3j], sign=+1)
+    return monodromy_numeric(poles, residues, local_tol=1e-12)
+
+
+def _closure_case(name):
+    """Generators of a named closure test case, at tol = 1e-6."""
+    root = cmath.exp(2j * cmath.pi / 5)
+    if name == "cyclic-7":
+        return [_rotation(7)]
+    if name == "dihedral-10":
+        return [_rotation(10), np.diag([1, -1])]
+    if name == "near-duplicates":
+        # b^2 = 1 + 0.9 tol, so each diag(a^i, b^2) must merge with
+        # diag(a^i, 1); the 2000 pairs sit at 2000 places in the bucket
+        # grid, so some of them straddle a grid line
+        b = -(1 + 0.45e-6)
+        return [np.diag([cmath.exp(2j * cmath.pi / 2000), 1]), np.diag([1, b])]
+    if name == "storage-reach":
+        # for 1 x 1 matrices v moves exactly as far as the matrix does, so
+        # every product a^i (1 + 0.99 tol) near a grid line needs a^i stored
+        # under the cell across that line
+        return [np.array([[cmath.exp(2j * cmath.pi / 2000)]]), np.array([[1 + 0.99e-6]])]
+    if name == "rank3-monodromy":
+        return _rank3_monodromy()
+    if name == "rank3-huge-entries":
+        # entries up to 1e6 put v far past the 2**30 grid steps that cell
+        # keys hold, so every v is clamped
+        d = np.diag([1e6, 1, 1])
+        return [d @ m @ np.linalg.inv(d) for m in _rank3_monodromy()]
+    if name == "ambiguous-against-stored":
+        return [np.array([[1 + 1.5e-6]])]
+    if name == "ambiguous-within-a-chunk":
+        # the first level's two products lie 1.5 tol apart, and far from I
+        return [np.array([[root]]), np.array([[root * (1 + 1.5e-6)]])]
+    if name == "merge-beside-a-near-miss":
+        # the second product merges with the first; the third is 1.2 tol
+        # from the second but 2.1 tol from the first, so only the one
+        # product at a time rule decides it
+        return [np.array([[root * (1 + f * 1e-6)]]) for f in (0, 0.9, 2.1)]
+    raise ValueError(name)
+
+
 @pytest.mark.parametrize(
     "name, size",
     [
         ("cyclic-7", 7),
         ("dihedral-10", 20),
         ("near-duplicates", 4000),
+        ("storage-reach", 2000),
         ("rank3-monodromy", 648),
     ],
 )
 def test_numeric_closure_matches_reference(name, size):
-    if name == "cyclic-7":
-        mats = [_rotation(7)]
-    elif name == "dihedral-10":
-        mats = [_rotation(10), np.diag([1, -1])]
-    elif name == "near-duplicates":
-        # b^2 = 1 + 0.9 tol, so each diag(a^i, b^2) must merge with
-        # diag(a^i, 1); the 2000 pairs sit at 2000 places in the bucket
-        # grid, so some of them straddle a grid line
-        b = -(1 + 0.45e-6)
-        mats = [np.diag([cmath.exp(2j * cmath.pi / 2000), 1]), np.diag([1, b])]
-    else:
-        poles, residues = corollary_connection(3, [-0.7 + 0.3j], sign=+1)
-        mats = monodromy_numeric(poles, residues, local_tol=1e-12)
+    mats = _closure_case(name)
     assert _reference_closure(mats, tol=1e-6) == size
     assert numeric_closure(mats, tol=1e-6) == size
+
+
+def _sequential_closure(mats, tol, bound):
+    """The fuzzy closure one product at a time: each product of a level is
+    looked up in its grid cell and inserted in turn.  numeric_closure must
+    give exactly its result.  A level's products come from
+    connect._level_products, as in the code under test, so that stored
+    elements compare bit for bit."""
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    dim = mats[0].shape[0]
+    gens = np.stack(mats)
+    grid = max(tol * 100, 1e-4)
+    rng = random.Random(0)
+    w = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim * dim)])
+    w /= np.abs(w).sum()
+
+    stored = []
+    buckets = {}
+    reach = 3 * tol
+
+    def cells(ms):
+        v = (ms.reshape(len(ms), -1) * w).sum(axis=1)
+        re = [round(x) for x in (v.real / grid).tolist()]
+        im = [round(y) for y in (v.imag / grid).tolist()]
+        return zip(zip(re, im), v.tolist())
+
+    def insert(m, cell, v):
+        cand = buckets.get(cell)
+        if cand:
+            best = min(np.abs(stored[i] - m).max() for i in cand)
+            if best < tol:
+                return False
+            if best < 2 * tol:
+                raise AmbiguousMatch(
+                    f"element at distance {best:.2e} is between tol and 2 tol"
+                )
+        for x in {round((v.real + dr) / grid) for dr in (-reach, reach)}:
+            for y in {round((v.imag + di) / grid) for di in (-reach, reach)}:
+                buckets.setdefault((x, y), []).append(len(stored))
+        stored.append(m.copy())
+        return True
+
+    frontier = np.eye(dim, dtype=complex)[None]
+    insert(frontier[0], *next(cells(frontier)))
+    while len(frontier):
+        prods = connect._level_products(gens, frontier).reshape(-1, dim, dim)
+        fresh = []
+        for i, (cell, v) in enumerate(cells(prods)):
+            if insert(prods[i], cell, v):
+                if len(stored) > bound:
+                    raise BoundExceeded(bound, stored)
+                fresh.append(i)
+        frontier = prods[fresh]
+    return len(stored)
+
+
+def _outcome(closure, mats, bound):
+    """The size, or the exception and what it carries, exactly."""
+    try:
+        return ("size", closure(mats, tol=1e-6, bound=bound))
+    except AmbiguousMatch as exc:
+        return ("ambiguous", str(exc))
+    except BoundExceeded as exc:
+        return ("bound", exc.bound, len(exc.found), np.array(exc.found).tobytes())
+
+
+@functools.cache
+def _sequential_outcome(name, bound):
+    return _outcome(_sequential_closure, _closure_case(name), bound)
+
+
+# (chunk size, thin-chunk threshold): every chunk matched as a whole, in
+# chunks of 5 or 64 products; wide and thin chunks mixed, as by default;
+# every chunk inserted one product at a time
+CHUNKINGS = {
+    "wide-5": (5, 0),
+    "wide-64": (64, 0),
+    "mixed-64": (64, connect._THIN_CHUNK),
+    "mixed": (connect._CLOSURE_CHUNK, connect._THIN_CHUNK),
+    "thin": (connect._CLOSURE_CHUNK, 10**9),
+}
+
+
+@pytest.mark.parametrize("chunking", CHUNKINGS)
+@pytest.mark.parametrize(
+    "name, bound, kind",
+    [
+        # with chunks of 5 products (one item) the cut at 100 comes after the
+        # first of a chunk's three products, two of which are new
+        ("rank3-monodromy", 1, "bound"),
+        ("rank3-monodromy", 7, "bound"),
+        ("rank3-monodromy", 100, "bound"),
+        ("rank3-monodromy", 647, "bound"),
+        ("rank3-monodromy", 2000, "size"),
+        ("rank3-huge-entries", 2000, "size"),
+        ("near-duplicates", 2500, "bound"),
+        ("near-duplicates", 200_000, "size"),
+        ("storage-reach", 200_000, "size"),
+        ("ambiguous-against-stored", 100, "ambiguous"),
+        ("ambiguous-within-a-chunk", 100, "ambiguous"),
+        # the cut comes first: no ambiguity after it is raised
+        ("ambiguous-within-a-chunk", 1, "bound"),
+        # a cut beside a merge and a near miss in one chunk
+        ("merge-beside-a-near-miss", 11, "bound"),
+    ],
+)
+def test_numeric_closure_matches_sequential_insertion(monkeypatch, name, bound, kind, chunking):
+    # the same size, or the same exception with the same elements in the
+    # same order, as inserting one product at a time
+    chunk, thin = CHUNKINGS[chunking]
+    monkeypatch.setattr(connect, "_CLOSURE_CHUNK", chunk)
+    monkeypatch.setattr(connect, "_THIN_CHUNK", thin)
+    want = _sequential_outcome(name, bound)
+    assert want[0] == kind
+    assert _outcome(numeric_closure, _closure_case(name), bound) == want
+
+
+def test_cell_keys_give_each_cell_one_key():
+    # -0.3 and 0.2 both round to cell 0, -0.3 to the bit pattern of -0.0
+    same = connect._cell_keys(np.array([-0.3, 0.2, 0.5, -0.5]), np.array([0.2, -0.4, 0.0, -0.0]))
+    assert len(set(same.tolist())) == 1
+    # cells far past 2**63 grid steps stay apart
+    far = np.array([1e25, 1e25 + 2**40, -1e25, 1e300, 1.0, 2.0])
+    assert len(set(connect._cell_keys(far, np.zeros(6)).tolist())) == 6
+    assert len(set(connect._cell_keys(np.zeros(6), far).tolist())) == 6
+
+
+def test_level_products_are_item_first():
+    rng = random.Random(3)
+    gens, items = (
+        np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(9)] for _ in range(k)])
+        .reshape(k, 3, 3)
+        for k in (2, 4)
+    )
+    want = np.array([g @ m for m in items for g in gens]).reshape(-1, 9)
+    assert np.allclose(connect._level_products(gens, items), want, rtol=0, atol=1e-14)
 
 
 def _square_off_by(delta):
@@ -417,6 +590,20 @@ def test_numeric_closure_off_trace_near_duplicate_is_ambiguous():
 
 def test_numeric_closure_off_trace_near_duplicate_merges():
     assert numeric_closure([_square_off_by(0.5e-6)], tol=1e-6) == 2
+
+
+@pytest.mark.parametrize("bound", [0, -1, -5])
+def test_numeric_closure_rejects_bound_below_one(bound):
+    with pytest.raises(ValueError, match="bound must be positive"):
+        numeric_closure([np.eye(2, dtype=complex)], bound=bound)
+
+
+def test_numeric_closure_of_an_infinite_group_fails_when_products_overflow():
+    # the powers of diag(2, 1) overflow at 2**1024; no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="no longer finite after 1024 elements"):
+            numeric_closure([np.diag([2, 1])], bound=3000)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
@@ -460,3 +647,43 @@ def test_monodromy_numeric_rejects_non_finite_input(poles, base, message):
     residues = [np.zeros((2, 2), dtype=complex)] * len(poles)
     with pytest.raises(ValueError, match=message):
         monodromy_numeric(poles, residues, base=base)
+
+
+def _product_of_cycles(*orders):
+    """Generators of a product of cyclic groups, one diagonal matrix each."""
+    return [
+        np.diag([cmath.exp(2j * cmath.pi / n) if i == k else 1 for i in range(len(orders))])
+        for k, n in enumerate(orders)
+    ]
+
+
+@pytest.mark.parametrize(
+    "mats, bound",
+    [
+        # one generator: every BFS level holds one product
+        (_product_of_cycles(5000), 200_000),
+        # two: levels of up to 80 products, matched as whole chunks while
+        # the index grows to 4000 elements
+        (_product_of_cycles(40, 100), 200_000),
+        # an infinite group whose v grows past 2**63 grid steps: its cells
+        # must stay apart, or every product meets every element
+        ([np.array([[1.03]])], 2000),
+    ],
+    ids=["one-generator", "two-generators", "growing"],
+)
+def test_numeric_closure_costs_no_more_than_sequential_insertion(mats, bound):
+    # a narrow level matched as a whole chunk pays a fixed set of array
+    # calls, re-sorting the whole index per chunk grows with the square of
+    # the size, and so does a shared cell: each makes this several times
+    # the one-by-one cost
+    want = _outcome(_sequential_closure, mats, bound)
+
+    def best_time(closure):
+        times = []
+        for _ in range(3):
+            began = time.perf_counter()
+            assert _outcome(closure, mats, bound) == want
+            times.append(time.perf_counter() - began)
+        return min(times)
+
+    assert best_time(numeric_closure) < 2 * best_time(_sequential_closure)

@@ -21,7 +21,7 @@ from .charvar import (
     normalize,
 )
 from .cyclo import Cyclotomic, cyc, order_of_root, sqrt_of_root, zeta
-from .kernel import BoundExceeded, int_line_orbit, line_coords, line_vector
+from .kernel import BoundExceeded, int_line_orbit, kron_lift, line_coords, line_vector
 from .linalg import Mat, mat_parallel
 
 ONE = cyc(1)
@@ -588,13 +588,7 @@ def _projective_closure(gens, bound):
     search is told that lift k and lift k + len(gens) invert each other.
     """
     d = gens[0].rows
-    lifts = [
-        Mat.from_rows(
-            [[g[i, k] if j == l else ZERO for k in range(d) for l in range(d)]
-             for i in range(d) for j in range(d)]
-        )
-        for g in gens + [g.adjugate() for g in gens]
-    ]
+    lifts = [kron_lift(g) for g in gens + [g.adjugate() for g in gens]]
     half = len(gens)
     inverse = [(a + half) % (2 * half) for a in range(2 * half)]
     conductor, _, found, exceeded = int_line_orbit(

@@ -12,14 +12,14 @@ x^(phi+t) in the power basis, t = 0 .. phi-2.  Projective operations
 (line_canon, line_orbit) are implemented for quadratic rings only,
 where red = (p, q) gives the closed-form inverse.
 
-`bfs` is the level-order search over objects (the blob closure, the
-conjugation orbits), and `BoundExceeded` is what every search raises
-past its bound.  `int_bfs` is the same search over integer coefficient
-vectors: a large level applies each generator to a chunk of the frontier
-at a time as one int64 numpy product and canonicalizes the images in
-batch, guarded so that no value can reach 2^62; a small level, or a
-chunk the guard refuses, runs the per-item Python-int step, which has no
-size limit.  Both give the same vectors in the same order.  A group
+`bfs` is the level-order search over objects (the blob `line_orbit`),
+and `BoundExceeded` is what every search raises past its bound.
+`int_bfs` is the same search over integer coefficient vectors: a large
+level applies each generator to a chunk of the frontier at a time as
+one int64 numpy product and canonicalizes the images in batch, guarded
+so that no value can reach 2^62; a small level, or a chunk the guard
+refuses, runs the per-item Python-int step, which has no size limit.
+Both give the same vectors in the same order.  A group
 orbit's graph is undirected: if v -M-> w then w -M^-1-> v.  So where
 the caller says which action inverts which (`inverse`), the per-item
 step computes each such edge once and skips the image it already
@@ -36,7 +36,11 @@ product test decides.
 group, the G25/G32 line and plane orbits of `reflgrp`) and the regular
 orbit of `reflgrp` run on it; `IntActions` keeps a matrix list's integer
 actions per conductor, so the braid orbits of one linear part build them
-once.
+once.  `matrix_orbit` is an `int_line_orbit` over matrices: X is the
+line through (1, vec X), on which X -> L X R^T acts by diag(1, L (x) R)
+(`kron_lift`), and X's blob is read off the line's canonical vector.
+The G25 `closure` and `reflgrp`'s conjugation orbits, which give the
+reflections, run on it.
 
 The identity of an exact point is its canonical integer vector:
 `line_vector` builds it from Cyclotomic values at an explicit conductor
@@ -52,6 +56,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .cyclo import (
+    ONE,
+    ZERO,
     Cyclotomic,
     _int_inverse,
     _mul_mod,
@@ -674,6 +680,51 @@ def int_line_orbit(mats, coords, bound, conductor, inverse=None):
         return conductor, phi, exc.found, True
 
 
+def kron_lift(left, right=None, affine=False):
+    """left (x) right: the matrix of X -> left X right^T on the row-major vec(X).
+
+    All three are d x d; `right` defaults to the identity.  With `affine`
+    the result is diag(1, left (x) right), which acts on (1, vec X).
+    """
+    d = left.rows
+    right = Mat.identity(d) if right is None else right
+
+    def nonzero(m):
+        return [(i, k, m[i, k]) for i in range(d) for k in range(d) if not m[i, k].is_zero()]
+
+    rows = [[ZERO] * (d * d) for _ in range(d * d)]
+    for i, k, a in nonzero(left):
+        for j, l, b in nonzero(right):
+            rows[i * d + j][k * d + l] = a * b
+    if affine:
+        rows = [[ONE] + [ZERO] * (d * d)] + [[ZERO] + row for row in rows]
+    return Mat.from_rows(rows)
+
+
+def matrix_orbit(lifts, start, bound, conductor):
+    """Orbit of the d x d matrix `start` under maps X -> left X right^T, as blobs.
+
+    Each map is given by its `kron_lift(left, right, affine=True)`, and
+    `lifts` is a list of them or their `IntActions`.  The search is one
+    projective `int_line_orbit` at `conductor`, which the entries'
+    conductors must divide: X is the line through (1, vec X).  That
+    line's canonical vector (den, 0, ..., 0, nums) is X's normalized blob
+    with phi - 1 zeros inserted, so every pivot is a positive integer and
+    no search step computes an inverse.  Blobs come in discovery order,
+    each item's images taken for the lifts in turn.  Raises BoundExceeded,
+    holding the first bound+1 blobs, past the bound.
+    """
+    conductor, phi, found, exceeded = int_line_orbit(
+        lifts, (ONE, *start.entries), bound, conductor
+    )
+    # in place, so each vector is freed as its blob is made
+    for i, v in enumerate(found):
+        found[i] = _pack(v[:1] + v[phi:])
+    if exceeded:
+        raise BoundExceeded(bound, found)
+    return found
+
+
 def _pack(ints):
     try:
         return struct.pack(f"<{len(ints)}q", *ints)
@@ -748,29 +799,6 @@ def _accumulate_row(mv, vn, i, d, phi, red):
     return acc
 
 
-def mat_mul(a, b, d, phi, red):
-    av = _unpack(a)
-    bv = _unpack(b)
-    den = av[0] * bv[0]
-    out = [0] * (phi * d * d)
-    for i in range(d):
-        for j in range(d):
-            acc = [0] * phi
-            for k in range(d):
-                u = av[1 + phi * (i * d + k) : 1 + phi * (i * d + k + 1)]
-                if not any(u):
-                    continue
-                v = bv[1 + phi * (k * d + j) : 1 + phi * (k * d + j + 1)]
-                if not any(v):
-                    continue
-                prod = _vmul(u, v, phi, red)
-                for t in range(phi):
-                    acc[t] += prod[t]
-            base = phi * (i * d + j)
-            out[base : base + phi] = acc
-    return _normalize(den, out)
-
-
 def mat_vec(m, v, d, phi, red):
     mv = _unpack(m)
     vv = _unpack(v)
@@ -782,20 +810,15 @@ def mat_vec(m, v, d, phi, red):
     return _normalize(den, out)
 
 
-def identity_blob(d, phi=2):
-    out = [0] * (phi * d * d)
-    for i in range(d):
-        out[phi * (i * d + i)] = 1
-    return _pack([1] + out)
+def closure(gens, d, conductor, bound):
+    """The group generated by the d x d blob matrices `gens`, as blobs.
 
-
-def closure(gens, d, phi, red, bound):
-    """Multiplicative closure of the generators; raises past the bound."""
-    return bfs(
-        identity_blob(d, phi),
-        lambda m: (mat_mul(g, m, d, phi, red) for g in gens),
-        bound,
-    )
+    The elements come in BFS order from the identity, each element's
+    images being g m for the generators g in turn (`matrix_orbit`).  Raises
+    BoundExceeded, holding the first bound+1 elements, past the bound.
+    """
+    lifts = [kron_lift(from_blob_matrix(g, d, conductor), affine=True) for g in gens]
+    return matrix_orbit(lifts, Mat.identity(d), bound, conductor)
 
 
 def stab_count_line(elements, v, d, phi, red):

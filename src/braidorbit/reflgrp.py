@@ -267,9 +267,8 @@ def _build(name, gens, base, bound, degrees, codegrees):
 def build_g25():
     group = _build("g25", g25_generators(), (1, 2, 3), 1000, G25_DEGREES, G25_CODEGREES)
     # the stabilizer scans and their oracle tests read the 648 elements
-    phi, red = group.ring()
     blobs = [kernel.to_blob_matrix(g, group.conductor) for g in group.generators]
-    group.elements = kernel.closure(blobs, group.dim, phi, red, group.order)
+    group.elements = kernel.closure(blobs, group.dim, group.conductor, group.order)
     group.proper_planes = _g25_proper_planes(group)
     return group
 
@@ -286,23 +285,17 @@ def _fill_reflection_data(group):
     Every reflection of G25 and G32 has order 3 and is conjugate to a
     generator or to its square; the hyperplanes follow in discovery order.
     """
-    phi, red = group.ring()
     d, c = group.dim, group.conductor
-    pairs = [
-        (kernel.to_blob_matrix(g, c), kernel.to_blob_matrix(g.inverse(), c))
-        for g in group.generators
-    ]
-
-    def conjugates(x):
-        for g, g_inv in pairs:
-            yield kernel.mat_mul(kernel.mat_mul(g, x, d, phi, red), g_inv, d, phi, red)
-
+    # X -> g X g^-1 is X -> g X (g^-T)^T; both orbits share the integer actions
+    lifts = kernel.IntActions(
+        kernel.kron_lift(g, g.inverse().transpose(), affine=True) for g in group.generators
+    )
     group.reflections = []
     seen = set()
-    for g, _ in pairs:
-        for r in (g, kernel.mat_mul(g, g, d, phi, red)):
-            if r not in seen:
-                orbit = kernel.bfs(r, conjugates, group.order)
+    for g in group.generators:
+        for r in (g, g @ g):
+            if kernel.to_blob_matrix(r, c) not in seen:
+                orbit = kernel.matrix_orbit(lifts, r, group.order, c)
                 seen.update(orbit)
                 group.reflections.extend(orbit)
     hyperplanes = {}

@@ -1,6 +1,8 @@
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +232,21 @@ def test_group_command(capsys):
     assert data["reflections"] == 24
     assert data["hyperplanes"] == 12
     assert data["degrees_product_equals_order"]
+
+
+def test_module_entry_point_runs_from_a_checkout(capsys, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["group", "--which", "g25"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidorbit", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, *argv)[1]
 
 
 def test_strata_command(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -242,10 +243,27 @@ def test_conjugacy_both_roots_n5_n6():
 
 def test_braid_action_group_is_g25_sized():
     mats = reflgrp.braid_action_matrices(5, -W)
-    phi, red = kernel.ring_params(6)
     blobs = [kernel.to_blob_matrix(m, 6) for m in mats]
-    els = kernel.closure(blobs, 3, phi, red, 1000)
+    els = kernel.closure(blobs, 3, 6, 1000)
     assert len(els) == 648
+
+
+def test_closure_at_a_conductor_keyed_mod_p(monkeypatch):
+    # at conductor 12 (phi 4, two coordinates) int_bfs keys its lines mod p
+    keyed = []
+    line_keys = kernel._LineKeys
+
+    def spy(*ring):
+        keyed.append(ring)
+        return line_keys(*ring)
+
+    monkeypatch.setattr(kernel, "_LineKeys", spy)
+    powers = [kernel.to_blob_matrix(Mat.from_rows([[zeta(12, k)]]), 12) for k in range(12)]
+    assert kernel.closure(powers[1:2], 1, 12, 12) == powers
+    assert keyed == [(12, 4)]
+    with pytest.raises(kernel.BoundExceeded) as exc:
+        kernel.closure(powers[1:2], 1, 12, 11)
+    assert exc.value.found == powers
 
 
 # ---- G32 ----------------------------------------------------------------------
@@ -288,6 +306,16 @@ def test_g32_membership(g32):
     p = Mat.identity(4) + Mat.from_rows([[2, -1, 0, 0], [4, -2, 0, 0], [0] * 4, [0] * 4])
     assert p.apply(base) == base and p != Mat.identity(4)
     assert not g32.contains(t @ p)
+
+
+def test_element_and_reflection_bytes_are_pinned(g25, g32):
+    # the order `group --full` prints and the blob scans and the benchmark index into
+    def digest(blobs):
+        return hashlib.sha256(b"".join(blobs)).hexdigest()
+
+    assert digest(g25.elements) == "49a84cc2f3156da405505bc4a238d2504425ee3c95c7155e5acbcdabb54d7e82"
+    assert digest(g25.reflections) == "ea02784e501b2d6a258bc496ae15f6074a50406950eb2c402ef8e1d070a8e642"
+    assert digest(g32.reflections) == "52b332a0a665e30fab1ef8e6243e7cd8cc4f13420537bb202cf80ff393a95476"
 
 
 def test_reflections_by_conjugation(g25, g32):

@@ -442,21 +442,22 @@ class OrbitResult:
 
     `points` are ProjClass in discovery order, the first being the start
     class.  They are built from the search's canonical vectors on first
-    read, since most callers read only `size`.
+    read, since most callers read only `size`.  `vectors` holds those
+    canonical vectors of the points after the first (see `kernel._canon`),
+    at the search conductor `conductor`.
     """
 
     def __init__(self, start, vectors=(), conductor=1, exceeded_bound=False):
-        # `vectors` are the canonical vectors of the points after the first
         self.size = 1 + len(vectors)
         self.exceeded_bound = exceeded_bound
-        self._start = start
-        self._vectors = vectors
-        self._conductor = conductor
+        self.start = start
+        self.vectors = vectors
+        self.conductor = conductor
 
     @cached_property
     def points(self):
-        n, conductor = self._start.n, self._conductor
-        return [self._start] + [_proj_class(n, w, conductor) for w in self._vectors]
+        n, conductor = self.start.n, self.conductor
+        return [self.start] + [_proj_class(n, w, conductor) for w in self.vectors]
 
 
 def _proj_class(n, w, conductor):

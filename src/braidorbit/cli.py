@@ -9,12 +9,14 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 from . import reflgrp
 from .charvar import AffineRep, LinearPart, ProjClass, normalize, orbit
 from .classify import NotFiniteCase, classify_n4, gate, table_rows
 from .coalesce import CoalesceSpec, r_kl
-from .cyclo import cyc, parse_cyclo, render
+from .cyclo import cyc, euler_phi, parse_cyclo, render
 from .kernel import BACKEND, BoundExceeded
 
 
@@ -84,12 +86,50 @@ def _emit(payload, args, stream=None):
         raise ValueError(f"unsupported format {fmt!r} for this command")
 
 
+@lru_cache(maxsize=None)
+def _power_terms(conductor):
+    """The text of zN^k for k = 0 .. phi(N) - 1, as `render` writes it."""
+    return [""] + [
+        f"z{conductor}" if k == 1 else f"z{conductor}^{k}" for k in range(1, euler_phi(conductor))
+    ]
+
+
+def _point_text(w, conductor):
+    """The printed point of a nonzero canonical vector (`kernel._canon`).
+
+    Coordinate j is block j of w over the pivot, the first nonzero entry;
+    each coefficient b / pivot is reduced by gcd(b, pivot), so the text is
+    `render` of each coordinate of `kernel.line_coords(w, conductor)`,
+    without building the values.
+    """
+    terms = _power_terms(conductor)
+    phi = len(terms)
+    pivot = next(x for x in w if x)
+    coords = []
+    for i in range(0, len(w), phi):
+        text = ""
+        for k, b in enumerate(w[i : i + phi]):
+            if not b:
+                continue
+            g = gcd(b, pivot)
+            mag = str(abs(b) // g) if g == pivot else f"{abs(b) // g}/{pivot // g}"
+            if k:
+                mag = terms[k] if mag == "1" else f"{mag}*{terms[k]}"
+            if text:
+                text += f" - {mag}" if b < 0 else f" + {mag}"
+            else:
+                text = f"-{mag}" if b < 0 else mag
+        coords.append(text or "0")
+    return "[" + " : ".join(coords) + "]"
+
+
 def cmd_orbit(args):
     rep = _load_rep(args)
     cls, rot = normalize(rep)
     linear = rep.linear.rotated(rot) if rot else rep.linear
     res = orbit(cls, linear, bound=args.bound)
     with _exact_output():
+        start = "[0]" if cls.is_zero_class else "[" + " : ".join(map(render, cls.coords)) + "]"
         payload = {
             "n": rep.n,
             "lambda": [render(x) for x in rep.linear.lambdas],
@@ -98,12 +138,7 @@ def cmd_orbit(args):
             "rotation": rot,
             "size": res.size,
             "exceeded_bound": res.exceeded_bound,
-            "points": [
-                "[" + " : ".join(render(c) for c in p.coords) + "]"
-                if not p.is_zero_class
-                else "[0]"
-                for p in res.points
-            ],
+            "points": [start] + [_point_text(w, res.conductor) for w in res.vectors],
         }
         _emit(payload, args)
     return 0

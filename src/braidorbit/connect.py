@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -611,6 +612,9 @@ _CLOSURE_CHUNK = 4096
 # a chunk of fewer products is inserted one product at a time, which
 # costs less than the fixed array calls of matching it as a whole
 _THIN_CHUNK = 32
+# the dict of the thin chunks' cells is moved into a sorted run once it
+# holds this many cells, which bounds its memory on one-product levels
+_THIN_CELLS = 4096
 # numeric_closure stores its elements in blocks of 2**_BLOCK_BITS rows
 _BLOCK_BITS = 14
 
@@ -625,6 +629,18 @@ def _cell_keys(x, y):
     # + 0.0 turns -0.0 into 0.0, so that each cell has one bit pattern
     x, y = ((np.rint(c) + 0.0).view(np.uint64) for c in (x, y))
     return (x ^ (y << 32 | y >> 32)).view(np.int64)
+
+
+def _cell_key(x, y):
+    """`_cell_keys` of the one cell whose rounded coordinates are the ints
+    x and y, without array calls."""
+    x, y = _FLOAT_BITS.unpack(_FLOATS.pack(x, y))
+    key = x ^ ((y << 32 | y >> 32) & 0xFFFFFFFFFFFFFFFF)
+    return key - (1 << 64) if key >> 63 else key
+
+
+_FLOATS = struct.Struct("<dd")
+_FLOAT_BITS = struct.Struct("<QQ")
 
 
 def _key_pairs(sorted_keys, query, order):
@@ -672,8 +688,10 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
     inserted one product at a time, through a dict of the cells that it
     and the thin chunks since the last larger one stored; a candidate
     3*tol or more away in v is skipped there, as it is at least that far
-    away in max-norm.  A larger chunk first moves the dict into a run,
-    and is matched with array operations.  First each of its products
+    away in max-norm.  Once the dict holds _THIN_CELLS cells, it and the
+    runs are merged into one run, which bounds its memory and leaves each
+    later thin product one run to search.  A larger chunk first moves the
+    dict into a run, and is matched with array operations.  First each of its products
     gets its nearest distance to the elements stored before the chunk;
     those below tol are matched.  The rest are then compared with the
     earlier products of the chunk that share a cell.  If no such distance, and
@@ -782,6 +800,13 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
             raise AmbiguousMatch(f"element at distance {near:.2e} is between tol and 2 tol")
         return True
 
+    def fold():
+        """Move the cells of `recent` into a run."""
+        cells = np.array([k for k, js in recent.items() for _ in js], float)
+        elements = np.array([j for js in recent.values() for j in js], np.int64)
+        add_run(_cell_keys(cells[:, 0], cells[:, 1]), elements)
+        recent.clear()
+
     def thin(prods, v):
         """Insert a few products one at a time, as a dict-indexed closure
         does; their cells go into `recent`."""
@@ -791,17 +816,14 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
         if not all(abs(c) < 1e300 for c in z):
             return wide(prods, v)
         look = [(round(c.real / grid), round(c.imag / grid)) for c in z]
-        spans = []
-        if runs:
-            query = _cell_keys(v.real / grid, v.imag / grid)
-            for keys, owners in runs:
-                lo = keys.searchsorted(query, "left").tolist()
-                hi = keys.searchsorted(query, "right").tolist()
-                spans.append((owners, lo, hi))
         for i, c in enumerate(z):
             cand = recent.get(look[i], [])
-            for owners, lo, hi in spans:
-                cand = cand + owners[lo[i]:hi[i]].tolist()
+            if runs:
+                query = _cell_key(*look[i])
+                for keys, owners in runs:
+                    lo = keys.searchsorted(query)
+                    if lo < len(keys) and keys[lo] == query:
+                        cand = cand + owners[lo:keys.searchsorted(query, "right")].tolist()
             p, near = prods[i], np.inf
             for j in cand:
                 # v moves no more than the matrix does, so an element 3*tol
@@ -822,6 +844,12 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
                     recent.setdefault((x, y), []).append(count - 1)
             if count > bound:
                 return
+        if len(recent) >= _THIN_CELLS:
+            fold()
+            # the stable sort merges the sorted runs in linear time
+            keys, owners = (np.concatenate(parts) for parts in zip(*runs))
+            runs.clear()
+            add_run(keys, owners)
 
     def one_by_one(best, pj, pk, pd):
         """Positions of the products to insert, deciding each in turn.
@@ -853,10 +881,7 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
                 f"a product is no longer finite after {count} elements: the group is not finite"
             )
         if recent:
-            cells = np.array([k for k, js in recent.items() for _ in js], float)
-            elements = np.array([j for js in recent.values() for j in js], np.int64)
-            add_run(_cell_keys(cells[:, 0], cells[:, 1]), elements)
-            recent.clear()
+            fold()
         look = _cell_keys(v.real / grid, v.imag / grid)
         # nearest element stored before the chunk
         order = look.argsort(kind="stable")

@@ -19,12 +19,15 @@ level applies each generator to a chunk of the frontier at a time as
 one int64 numpy product and canonicalizes the images in batch, guarded
 so that no value can reach 2^62; a small level, or a chunk the guard
 refuses, runs the per-item Python-int step, which has no size limit.
-Both give the same vectors in the same order.  A group
+Both give the same vectors in the same order.  A batched chunk hashes
+each canonical image once and looks it up in an index of every vector
+found (`_Batch`), so only its new vectors become tuples.  A group
 orbit's graph is undirected: if v -M-> w then w -M^-1-> v.  So where
-the caller says which action inverts which (`inverse`), the per-item
-step computes each such edge once and skips the image it already
-knows; the n=4 tables then canonicalize 4182 images per pass instead
-of 8304.  Most of the images left are still points already found (67%
+the caller says which action inverts which (`inverse`), both steps
+compute each such edge once and skip the image they already know; the
+n=4 tables then canonicalize 4182 images per pass instead of 8304, and
+the batched levels of the 2880-point n=6 orbit 34364 rows instead of
+57220.  Most of the images left are still points already found (67%
 in the n=4 tables), so where phi(N) > 2 is at least twice the number
 of coordinates the per-item step first looks an image up by its
 line's image in P(F_p), for a prime p == 1 (mod N), and confirms a
@@ -345,28 +348,34 @@ def int_bfs(start, actions, bound, scales=None, ring=None, inverse=None):
     chunks of consecutive items, each computed by `_Batch` as int64
     arrays if its guard admits it; any other level or chunk runs the
     per-item Python-int step.  The vectors found are the same tuples of
-    Python ints either way.
+    Python ints either way.  The per-item step recognises a found vector
+    through `seen`, which holds the vectors it found itself, or else
+    through the batch's index, which holds every found vector that fits
+    int64 (`_Batch.find`); a batched chunk recognises its images through
+    that index alone (`_Batch.lookup`), and builds tuples only for the
+    new ones.
 
     In a projective search with phi >= `_KEY_MIN_PHI` and phi >= 2 d, d
     the number of coordinates, every vector the per-item step finds is
     keyed in a `_LineKeys`.  An image whose pivot is not an integer and
     has no inverse yet in the call's `inverses` is looked up there first
     (`_canon`): a key hit that passes the exact test is the found vector
-    itself, which `seen` then drops, as it would drop the image's
-    canonical form.  So `found`, its order and the truncation point do
-    not depend on the keys.
+    itself, which is then recognised as found, as the image's canonical
+    form would be.  So `found`, its order and the truncation point do not
+    depend on the keys.
 
     `inverse`, if given, pairs the actions: `inverse[a]` is the action
     whose matrix is the inverse of action a's (up to a scalar in a
     projective search, exactly in a linear one).  An edge v -a-> w then
-    also gives w -inverse[a]-> v, so the per-item step computes each
-    such edge once: `seen` maps every found vector to a bitmask of the
-    actions whose image of it is already known, the step sets bit
-    inverse[a] on w when it computes w from (v, a), and it skips every
-    action whose bit is set on v.  A skipped image is always a vector
-    already found, which `seen` would drop, so `found`, its order and the
-    truncation point do not depend on `inverse` either.  A batched level
-    computes every image and sets no bits.
+    also gives w -inverse[a]-> v, so each such edge is computed once:
+    `known` holds, by discovery position, a flag for each action whose
+    image of that vector is already known.  Both steps set flag
+    inverse[a] on w for every image w they compute from (v, a), whether w
+    is new or not; the per-item step skips every action flagged on v, and
+    a batched chunk drops the (v, a) flagged before it, ahead of
+    canonicalization.  A skipped image is always a vector already found,
+    so `found`, its order and the truncation point do not depend on
+    `inverse` either.
     """
     scales = [1] * len(actions) if scales is None else list(scales)
     inverses = {}
@@ -374,72 +383,106 @@ def int_bfs(start, actions, bound, scales=None, ring=None, inverse=None):
     if ring is not None and ring[1] >= max(_KEY_MIN_PHI, 2 * len(start) // ring[1]):
         lines = _LineKeys(*ring)
         lines.add(start)
-    seen = {start: 0}  # found vector -> bitmask of the actions whose image is known
-    back = None if inverse is None else [1 << b for b in inverse]
-
-    def step(v):
-        for a, cols in enumerate(actions):
-            # read afresh: an action that fixes v sets a bit on v itself
-            if seen[v] >> a & 1:
-                continue
-            if ring is None:
-                w = _scaled_apply(cols, scales[a], v)
-            else:
-                w = _canon(int_apply(cols, v), *ring, inverses, lines)
-            yield w
-            if back is not None:
-                # the loop below has put w in `seen` before this resumes
-                seen[w] |= back[a]
-
-    batch = _Batch(actions, scales, ring, inverses)
-    width = max(1, _CHUNK_IMAGES // max(1, len(actions)))  # items per chunk
+    count = len(actions)
+    # known[p * count + a]: the image of found[p] under action a is known
+    known = None if inverse is None else bytearray(count)
     found = [start]
-    level, frontier = [start], None
-    while level:
-        mark = len(found)
-        parts = []  # the new vectors as int64 arrays, while every chunk is batched
-        for lo in range(0, len(level), width):
-            items = level[lo : lo + width]
-            rows = None
-            if len(level) >= _BATCH_MIN:
-                array = None if frontier is None else frontier[lo : lo + width]
-                rows = batch.distinct_images(items, array)
-            if rows is None:
-                parts = None
-                images = (w for v in items for w in step(v))
-            else:
-                images = map(tuple, rows.tolist())
-            kept = []
-            for i, w in enumerate(images):
-                if w not in seen:
-                    seen[w] = 0
+    seen = {start: 0}  # the vectors the per-item step found -> their positions
+    batch = _Batch(actions, scales, ring, inverses)
+
+    def per_item(lo, hi):
+        """The per-item step on found[lo:hi]."""
+        for p in range(lo, hi):
+            v = found[p]
+            for a, cols in enumerate(actions):
+                # read afresh: an action that fixes v sets a flag on v itself
+                if known is not None and known[p * count + a]:
+                    continue
+                if ring is None:
+                    w = _scaled_apply(cols, scales[a], v)
+                else:
+                    w = _canon(int_apply(cols, v), *ring, inverses, lines)
+                q = seen.get(w)
+                if q is None and batch.runs:
+                    q = batch.find(w)
+                if q is None:
+                    q = seen[w] = len(found)
                     found.append(w)
-                    kept.append(i)
-                    if lines is not None and rows is None:
+                    if known is not None:
+                        known.extend(bytes(count))
+                    if lines is not None:
                         lines.add(w)
                     if len(found) > bound:
                         raise BoundExceeded(bound, found)
-            if parts is not None:
-                parts.append(rows[kept])
-        level = found[mark:]
-        frontier = np.concatenate(parts) if parts else None
+                if known is not None:
+                    known[q * count + inverse[a]] = 1
+
+    def batched(lo, hi, frontier):
+        """The batched step on found[lo:hi]; False if its guard refuses it."""
+        skip = None if known is None else known[lo * count : hi * count]
+        out = batch.distinct_images(found[lo:hi], frontier, skip)
+        if out is None:
+            return False
+        rows, hashes, labels, acts = out
+        batch.sync(found)
+        pos = batch.lookup(rows, hashes)
+        new = np.flatnonzero(pos < 0)[: bound + 1 - len(found)]
+        first = len(found)
+        found.extend(map(tuple, rows[new].tolist()))
+        if len(found) > bound:
+            raise BoundExceeded(bound, found)
+        batch.store(rows[new], hashes[new])
+        if known is not None:
+            pos[new] = np.arange(first, len(found))
+            known.extend(bytes(count * len(new)))
+            flags = np.frombuffer(known, dtype=np.uint8)
+            flags[pos[labels] * count + np.array(inverse)[acts]] = 1
+        return True
+
+    width = max(1, _CHUNK_IMAGES // max(1, count))  # items per chunk
+    mark, end = 0, 1  # the level: found[mark:end]
+    as_rows = False  # whether the batch stored the level's vectors as rows
+    while mark < end:
+        all_batched = True
+        for lo in range(mark, end, width):
+            hi = min(lo + width, end)
+            if end - mark >= _BATCH_MIN:
+                frontier = batch.rows_at(np.arange(lo, hi)) if as_rows else None
+                if batched(lo, hi, frontier):
+                    continue
+            all_batched = False
+            per_item(lo, hi)
+        mark, end, as_rows = end, len(found), all_batched
     return found
 
 
 np = None  # numpy, imported by the first batched level
+# `_Batch` stores the found vectors in blocks of 2**_BLOCK_BITS rows
+_BLOCK_BITS = 14
 
 
 class _Batch:
-    """The batched step of `int_bfs`: every action on a chunk of a level.
+    """The batched step of `int_bfs`, and its index of the vectors found.
 
     The actions are stacked side by side into one int64 matrix, so
     frontier @ matrix holds, for each item, its images under every action;
     reshaped to one image per row they come in `bfs`'s scan order.  The
-    guard: an image is at most max|frontier| times the largest row
-    l1-norm of an action, and a canonical vector at most max|image| times
-    the largest column l1-norm of its pivot's multiplication matrix; a
-    chunk where either bound reaches 2^62 is refused (None) and runs the
-    per-item step.
+    rows whose edge is already known are dropped before anything else is
+    done with them.  The guard: an image is at most max|frontier| times
+    the largest row l1-norm of an action, and a canonical vector at most
+    max|image| times the largest column l1-norm of its pivot's
+    multiplication matrix; a chunk where either bound reaches 2^62 is
+    refused (None) and runs the per-item step.
+
+    Each canonical row is hashed once, by `_group_rows`'s random linear
+    form, and that hash both groups the chunk's equal rows and looks them
+    up among the vectors found.  The index stores every found vector that
+    fits int64 by discovery position, in blocks of rows, and their hashes
+    in sorted runs of (hash, position), each over four times the size of
+    the next, so that a chunk's new vectors merge in at amortized cost.
+    A row whose hash is in a run is found only if it equals the stored
+    row exactly; a hash shared by unequal rows is resolved by comparing
+    the row with every stored row of that hash.
     """
 
     def __init__(self, actions, scales, ring, inverses):
@@ -449,6 +492,9 @@ class _Batch:
         self.inverses = inverses
         self.pivots = {}  # primitive pivot -> (S, cap), see `_pivot`
         self.norm = None  # set by the first batched level
+        self.blocks = []  # the stored vectors, by discovery position
+        self.filled = 0  # how many positions are stored
+        self.runs = []  # sorted (hashes, positions) of the stored vectors
 
     def _build(self):
         global np
@@ -473,13 +519,17 @@ class _Batch:
                         self.matrix[j, k * size + r] = a
             if any(x != 1 for x in self.scales):
                 self.divisors = np.array(self.scales, dtype=np.int64)[:, None]
+        self.weights = _hash_weights(size).tolist()  # `_row_hashes` of one tuple, in `find`
 
-    def distinct_images(self, items, frontier):
-        """The distinct images of `items`, in scan order, or None if refused.
+    def distinct_images(self, items, frontier, skip=None):
+        """The distinct images of `items` whose edge is not known, or None if refused.
 
-        Each row is the first occurrence of its image.  `frontier` is
-        `items` as an int64 array, or None when the previous level was not
-        batched.
+        `frontier` is `items` as an int64 array, or None when the previous
+        level was not batched.  `skip`, if given, holds a flag per (item,
+        action) in scan order; a flagged image is not computed.  Returns
+        (rows, hashes, labels, acts): the distinct canonical images in
+        scan order, each the first occurrence of its image, their hashes,
+        and for each computed image its row in `rows` and its action.
         """
         if self.norm is None:
             self._build()
@@ -494,17 +544,28 @@ class _Batch:
         if frontier is None:
             frontier = np.array(items, dtype=np.int64)
         n, size = frontier.shape
-        images = (frontier @ self.matrix).reshape(n, len(self.actions), size)
-        if self.ring is not None:
-            images = self.canon(images.reshape(-1, size))
-            if images is None:
-                return None
-        elif self.divisors is not None:
+        count = len(self.actions)
+        images = (frontier @ self.matrix).reshape(n, count, size)
+        if self.divisors is not None:
             if (images % self.divisors).any():
                 raise ArithmeticError(_OFF_LATTICE)
             images //= self.divisors
         images = images.reshape(-1, size)
-        return images[np.sort(_group_rows(images)[1])]
+        acts = None
+        if skip is not None:
+            keep = np.frombuffer(skip, dtype=np.uint8) == 0
+            images, acts = images[keep], np.flatnonzero(keep) % count
+        if self.ring is not None:
+            images = self.canon(images)
+            if images is None:
+                return None
+        hashes = _row_hashes(images)
+        labels, first = _group_rows(images, hashes)
+        order = first.argsort()  # the classes in scan order
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        first = first[order]
+        return images[first], hashes[first], rank[labels], acts
 
     def _pivot(self, key):
         """(S, cap) for multiplication by the inverse of the pivot `key`.
@@ -548,25 +609,122 @@ class _Batch:
         conductor, phi = self.ring
         n, size = w.shape
         blocks = w.reshape(n, size // phi, phi)
-        lead = blocks.any(axis=2).argmax(axis=1)  # block 0 for the zero vector
+        lead = (w != 0).argmax(axis=1) // phi  # block 0 for the zero vector
         rows = np.arange(n)
         if phi > 1:
             pivots = blocks[rows, lead]
             hard = np.flatnonzero(pivots[:, 1:].any(axis=1))
             if len(hard):
                 p = pivots[hard]
-                keys = p // np.gcd.reduce(p, axis=1)[:, None]
+                keys = p // _row_gcds(p)[:, None]
                 labels, first = _group_rows(keys)
                 mats, caps = zip(*(self._pivot(tuple(k)) for k in keys[first].tolist()))
-                if (np.abs(w[hard]).max(axis=1) > np.array(caps)[labels]).any():
-                    return None
+                # the whole chunk within every cap admits it without a per-row test
+                if max(int(w.max()), -int(w.min())) > min(caps):
+                    if (np.abs(w[hard]).max(axis=1) > np.array(caps)[labels]).any():
+                        return None
                 blocks[hard] = blocks[hard] @ np.array(mats)[labels]
         lead_coeff = w[rows, lead * phi]
         w[lead_coeff < 0] *= -1
-        g = np.gcd.reduce(w, axis=1)
-        g[g == 0] = 1
-        w //= g[:, None]
+        g = _row_gcds(w)
+        big = np.flatnonzero(g > 1)
+        w[big] //= g[big, None]
         return w
+
+    def rows_at(self, positions):
+        """The stored vectors at `positions`, as rows."""
+        if len(self.blocks) == 1:
+            return self.blocks[0][positions]
+        out = np.empty((len(positions), self.blocks[0].shape[1]), dtype=np.int64)
+        which = positions >> _BLOCK_BITS
+        for b in np.unique(which).tolist():
+            sel = np.flatnonzero(which == b)
+            out[sel] = self.blocks[b][positions[sel] & ((1 << _BLOCK_BITS) - 1)]
+        return out
+
+    def store(self, rows, hashes, indexed=None):
+        """Store `rows` at the next positions, under their `hashes`.
+
+        `indexed`, if given, says which rows go into the runs; the others
+        are kept only as placeholders of their positions.
+        """
+        positions = np.arange(self.filled, self.filled + len(rows))
+        block = 1 << _BLOCK_BITS
+        done = 0
+        while done < len(rows):
+            b, at = divmod(self.filled, block)
+            if b == len(self.blocks):
+                self.blocks.append(np.empty((block, rows.shape[1]), dtype=np.int64))
+            k = min(block - at, len(rows) - done)
+            self.blocks[b][at : at + k] = rows[done : done + k]
+            done += k
+            self.filled += k
+        if indexed is not None:
+            hashes, positions = hashes[indexed], positions[indexed]
+        if not len(hashes):
+            return
+        while self.runs and len(self.runs[-1][0]) <= 4 * len(hashes):
+            old, old_positions = self.runs.pop()
+            hashes = np.concatenate([old, hashes])
+            positions = np.concatenate([old_positions, positions])
+        order = hashes.argsort(kind="stable")
+        self.runs.append((hashes[order], positions[order]))
+
+    def sync(self, found):
+        """Store the vectors the per-item step found since the last store.
+
+        A vector with an entry past int64 cannot equal a batched image, so
+        it is only a placeholder, left out of the runs.
+        """
+        new = found[self.filled :]
+        if not new:
+            return
+        try:
+            rows, fits = np.array(new, dtype=np.int64), None
+        except OverflowError:
+            fits = [max(map(abs, v)) < _INT64_LIMIT for v in new]
+            rows = np.array([v if ok else (0,) * len(v) for v, ok in zip(new, fits)], np.int64)
+            fits = np.array(fits)
+        self.store(rows, _row_hashes(rows), fits)
+
+    def lookup(self, rows, hashes):
+        """The position of each of `rows` among the stored vectors, or -1."""
+        pos = np.full(len(rows), -1, dtype=np.intp)
+        unsure = np.zeros(len(rows), dtype=bool)
+        # sorted queries search an order of magnitude faster in a large run
+        order = hashes.argsort()
+        query = hashes[order]
+        for keys, positions in self.runs:
+            at = keys.searchsorted(query)
+            at[at == len(keys)] = 0
+            hit = keys[at] == query
+            q, r = positions[at[hit]], order[hit]
+            same = (self.rows_at(q) == rows[r]).all(axis=1)
+            pos[r[same]] = q[same]
+            unsure[r[~same]] = True
+        unsure = np.flatnonzero(unsure & (pos < 0))
+        if len(unsure):
+            # a hash shared by unequal rows: compare exact tuples with every
+            # stored row of those hashes
+            shared = np.unique(hashes[unsure])
+            cand = np.concatenate([p[np.isin(k, shared)] for k, p in self.runs])
+            stored = dict(zip(map(tuple, self.rows_at(cand).tolist()), cand.tolist()))
+            pos[unsure] = [stored.get(r, -1) for r in map(tuple, rows[unsure].tolist())]
+        return pos
+
+    def find(self, w):
+        """The position of the stored vector equal to the tuple w, or None."""
+        # `_row_hashes` of w, read as int64
+        h = (sum(map(mul, w, self.weights)) + (1 << 63)) % (1 << 64) - (1 << 63)
+        w = list(w)
+        for keys, positions in self.runs:
+            at = keys.searchsorted(h)
+            while at < len(keys) and keys[at] == h:
+                q = int(positions[at])
+                if self.blocks[q >> _BLOCK_BITS][q & ((1 << _BLOCK_BITS) - 1)].tolist() == w:
+                    return q
+                at += 1
+        return None
 
 
 @lru_cache(maxsize=None)
@@ -575,17 +733,33 @@ def _hash_weights(width):
     return np.array([rng.getrandbits(64) for _ in range(width)], dtype=np.uint64)
 
 
-def _group_rows(rows):
+def _row_gcds(rows):
+    """The gcd of each row of a 2-D int64 array, 0 for a zero row."""
+    g = np.abs(rows[:, 0])
+    for k in range(1, rows.shape[1]):
+        np.gcd(g, rows[:, k], out=g)
+    return g
+
+
+def _row_hashes(rows):
+    """A random linear form mod 2^64 of each row of a 2-D int64 array,
+    read as int64."""
+    h = np.ascontiguousarray(rows).view(np.uint64) @ _hash_weights(rows.shape[1])
+    return h.view(np.int64)
+
+
+def _group_rows(rows, hashes=None):
     """Exact classes of equal rows of a 2-D int64 array.
 
     Returns (labels, first): the class of each row and the index of each
-    class's first row.  Rows are hashed by a random linear form mod 2^64
-    and grouped by `np.unique` on the 1-D hashes; a collision, caught by
+    class's first row.  Rows are grouped by `np.unique` on their hashes
+    (`_row_hashes`, or `hashes` if given); a collision, caught by
     comparing every row with its class's first row, regroups the rows
     exactly on their tuples.
     """
-    h = np.ascontiguousarray(rows).view(np.uint64) @ _hash_weights(rows.shape[1])
-    _, first, labels = np.unique(h, return_index=True, return_inverse=True)
+    if hashes is None:
+        hashes = _row_hashes(rows)
+    _, first, labels = np.unique(hashes, return_index=True, return_inverse=True)
     labels = labels.reshape(-1)
     if (rows == rows[first[labels]]).all():
         return labels, first

@@ -218,13 +218,16 @@ def _exact_action(m, conductor):
     return kernel._int_action(m, conductor), scale
 
 
-def _reflection_normal(mat):
-    """Normal of the fixed hyperplane: a nonzero row of (m - I)."""
-    diff = mat - Mat.identity(mat.rows)
-    for i in range(mat.rows):
-        row = diff.row(i)
-        if any(not e.is_zero() for e in row):
-            return _canonical_line(row)
+def _reflection_normal(blob, d, conductor):
+    """The canonical vector (`kernel._canon`) of the normal of a reflection's
+    fixed hyperplane: a nonzero row of blob - den * I, for the d x d blob."""
+    phi = euler_phi(conductor)
+    den, nums = kernel.unpack_values(blob)
+    for i in range(d):
+        row = list(nums[i * d * phi : (i + 1) * d * phi])
+        row[i * phi] -= den
+        if any(row):
+            return kernel._canon(row, conductor, phi, {})
     raise ValueError("matrix is the identity")
 
 
@@ -283,7 +286,10 @@ def _fill_reflection_data(group):
     """Reflections as conjugation orbits of the generators and their squares.
 
     Every reflection of G25 and G32 has order 3 and is conjugate to a
-    generator or to its square; the hyperplanes follow in discovery order.
+    generator or to its square.  A reflection r and r^2 fix the same
+    hyperplane, and the conjugates of g^2 are the squares of g's
+    conjugates, so the hyperplanes are read off the orbits of the
+    generators alone, in discovery order, on integers (`_reflection_normal`).
     """
     d, c = group.dim, group.conductor
     # X -> g X g^-1 is X -> g X (g^-T)^T; both orbits share the integer actions
@@ -292,17 +298,16 @@ def _fill_reflection_data(group):
     )
     group.reflections = []
     seen = set()
+    normals = {}  # canonical vector -> None, in discovery order
     for g in group.generators:
         for r in (g, g @ g):
             if kernel.to_blob_matrix(r, c) not in seen:
                 orbit = kernel.matrix_orbit(lifts, r, group.order, c)
                 seen.update(orbit)
                 group.reflections.extend(orbit)
-    hyperplanes = {}
-    for blob in group.reflections:
-        normal = _reflection_normal(kernel.from_blob_matrix(blob, d, c))
-        hyperplanes[_line_key(normal, c * 4)] = normal
-    group.hyperplanes = list(hyperplanes.values())
+                if r is g:
+                    normals.update(dict.fromkeys(_reflection_normal(b, d, c) for b in orbit))
+    group.hyperplanes = [kernel.line_coords(w, c) for w in normals]
 
 
 def _g25_proper_planes(group):

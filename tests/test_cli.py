@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from braidorbit import reflgrp
+from braidorbit import cli, reflgrp
+from braidorbit.charvar import AffineRep, LinearPart, ProjClass, normalize, orbit
 from braidorbit.cli import main
-from braidorbit.cyclo import cyc, render
+from braidorbit.cyclo import cyc, parse_cyclo, render, zeta
+from braidorbit.kernel import line_coords
 
 
 def run(capsys, *argv):
@@ -49,6 +52,49 @@ def test_orbit_readme_example_points(capsys):
         "[1 : 1 + z12 - z12^2]",
     ]
 
+
+
+def test_orbit_readme_large_output_pinned(capsys):
+    # the README's 25920-point orbit: discovery order and every printed byte
+    code, out = run(
+        capsys, "orbit", "--lambda", "z6,z6,z6,z6,z6,z6", "--tau", "0,1,2,3,5"
+    )
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "39fd02e2778288c1eb0e5b3752d75ba30458a4698b3c069e12c70549f2416f0a"
+    )
+
+
+def _orbit_of(lams, tau, bound=200_000):
+    rep = AffineRep(LinearPart(tuple(map(parse_cyclo, lams))), tuple(map(parse_cyclo, tau)))
+    cls, rot = normalize(rep)
+    return orbit(cls, rep.linear.rotated(rot) if rot else rep.linear, bound=bound)
+
+
+@pytest.mark.parametrize(
+    "res",
+    [
+        pytest.param(lambda: _orbit_of(["z12", "z12^5", "z12^3", "z12^3"], ["z12^3", "0", "0"]), id="z12"),
+        pytest.param(lambda: _orbit_of(["z6"] * 4 + ["z6^2"], ["0", "1", "2", "5"]), id="z6"),
+        pytest.param(
+            lambda: orbit(
+                ProjClass(4, (cyc(1), cyc(2))),
+                LinearPart((zeta(60, 1), zeta(60, 29), zeta(60, 11), zeta(60, 19))),
+            ),
+            id="z60",
+        ),
+        pytest.param(lambda: _orbit_of(["10^9", "1/10^9", "1", "1"], ["0", "1", "2"], 60), id="long"),
+    ],
+)
+def test_points_print_as_render_of_their_coordinates(res):
+    # the orbit command prints each point from its canonical vector; the
+    # reference renders every coordinate of the point's values
+    res = res()
+    assert res.vectors
+    for w in res.vectors:
+        coords = line_coords(w, res.conductor)
+        assert cli._point_text(w, res.conductor) == "[" + " : ".join(map(render, coords)) + "]"
 
 def test_orbit_zero_class(capsys):
     code, out = run(

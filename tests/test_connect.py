@@ -2,6 +2,7 @@ import cmath
 import functools
 import random
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -565,6 +566,53 @@ def test_cell_keys_give_each_cell_one_key():
     assert len(set(connect._cell_keys(far, np.zeros(6)).tolist())) == 6
     assert len(set(connect._cell_keys(np.zeros(6), far).tolist())) == 6
 
+
+
+def test_cell_key_of_one_cell_matches_cell_keys():
+    xs = [0.0, -0.0, 0.2, -0.3, 2.5, -2.5, 1e25, -1e25, 1e300, 12345.5, -(2.0**40)]
+    for x in xs:
+        for y in xs:
+            want = connect._cell_keys(np.array([x]), np.array([y]))[0]
+            assert connect._cell_key(round(x), round(y)) == want
+
+
+@pytest.mark.parametrize(
+    "name, bound, kind",
+    [
+        ("near-duplicates", 2500, "bound"),
+        ("storage-reach", 200_000, "size"),
+        ("rank3-monodromy", 647, "bound"),
+        ("ambiguous-against-stored", 100, "ambiguous"),
+        ("merge-beside-a-near-miss", 11, "bound"),
+    ],
+)
+def test_thin_cells_moved_into_runs_match_sequential_insertion(monkeypatch, name, bound, kind):
+    # every chunk one product at a time, its cells moved into the one run
+    # every few cells: the same outcome as inserting one product at a time
+    monkeypatch.setattr(connect, "_THIN_CHUNK", 10**9)
+    monkeypatch.setattr(connect, "_THIN_CELLS", 5)
+    want = _sequential_outcome(name, bound)
+    assert want[0] == kind
+    assert _outcome(numeric_closure, _closure_case(name), bound) == want
+
+
+def test_one_generator_closure_memory_is_bounded():
+    # every BFS level holds one product, so every chunk is thin; the cells
+    # of 20000 elements in a dict took a 7.7 MiB tracemalloc peak, and the
+    # dict is now moved into a sorted run every _THIN_CELLS cells
+    mats = [np.diag([cmath.exp(2j * cmath.pi / 20000)])]
+    tracemalloc.start()
+    try:
+        size = numeric_closure(mats, tol=1e-6, bound=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 20000
+    assert peak < 5 * 2**20
+    # cut past three moves into the run
+    want = _outcome(_sequential_closure, mats, 12_000)
+    assert want[:3] == ("bound", 12_000, 12_001)
+    assert _outcome(numeric_closure, mats, 12_000) == want
 
 def test_level_products_are_item_first():
     rng = random.Random(3)

@@ -488,54 +488,66 @@ def test_pivot_that_maps_to_zero_takes_the_exact_path():
     assert list(inverses) == [(-r, 1) + (0,) * (phi - 2)]
 
 
-# ---- the inverse pairing of the per-item step ---------------------------------
+# ---- the inverse pairing ----------------------------------------------------------
 #
-# Given `inverse`, the per-item step of `int_bfs` skips the image of v
-# under an action whose inverse already took some w to v.  Every search
-# below is run again without `inverse`: the vectors, their order and the
-# truncation point must be the same, and the paired run must skip work.
+# Given `inverse`, `int_bfs` skips the image of v under an action whose
+# inverse already took some w to v: the per-item step does not compute
+# it, and a batched chunk drops its row before canonicalizing.  Every
+# search below is run again without `inverse`: the vectors, their order
+# and the truncation point must be the same, and the paired run must
+# skip work.
 
 
 def _searches_with_and_without_inverse(monkeypatch, search):
     """Every paired int_bfs call of `search`, as (paired, unpaired) outcomes.
 
-    Each outcome is ("found" or "exceeded", vectors, `_canon` calls).
+    Each outcome is ("found" or "exceeded", vectors, `_canon` calls, rows
+    canonicalized by `_Batch.canon`).
     """
-    int_bfs, canon = kernel.int_bfs, kernel._canon
-    calls = [0]  # the last entry counts for the running search
+    int_bfs, canon, batch_canon = kernel.int_bfs, kernel._canon, kernel._Batch.canon
+    calls = [[0, 0]]  # the last entry counts for the running search
 
     def counting_canon(*args):
-        calls[-1] += 1
+        calls[-1][0] += 1
         return canon(*args)
 
+    def counting_batch_canon(self, w):
+        calls[-1][1] += len(w)
+        return batch_canon(self, w)
+
     def outcome(*args, **kwargs):
-        calls.append(0)
+        calls.append([0, 0])
         try:
-            return "found", int_bfs(*args, **kwargs), calls[-1]
+            return "found", int_bfs(*args, **kwargs), *calls[-1]
         except kernel.BoundExceeded as exc:
-            return "exceeded", exc.found, calls[-1]
+            return "exceeded", exc.found, *calls[-1]
 
     pairs = []
 
     def both(*args, inverse=None, **kwargs):
         assert inverse is not None
         pairs.append((outcome(*args, inverse=inverse, **kwargs), outcome(*args, **kwargs)))
-        kind, found, _ = pairs[-1][1]
+        kind, found, *_ = pairs[-1][1]
         if kind == "exceeded":
             raise kernel.BoundExceeded(args[2], found)
         return found
 
     monkeypatch.setattr(kernel, "_canon", counting_canon)
+    monkeypatch.setattr(kernel._Batch, "canon", counting_batch_canon)
     monkeypatch.setattr(kernel, "int_bfs", both)
     search()
     assert pairs
     return pairs
 
 
-def _assert_same_with_fewer_images(pairs):
-    for (kind, found, paired_calls), (kind0, found0, calls0) in pairs:
+def _assert_same_with_fewer_images(pairs, per_item=True, batched=False):
+    """The same outcome, with fewer per-item or batched canonicalizations."""
+    for (kind, found, calls, rows), (kind0, found0, calls0, rows0) in pairs:
         assert (kind, found) == (kind0, found0)
-        assert paired_calls < calls0
+        if per_item:
+            assert calls < calls0
+        if batched:
+            assert rows < rows0
 
 
 def _table3_conductor60():
@@ -547,9 +559,21 @@ def test_inverse_skip_keeps_the_conductor60_table3_orbit(monkeypatch):
     pairs = _searches_with_and_without_inverse(
         monkeypatch, lambda: orbit(ProjClass(4, (cyc(1), cyc(2))), _table3_conductor60())
     )
-    ((kind, found, _), _), = pairs
+    ((kind, found, *_), _), = pairs
     assert (kind, len(found)) == ("found", 60)
     _assert_same_with_fewer_images(pairs)
+
+
+def test_inverse_skip_keeps_the_conductor60_table3_orbit_batched(monkeypatch):
+    # every level batched, under actions of order above 3, whose inverses
+    # are not their squares: a flag set on the wrong action shows here
+    monkeypatch.setattr(kernel, "_BATCH_MIN", 1)
+    pairs = _searches_with_and_without_inverse(
+        monkeypatch, lambda: orbit(ProjClass(4, (cyc(1), cyc(2))), _table3_conductor60())
+    )
+    ((kind, found, *_), _), = pairs
+    assert (kind, len(found)) == ("found", 60)
+    _assert_same_with_fewer_images(pairs, per_item=False, batched=True)
 
 
 def _n5_generic_orbit(bound):
@@ -564,7 +588,7 @@ def _n5_generic_orbit(bound):
 def test_inverse_skip_keeps_the_n5_orbit(monkeypatch, batch_min):
     monkeypatch.setattr(kernel, "_BATCH_MIN", batch_min)
     pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n5_generic_orbit(1000))
-    ((kind, found, _), _), = pairs
+    ((kind, found, *_), _), = pairs
     assert (kind, len(found)) == ("found", 216)
     _assert_same_with_fewer_images(pairs)
 
@@ -582,7 +606,7 @@ def test_inverse_skip_keeps_an_orbit_with_fixed_points(monkeypatch):
         for cols in actions
     )
     pairs = _searches_with_and_without_inverse(monkeypatch, lambda: orbit(start, lp, bound=100))
-    ((kind, found, _), _), = pairs
+    ((kind, found, *_), _), = pairs
     assert (kind, len(found)) == ("found", 4)
     _assert_same_with_fewer_images(pairs)
 
@@ -590,7 +614,7 @@ def test_inverse_skip_keeps_an_orbit_with_fixed_points(monkeypatch):
 def test_inverse_skip_keeps_a_cut_inside_a_per_item_level(monkeypatch):
     monkeypatch.setattr(kernel, "_BATCH_MIN", 1 << 62)
     pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n5_generic_orbit(100))
-    ((kind, found, _), _), = pairs
+    ((kind, found, *_), _), = pairs
     assert (kind, len(found)) == ("exceeded", 101)
     _assert_same_with_fewer_images(pairs)
 
@@ -599,10 +623,103 @@ def test_inverse_skip_keeps_the_projective_closure(monkeypatch):
     lp = _table3_conductor60()
     gens = [action_matrix_reduced(lp, 2, 3), action_matrix_reduced(lp, 1, 2)]
     pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _projective_closure(gens, 200))
-    ((kind, found, _), _), = pairs
+    ((kind, found, *_), _), = pairs
     assert (kind, len(found)) == ("found", 60)
     _assert_same_with_fewer_images(pairs)
 
+
+
+def _n6_orbit(bound):
+    # the n6-orbit benchmark's n=6 class: levels of 1, 18, 170, 918, 1592
+    # and 181 points under 20 paired actions
+    cls, lp = _n6_class()
+    return orbit(cls, lp, bound=bound)
+
+
+def _n6_per_item(monkeypatch, bound):
+    """The n=6 search's vectors after the start, by the per-item step alone."""
+    monkeypatch.setattr(kernel, "_BATCH_MIN", 1 << 62)
+    return _n6_orbit(bound).vectors
+
+
+@pytest.mark.parametrize("batch_min", [64, 1], ids=["mixed-levels", "batched"])
+def test_inverse_skip_keeps_the_n6_orbit(monkeypatch, batch_min):
+    want = _n6_per_item(monkeypatch, 6000)
+    monkeypatch.setattr(kernel, "_BATCH_MIN", batch_min)
+    pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n6_orbit(6000))
+    ((kind, found, *_), _), = pairs
+    assert kind == "found" and found[1:] == want and len(found) == 2880
+    _assert_same_with_fewer_images(pairs, per_item=batch_min > 1, batched=True)
+
+
+@pytest.mark.parametrize("bound", [1000, 2000])
+def test_inverse_skip_keeps_a_cut_inside_a_batched_chunk(monkeypatch, bound):
+    # the (bound+1)-th vector is found by a batched chunk that drops rows:
+    # the one chunk of level 2, or the second of the five of level 3
+    want = _n6_per_item(monkeypatch, bound)
+    monkeypatch.setattr(kernel, "_BATCH_MIN", 64)
+    dropped = []  # flagged rows of each chunk of the paired search
+    distinct_images = kernel._Batch.distinct_images
+
+    def spy(self, items, frontier, skip=None):
+        if skip is not None:
+            dropped.append(sum(skip))
+        return distinct_images(self, items, frontier, skip)
+
+    monkeypatch.setattr(kernel._Batch, "distinct_images", spy)
+    pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n6_orbit(bound))
+    ((kind, found, *_), _), = pairs
+    assert kind == "exceeded" and found[1:] == want and len(found) == bound + 1
+    assert len(dropped) == (1 if bound == 1000 else 3) and dropped[-1] > 0
+    _assert_same_with_fewer_images(pairs, batched=True)
+
+
+def test_inverse_skip_keeps_per_item_batched_per_item_levels(monkeypatch):
+    # at _BATCH_MIN 200 the levels of 1, 18, 170 and the last of 181 points
+    # run per item, those of 918 and 1592 points batched
+    want = _n6_per_item(monkeypatch, 6000)
+    monkeypatch.setattr(kernel, "_BATCH_MIN", 200)
+    pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n6_orbit(6000))
+    ((kind, found, *_), (_, _, calls0, rows0)), = pairs
+    assert kind == "found" and found[1:] == want
+    # unpaired, every image of a level is computed, by its step
+    assert calls0 == (1 + 18 + 170 + 181) * 20
+    assert rows0 == (918 + 1592) * 20
+    _assert_same_with_fewer_images(pairs, per_item=True, batched=True)
+
+
+def test_inverse_skip_keeps_the_n6_orbit_when_every_hash_collides(monkeypatch):
+    # with every row hashed to 0, rows collide within each chunk and with
+    # every stored vector
+    want = _n6_per_item(monkeypatch, 6000)
+    monkeypatch.setattr(kernel, "_hash_weights", lambda width: np.zeros(width, dtype=np.uint64))
+    monkeypatch.setattr(kernel, "_BATCH_MIN", 64)
+    pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n6_orbit(6000))
+    ((kind, found, *_), _), = pairs
+    assert kind == "found" and found[1:] == want
+    _assert_same_with_fewer_images(pairs, batched=True)
+
+
+def test_per_item_lookups_when_every_hash_collides(monkeypatch):
+    # the n=5 orbit's last level of 5 points runs per item after two
+    # batched levels: each of its images meets every stored vector's hash
+    monkeypatch.setattr(kernel, "_BATCH_MIN", 1 << 62)
+    want = _n5_generic_orbit(1000).vectors
+    monkeypatch.setattr(kernel, "_hash_weights", lambda width: np.zeros(width, dtype=np.uint64))
+    monkeypatch.setattr(kernel, "_BATCH_MIN", 64)
+    lookups = []
+    find = kernel._Batch.find
+
+    def spy(self, w):
+        lookups.append(find(self, w))
+        return lookups[-1]
+
+    monkeypatch.setattr(kernel._Batch, "find", spy)
+    pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n5_generic_orbit(1000))
+    ((kind, found, *_), _), = pairs
+    assert kind == "found" and found[1:] == want
+    assert lookups and None not in lookups  # the level finds no new point
+    _assert_same_with_fewer_images(pairs, batched=True)
 
 def test_inverse_skip_bounds_the_work_per_orbit_point(monkeypatch):
     # a deterministic count, not a time: 6 actions on each of the 60 points

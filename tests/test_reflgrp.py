@@ -229,7 +229,7 @@ def test_reflection_agreement_with_pointwise_fix(g25):
     # every reflection fixes its hyperplane pointwise and has order > 1
     for blob in g25.reflections[:8]:
         m = kernel.from_blob_matrix(blob, 3, 3)
-        normal = reflgrp._reflection_normal(m)
+        normal = kernel.line_coords(reflgrp._reflection_normal(blob, 3, 3), 3)
         basis = Mat.from_rows([list(normal)]).kernel()
         for v in basis:
             assert m.apply(v) == tuple(v)
@@ -316,6 +316,13 @@ def test_element_and_reflection_bytes_are_pinned(g25, g32):
     assert digest(g25.elements) == "49a84cc2f3156da405505bc4a238d2504425ee3c95c7155e5acbcdabb54d7e82"
     assert digest(g25.reflections) == "ea02784e501b2d6a258bc496ae15f6074a50406950eb2c402ef8e1d070a8e642"
     assert digest(g32.reflections) == "52b332a0a665e30fab1ef8e6243e7cd8cc4f13420537bb202cf80ff393a95476"
+    # the hyperplanes' values, conductors included, and their order
+    for group, pinned in (
+        (g25, "ed6485ef1ef0ab72b671907f6753d73892df0896214bef68d6d18b4b8fbcc09c"),
+        (g32, "e21ec6775ecb32b1255dcc8ad50f014352f170ec9f8b3e92ebc4689b466c335c"),
+    ):
+        values = [[(x.n, x.num, x.den) for x in h] for h in group.hyperplanes]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == pinned
 
 
 def test_reflections_by_conjugation(g25, g32):

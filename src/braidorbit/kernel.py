@@ -27,14 +27,8 @@ the caller says which action inverts which (`inverse`), both steps
 compute each such edge once and skip the image they already know; the
 n=4 tables then canonicalize 4182 images per pass instead of 8304, and
 the batched levels of the 2880-point n=6 orbit 34364 rows instead of
-57220.  Most of the images left are still points already found (67%
-in the n=4 tables), so where phi(N) > 2 is at least twice the number
-of coordinates the per-item step first looks an image up by its
-line's image in P(F_p), for a prime p == 1 (mod N), and confirms a
-candidate with one exact product per coordinate; only an image it does
-not recognise pays for the exact canonical form and its pivot's
-inverse (`_LineKeys`).  The lookup is exact: a key only proposes, the
-product test decides.
+57220.  Every image left takes the one exact canonical form (`_canon`),
+whose pivot inverse comes from a process-wide memo (`_pivot_inverse`).
 `int_line_orbit` (the braid orbits of `charvar`, classify's projective
 group, the G25/G32 line and plane orbits of `reflgrp`) and the regular
 orbit of `reflgrp` run on it; `IntActions` keeps a matrix list's integer
@@ -64,7 +58,6 @@ from .cyclo import (
     Cyclotomic,
     _int_inverse,
     _mul_mod,
-    _prime_factors,
     _reduction_rows,
     cyc,
     euler_phi,
@@ -190,22 +183,29 @@ def _scaled_apply(cols, scale, v):
     return tuple(w)
 
 
-def _canon(w, conductor, phi, inverses, lines=None):
+@lru_cache(maxsize=4096)
+def _pivot_inverse(conductor, key):
+    """`_int_inverse` of the primitive pivot `key`, with s as a tuple.
+
+    The memo is shared by every search of the process.  An orbit meets
+    few distinct pivots (238 for the 25920-point n=6 orbit), and a pass
+    of the n=4 tables about 1700, so 4096 holds them all.  s is a tuple
+    so that no caller can change a cached value.
+    """
+    s, c = _int_inverse(conductor, key)
+    return tuple(s), c
+
+
+def _canon(w, conductor, phi):
     """Canonical integer vector of the point [w].
 
     The first nonzero coordinate becomes a positive integer c and the
     vector is primitive: read as coordinates over the denominator c, that
     is ProjClass's form with the first nonzero coordinate equal to 1.  The
-    zero vector stays as it is.  `inverses` maps a primitive pivot to its
-    `_int_inverse`; an orbit meets few distinct pivots (179 for the
-    25920-point n=6 orbit, against 345k canonicalizations).  This is the
-    per-item form; `_Batch.canon` computes the same vectors for a chunk
-    of a level at once.
-
-    `lines` (a `_LineKeys`) holds canonical vectors already found.  Where
-    the pivot would cost a new inverse, it is first asked for a found
-    vector on the line of w (`_LineKeys.find`, an exact test); that
-    vector is the canonical vector of [w], since a line has only one.
+    zero vector stays as it is.  A pivot that is not an integer is
+    divided out by its primitive part's inverse (`_pivot_inverse`).  This
+    is the per-item form; `_Batch.canon` computes the same vectors for a
+    chunk of a level at once.
     """
     for i in range(0, len(w), phi):
         if any(w[i : i + phi]):
@@ -215,15 +215,7 @@ def _canon(w, conductor, phi, inverses, lines=None):
     if any(w[i + 1 : i + phi]):
         pivot = w[i : i + phi]
         g = gcd(*pivot)
-        key = tuple(x // g for x in pivot)
-        try:
-            s, c = inverses[key]
-        except KeyError:
-            if lines is not None:
-                known = lines.find(w, i)
-                if known is not None:
-                    return known
-            s, c = inverses[key] = _int_inverse(conductor, key)
+        s, c = _pivot_inverse(conductor, tuple(x // g for x in pivot))
         out = w[:i] + [c * g] + [0] * (phi - 1)
         for k in range(i + phi, len(w), phi):
             out += _mul_mod(conductor, w[k : k + phi], s)
@@ -244,91 +236,6 @@ _BATCH_MIN = 64
 _CHUNK_IMAGES = 4096
 # bound on every int64 value of a batched level, products included
 _INT64_LIMIT = 1 << 62
-# the per-item step keys found lines mod p only where an inverse costs more
-# than the keys that save one: from this phi(N) on, and only if phi(N) is at
-# least twice the number of coordinates d.  An inverse is an extended Euclid
-# on polynomials of degree phi; a key is d dot products of length phi, one
-# per found point and one per looked-up image.  Measured: phi = 2 (G25's
-# generic stratum) and phi = 4 with d = 3 or 6 (G25's conductor-12 stratum,
-# G32's plane orbit) lose; d = 2 with phi >= 4 (the n=4 tables) wins.
-_KEY_MIN_PHI = 3
-
-
-@lru_cache(maxsize=None)
-def _fp_powers(conductor):
-    """(p, (1, r, ..., r^(phi-1)) mod p) for the map Z[zeta_N] -> F_p, zeta_N -> r.
-
-    p is the least prime above 2^20 with p == 1 (mod N), so that Phi_N
-    splits into linear factors mod p (Cohen, A Course in Computational
-    Algebraic Number Theory, ch. 4), and r is an element of order exactly
-    N, a root of Phi_N mod p: the map is a ring homomorphism.  Two lines
-    of an orbit share a key with a chance of about 2^-20 per coordinate,
-    and `_LineKeys.find` rejects such a candidate exactly.
-    """
-    p = ((1 << 20) // conductor + 1) * conductor + 1
-    while _prime_factors(p) != [p]:
-        p += conductor
-    primes = _prime_factors(conductor)
-    x = 2
-    while True:
-        r = pow(x, (p - 1) // conductor, p)
-        if all(pow(r, conductor // q, p) != 1 for q in primes):
-            break
-        x += 1
-    return p, tuple(pow(r, t, p) for t in range(euler_phi(conductor)))
-
-
-class _LineKeys:
-    """The lines an `int_bfs` call has found, keyed by their images mod p.
-
-    The key of a vector w whose first nonzero block is at slot i is (i,
-    w_k(r) / w_i(r) for each later block k), evaluated in F_p through
-    `_fp_powers`; it is the same for every nonzero multiple of w whose
-    pivot does not map to 0, and None for one whose pivot does.  A key
-    only proposes a candidate: `find` accepts it after an exact test.
-    """
-
-    def __init__(self, conductor, phi):
-        self.conductor = conductor
-        self.phi = phi
-        self.p, self.powers = _fp_powers(conductor)
-        self.lines = {}
-
-    def key(self, w, i):
-        p, powers, phi = self.p, self.powers, self.phi
-        a = sum(map(mul, w[i : i + phi], powers)) % p
-        if not a:
-            return None
-        a = pow(a, -1, p)
-        later = range(i + phi, len(w), phi)
-        return (i, *[sum(map(mul, w[k : k + phi], powers)) * a % p for k in later])
-
-    def add(self, u):
-        """Key the new canonical vector u, unless its pivot maps to 0."""
-        i = next((j for j, x in enumerate(u) if x), None)
-        key = None if i is None else self.key(u, i)
-        if key is not None:
-            self.lines.setdefault(key, u)
-
-    def find(self, w, i):
-        """The found canonical vector on the line of w, or None.
-
-        i is the slot of w's first nonzero block.  A candidate u with the
-        same key has its first nonzero block at slot i too, and, being
-        canonical, that block is an integer c = u_i; so w is on u's line
-        exactly when c * w_k == w_i * u_k mod Phi_N for every later block
-        k, which says w = (w_i / c) u.  No inverse is needed.
-        """
-        key = self.key(w, i)
-        u = None if key is None else self.lines.get(key)
-        if u is None:
-            return None
-        phi, c = self.phi, u[i]
-        pivot = w[i : i + phi]
-        for k in range(i + phi, len(w), phi):
-            if [c * x for x in w[k : k + phi]] != _mul_mod(self.conductor, pivot, u[k : k + phi]):
-                return None
-        return u
 
 
 def int_bfs(start, actions, bound, scales=None, ring=None, inverse=None):
@@ -355,14 +262,9 @@ def int_bfs(start, actions, bound, scales=None, ring=None, inverse=None):
     that index alone (`_Batch.lookup`), and builds tuples only for the
     new ones.
 
-    In a projective search with phi >= `_KEY_MIN_PHI` and phi >= 2 d, d
-    the number of coordinates, every vector the per-item step finds is
-    keyed in a `_LineKeys`.  An image whose pivot is not an integer and
-    has no inverse yet in the call's `inverses` is looked up there first
-    (`_canon`): a key hit that passes the exact test is the found vector
-    itself, which is then recognised as found, as the image's canonical
-    form would be.  So `found`, its order and the truncation point do not
-    depend on the keys.
+    In a projective search both steps give every image the one exact
+    canonical form (`_canon`, `_Batch.canon`), taking each pivot's
+    inverse from the process-wide `_pivot_inverse`.
 
     `inverse`, if given, pairs the actions: `inverse[a]` is the action
     whose matrix is the inverse of action a's (up to a scalar in a
@@ -378,17 +280,12 @@ def int_bfs(start, actions, bound, scales=None, ring=None, inverse=None):
     `inverse` either.
     """
     scales = [1] * len(actions) if scales is None else list(scales)
-    inverses = {}
-    lines = None
-    if ring is not None and ring[1] >= max(_KEY_MIN_PHI, 2 * len(start) // ring[1]):
-        lines = _LineKeys(*ring)
-        lines.add(start)
     count = len(actions)
     # known[p * count + a]: the image of found[p] under action a is known
     known = None if inverse is None else bytearray(count)
     found = [start]
     seen = {start: 0}  # the vectors the per-item step found -> their positions
-    batch = _Batch(actions, scales, ring, inverses)
+    batch = _Batch(actions, scales, ring)
 
     def per_item(lo, hi):
         """The per-item step on found[lo:hi]."""
@@ -401,7 +298,7 @@ def int_bfs(start, actions, bound, scales=None, ring=None, inverse=None):
                 if ring is None:
                     w = _scaled_apply(cols, scales[a], v)
                 else:
-                    w = _canon(int_apply(cols, v), *ring, inverses, lines)
+                    w = _canon(int_apply(cols, v), *ring)
                 q = seen.get(w)
                 if q is None and batch.runs:
                     q = batch.find(w)
@@ -410,8 +307,6 @@ def int_bfs(start, actions, bound, scales=None, ring=None, inverse=None):
                     found.append(w)
                     if known is not None:
                         known.extend(bytes(count))
-                    if lines is not None:
-                        lines.add(w)
                     if len(found) > bound:
                         raise BoundExceeded(bound, found)
                 if known is not None:
@@ -472,7 +367,9 @@ class _Batch:
     the largest row l1-norm of an action, and a canonical vector at most
     max|image| times the largest column l1-norm of its pivot's
     multiplication matrix; a chunk where either bound reaches 2^62 is
-    refused (None) and runs the per-item step.
+    refused (None) and runs the per-item step.  Its canonical rows are
+    the vectors `_canon` gives, and it reads the pivot inverses from the
+    same memo.
 
     Each canonical row is hashed once, by `_group_rows`'s random linear
     form, and that hash both groups the chunk's equal rows and looks them
@@ -485,11 +382,10 @@ class _Batch:
     the row with every stored row of that hash.
     """
 
-    def __init__(self, actions, scales, ring, inverses):
+    def __init__(self, actions, scales, ring):
         self.actions = actions
         self.scales = scales
         self.ring = ring
-        self.inverses = inverses
         self.pivots = {}  # primitive pivot -> (S, cap), see `_pivot`
         self.norm = None  # set by the first batched level
         self.blocks = []  # the stored vectors, by discovery position
@@ -580,10 +476,7 @@ class _Batch:
         except KeyError:
             pass
         conductor, phi = self.ring
-        try:
-            s, c = self.inverses[key]
-        except KeyError:
-            s, c = self.inverses[key] = _int_inverse(conductor, key)
+        s, _ = _pivot_inverse(conductor, key)
         # row t is x^t * s mod Phi_N, so row t+1 is x times row t
         top = _reduction_rows(conductor)[0]
         rows = [list(s)]
@@ -601,7 +494,7 @@ class _Batch:
         """`_canon` of every row of the int64 array `w`, or None if refused.
 
         Each row whose first nonzero block is not an integer has its blocks
-        multiplied by the S of its primitive pivot (one `_int_inverse` per
+        multiplied by the S of its primitive pivot (`_pivot`, once per
         distinct pivot), which turns the pivot block into c * g and leaves
         the blocks before it zero.  Then each row gets a positive leading
         coordinate and is divided by its gcd.
@@ -780,7 +673,7 @@ def line_vector(values, conductor):
     the tuple is the hashable identity of the line.
     """
     flat = [c for v in _int_vectors(values, conductor) for c in v]
-    return _canon(flat, conductor, euler_phi(conductor), {})
+    return _canon(flat, conductor, euler_phi(conductor))
 
 
 def line_coords(w, conductor):
@@ -801,8 +694,9 @@ class IntActions:
 
     `conductor` is the lcm of the conductors of the matrix entries.  The
     integer matrices at a search conductor are built on first use and kept,
-    for the few conductors last used, so every search that shares the
-    object shares them.
+    so every search that shares the object shares them.  At most `_KEEP`
+    conductors are kept: building one more drops the conductor built
+    first, even if it was used since (a hit does not refresh it).
     """
 
     _KEEP = 4  # conductors kept; a caller meets one or two

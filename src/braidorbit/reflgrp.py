@@ -227,7 +227,7 @@ def _reflection_normal(blob, d, conductor):
         row = list(nums[i * d * phi : (i + 1) * d * phi])
         row[i * phi] -= den
         if any(row):
-            return kernel._canon(row, conductor, phi, {})
+            return kernel._canon(row, conductor, phi)
     raise ValueError("matrix is the identity")
 
 

@@ -1,5 +1,6 @@
 import cmath
 import importlib.util
+import math
 import random
 import sys
 from collections import Counter
@@ -349,12 +350,11 @@ def test_action_too_large_for_int64_runs_per_item(monkeypatch):
     assert kernel.int_bfs((1, 2), [[((0, huge),), ((1, huge),)]], 10, scales=[huge]) == [(1, 2)]
 
 
-# ---- the mod-p line keys of the per-item step ------------------------------------
+# ---- the pivot-inverse memo ------------------------------------------------------
 #
-# In a ring with phi >= `_KEY_MIN_PHI`, the per-item projective step asks
-# `_LineKeys` for a found vector on the line of an image before it pays
-# for a new pivot inverse.  Setting that constant past any phi turns the
-# keys off; both must give the same vectors in the same order.
+# `_pivot_inverse` keeps each pivot's inverse for the whole process, so a
+# search may start with the memo cold or warm from an earlier search.
+# Both must give the same vectors in the same order.
 
 
 def _perfbench_workloads():
@@ -375,10 +375,12 @@ def _n4_families():
 
 
 def _recorded_searches(monkeypatch, search):
-    """Every int_bfs result of `search`, keyed and unkeyed, and the key hits."""
+    """Every int_bfs outcome of `search`, run with the memo cold, then warm.
+
+    The warm run must compute no inverse the cold run did not.
+    """
     outcomes = []
-    hits = []
-    int_bfs, find = kernel.int_bfs, kernel._LineKeys.find
+    int_bfs = kernel.int_bfs
 
     def recording_bfs(*args, **kwargs):
         try:
@@ -389,23 +391,15 @@ def _recorded_searches(monkeypatch, search):
         outcomes.append(("found", found))
         return found
 
-    def counting_find(self, w, i):
-        u = find(self, w, i)
-        hits.append(u is not None)
-        return u
-
     monkeypatch.setattr(kernel, "int_bfs", recording_bfs)
-    monkeypatch.setattr(kernel._LineKeys, "find", counting_find)
-    runs = []
-    for min_phi in (3, 1 << 62):
-        monkeypatch.setattr(kernel, "_KEY_MIN_PHI", min_phi)
-        outcomes.clear()
-        hits.clear()
-        search()
-        runs.append((list(outcomes), list(hits)))
-    (keyed, keyed_hits), (unkeyed, unkeyed_hits) = runs
-    assert unkeyed_hits == []
-    return keyed, unkeyed, keyed_hits
+    kernel._pivot_inverse.cache_clear()
+    search()
+    cold = list(outcomes)
+    outcomes.clear()
+    misses = kernel._pivot_inverse.cache_info().misses
+    search()
+    assert kernel._pivot_inverse.cache_info().misses == misses
+    return cold, outcomes
 
 
 def _table_orbits(lp, bound):
@@ -418,12 +412,10 @@ def _table_orbits(lp, bound):
 
 
 @pytest.mark.parametrize("lp", [pytest.param(lp, id=name) for name, lp in _n4_families()])
-def test_line_keys_keep_the_table_orbits(monkeypatch, lp):
-    keyed, unkeyed, hits = _recorded_searches(monkeypatch, lambda: _table_orbits(lp, 200))
-    assert keyed == unkeyed
-    assert len(keyed) >= 5
-    if lp.conductor() not in (3, 4, 6):
-        assert any(hits)
+def test_pivot_memo_keeps_the_table_orbits(monkeypatch, lp):
+    cold, warm = _recorded_searches(monkeypatch, lambda: _table_orbits(lp, 200))
+    assert cold == warm
+    assert len(cold) >= 5
 
 
 def _g25_order9_orbit(bound):
@@ -432,60 +424,42 @@ def _g25_order9_orbit(bound):
 
 
 @pytest.mark.parametrize("bound", [1000, 40])
-def test_line_keys_keep_a_g25_stratum_and_its_truncation(monkeypatch, bound):
+def test_pivot_memo_keeps_a_g25_stratum_and_its_truncation(monkeypatch, bound):
     # the order-9 line of Table 4: 72 points at conductor 9 (phi 6)
-    keyed, unkeyed, hits = _recorded_searches(monkeypatch, lambda: _g25_order9_orbit(bound))
-    assert keyed == unkeyed
-    ((outcome, found),) = keyed
+    cold, warm = _recorded_searches(monkeypatch, lambda: _g25_order9_orbit(bound))
+    assert cold == warm
+    ((outcome, found),) = cold
     if bound == 1000:
         assert (outcome, len(found)) == ("found", 72)
-        assert any(hits)
     else:
         assert (outcome, len(found)) == ("exceeded", 41)
 
 
-def test_line_keys_need_phi_at_least_twice_the_coordinates(monkeypatch):
-    # G25 on a point at conductor 12: phi = 4 < 2 * 3, so no image is looked up
-    point = (cyc(1), zeta(12, 1), cyc(0))
-    keyed, unkeyed, hits = _recorded_searches(
-        monkeypatch, lambda: kernel.int_line_orbit(reflgrp.g25_generators(), point, 1000, 3)
-    )
-    assert keyed == unkeyed
-    assert hits == []
-
-
-def test_line_keys_keep_a_truncated_table3_orbit(monkeypatch):
+def test_pivot_memo_keeps_a_truncated_table3_orbit(monkeypatch):
     lp = LinearPart((zeta(60, 1), zeta(60, 29), zeta(60, 11), zeta(60, 19)))
-    keyed, unkeyed, hits = _recorded_searches(monkeypatch, lambda: _table_orbits(lp, 7))
-    assert keyed == unkeyed
-    assert any(outcome == "exceeded" and len(found) == 8 for outcome, found in keyed)
-    assert any(hits)
+    cold, warm = _recorded_searches(monkeypatch, lambda: _table_orbits(lp, 7))
+    assert cold == warm
+    assert any(outcome == "exceeded" and len(found) == 8 for outcome, found in cold)
 
 
-def test_line_key_collisions_are_confirmed_exactly(monkeypatch):
-    # with the F_p map constant, every line with the same first block shares
-    # one key, so each candidate must be rejected by the exact test
-    monkeypatch.setattr(kernel._LineKeys, "key", lambda self, w, i: (i,))
-    lp = LinearPart((zeta(60, 1), zeta(60, 29), zeta(60, 11), zeta(60, 19)))
-    keyed, unkeyed, hits = _recorded_searches(monkeypatch, lambda: _table_orbits(lp, 200))
-    assert keyed == unkeyed
-    assert True in hits and False in hits
-
-
-def test_pivot_that_maps_to_zero_takes_the_exact_path():
-    conductor = 60
+@pytest.mark.parametrize("conductor", [5, 7, 9, 12, 15, 20, 24, 30, 60])
+def test_pivot_inverse_is_a_memo_of_the_exact_inverse(conductor):
+    rng = random.Random(conductor)
     phi = euler_phi(conductor)
-    lines = kernel._LineKeys(conductor, phi)
-    r = lines.powers[1]  # the image of zeta
-    # the pivot zeta - r maps to r - r = 0 in F_p
-    w = [-r, 1] + [0] * (phi - 2) + [3, 0, 5] + [0] * (phi - 3)
-    assert lines.key(w, 0) is None
-    exact = kernel._canon(w, conductor, phi, {})
-    lines.add(exact)
-    assert lines.find(w, 0) is None
-    inverses = {}
-    assert kernel._canon(w, conductor, phi, inverses, lines) == exact
-    assert list(inverses) == [(-r, 1) + (0,) * (phi - 2)]
+    for _ in range(10):
+        key = [0]
+        while not any(key[1:]):  # a pivot that is not an integer
+            key = [rng.randrange(-9, 10) for _ in range(phi)]
+        g = math.gcd(*key)
+        key = tuple(x // g for x in key)
+        s, c = kernel._pivot_inverse(conductor, key)
+        assert isinstance(s, tuple) and isinstance(c, int) and c != 0
+        assert _mul_mod(conductor, key, s) == [c] + [0] * (phi - 1)
+        assert (list(s), c) == kernel._int_inverse(conductor, key)
+        before = kernel._pivot_inverse.cache_info()
+        assert kernel._pivot_inverse(conductor, key) == (s, c)
+        after = kernel._pivot_inverse.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 # ---- the inverse pairing ----------------------------------------------------------
@@ -555,7 +529,6 @@ def _table3_conductor60():
 
 
 def test_inverse_skip_keeps_the_conductor60_table3_orbit(monkeypatch):
-    # the keyed path: phi = 16 >= 2 d
     pairs = _searches_with_and_without_inverse(
         monkeypatch, lambda: orbit(ProjClass(4, (cyc(1), cyc(2))), _table3_conductor60())
     )
@@ -601,7 +574,7 @@ def test_inverse_skip_keeps_an_orbit_with_fixed_points(monkeypatch):
     conductor, phi, found, _ = kernel.int_line_orbit(gens, start.coords, 100, 12)
     actions = [kernel._int_action(m, conductor) for m in gens]
     assert any(
-        kernel._canon(kernel.int_apply(cols, v), conductor, phi, {}) == v
+        kernel._canon(kernel.int_apply(cols, v), conductor, phi) == v
         for v in found
         for cols in actions
     )
@@ -736,22 +709,6 @@ def test_inverse_skip_bounds_the_work_per_orbit_point(monkeypatch):
     res = orbit(ProjClass(4, (cyc(1), cyc(2))), _table3_conductor60())
     assert res.size == 60
     assert len(calls) <= 4 * res.size
-
-
-@pytest.mark.parametrize("conductor", [7, 9, 12, 60])
-def test_fp_map_is_a_ring_homomorphism(conductor):
-    p, powers = kernel._fp_powers(conductor)
-    assert p % conductor == 1 and all(p % q for q in range(2, 1 << 11))
-    rng = random.Random(conductor)
-    phi = euler_phi(conductor)
-
-    def image(a):
-        return sum(x * y for x, y in zip(a, powers)) % p
-
-    for _ in range(20):
-        a = [rng.randrange(-99, 100) for _ in range(phi)]
-        b = [rng.randrange(-99, 100) for _ in range(phi)]
-        assert image(_mul_mod(conductor, a, b)) == image(a) * image(b) % p
 
 
 def _int_action_by_unit_vectors(m, conductor):

@@ -248,19 +248,11 @@ def test_braid_action_group_is_g25_sized():
     assert len(els) == 648
 
 
-def test_closure_at_a_conductor_keyed_mod_p(monkeypatch):
-    # at conductor 12 (phi 4, two coordinates) int_bfs keys its lines mod p
-    keyed = []
-    line_keys = kernel._LineKeys
-
-    def spy(*ring):
-        keyed.append(ring)
-        return line_keys(*ring)
-
-    monkeypatch.setattr(kernel, "_LineKeys", spy)
+def test_closure_of_zeta12_at_conductor_12_and_its_truncation():
+    # one generator of order 12 at conductor 12 (phi 4): 12 elements, and
+    # BoundExceeded holds all of them at bound 11
     powers = [kernel.to_blob_matrix(Mat.from_rows([[zeta(12, k)]]), 12) for k in range(12)]
     assert kernel.closure(powers[1:2], 1, 12, 12) == powers
-    assert keyed == [(12, 4)]
     with pytest.raises(kernel.BoundExceeded) as exc:
         kernel.closure(powers[1:2], 1, 12, 11)
     assert exc.value.found == powers

@@ -14,29 +14,33 @@ where red = (p, q) gives the closed-form inverse.
 
 `bfs` is the level-order search over objects (the blob `line_orbit`),
 and `BoundExceeded` is what every search raises past its bound.
-`int_bfs` is the same search over integer coefficient vectors: a large
-level applies each generator to a chunk of the frontier at a time as
-one int64 numpy product and canonicalizes the images in batch, guarded
-so that no value can reach 2^62; a small level, or a chunk the guard
-refuses, runs the per-item Python-int step, which has no size limit.
-Both give the same vectors in the same order.  A batched chunk hashes
-each canonical image once and looks it up in an index of every vector
-found (`_Batch`), so only its new vectors become tuples.  A group
-orbit's graph is undirected: if v -M-> w then w -M^-1-> v.  So where
-the caller says which action inverts which (`inverse`), both steps
-compute each such edge once and skip the image they already know; the
-n=4 tables then canonicalize 4182 images per pass instead of 8304, and
-the batched levels of the 2880-point n=6 orbit 34364 rows instead of
-57220.  Every image left takes the one exact canonical form (`_canon`),
-whose pivot inverse comes from a process-wide memo (`_pivot_inverse`).
+`int_bfs` is the same search over the lines of integer coefficient
+vectors, the one exact search of the package: every image takes the one
+canonical form (`_canon`), whose pivot inverse comes from a
+process-wide memo (`_pivot_inverse`).  A large level applies each
+generator to a chunk of the frontier at a time as one int64 numpy
+product and canonicalizes the images in batch, guarded so that no value
+can reach 2^62; a small level, or a chunk the guard refuses, runs the
+per-item Python-int step, which has no size limit.  Both give the same
+vectors in the same order.  A batched chunk hashes each canonical image
+once and looks it up in an index of every vector found (`_Batch`), so
+only its new vectors become tuples.  A group orbit's graph is
+undirected: if v -M-> w then w -M^-1-> v.  So where the caller says
+which action inverts which (`inverse`), both steps compute each such
+edge once and skip the image they already know; the n=4 tables then
+canonicalize 4182 images per pass instead of 8304, and the batched
+levels of the 2880-point n=6 orbit 34364 rows instead of 57220.
 `int_line_orbit` (the braid orbits of `charvar`, classify's projective
-group, the G25/G32 line and plane orbits of `reflgrp`) and the regular
-orbit of `reflgrp` run on it; `IntActions` keeps a matrix list's integer
+group, the G25/G32 line and plane orbits and the regular orbit of
+`reflgrp`) runs on it; `IntActions` keeps a matrix list's integer
 actions per conductor, so the braid orbits of one linear part build them
-once.  `matrix_orbit` is an `int_line_orbit` over matrices: X is the
-line through (1, vec X), on which X -> L X R^T acts by diag(1, L (x) R)
-(`kron_lift`), and X's blob is read off the line's canonical vector.
-The G25 `closure` and `reflgrp`'s conjugation orbits, which give the
+once.  A vector or a matrix X is searched as the line through (1, vec X),
+on which X -> L X R^T acts by diag(1, L (x) R) (`kron_lift`; a vector
+v -> g v is the case R = (1)).  That line's canonical vector is
+(den, 0, ..., 0, den vec X): its pivot is a positive integer, so such a
+search computes no inverse.  `matrix_orbit` is this search over
+matrices, and reads X's blob off the canonical vector; the G25
+`closure` and `reflgrp`'s conjugation orbits, which give the
 reflections, run on it.
 
 The identity of an exact point is its canonical integer vector:
@@ -170,19 +174,6 @@ def int_apply(cols, v, size=None):
     return w
 
 
-_OFF_LATTICE = "a generator took an orbit point off the integer lattice"
-
-
-def _scaled_apply(cols, scale, v):
-    """cols(v) / scale as a tuple; ArithmeticError if the division is inexact."""
-    w = int_apply(cols, v)
-    if scale != 1:
-        if any(x % scale for x in w):
-            raise ArithmeticError(_OFF_LATTICE)
-        w = [x // scale for x in w]
-    return tuple(w)
-
-
 @lru_cache(maxsize=4096)
 def _pivot_inverse(conductor, key):
     """`_int_inverse` of the primitive pivot `key`, with s as a tuple.
@@ -238,18 +229,17 @@ _CHUNK_IMAGES = 4096
 _INT64_LIMIT = 1 << 62
 
 
-def int_bfs(start, actions, bound, scales=None, ring=None, inverse=None):
-    """All integer vectors reachable from `start`, in level (discovery) order.
+def int_bfs(start, actions, bound, ring, inverse=None):
+    """All lines reachable from the line of `start`, in level (discovery) order.
 
-    `start` is a tuple of ints and each action an integer matrix by
-    columns (`_int_action`).  With `ring` = (conductor, phi) the search is
-    projective: every image is replaced by its canonical vector (`_canon`;
-    `start` must be canonical).  Otherwise it is linear, and the image
-    under action a is divided by `scales[a]` (default 1), raising
-    ArithmeticError if a division is inexact.  Raises BoundExceeded with
-    the first bound+1 vectors once a (bound+1)-th appears, as `bfs` does,
-    whose discovery order this keeps: a level's images are scanned by
-    item, then by action.
+    `start` is a canonical vector (`_canon`), a tuple of ints, at `ring`
+    = (conductor, phi), and each action an integer matrix by columns
+    (`_int_action`).  Every image is replaced by its canonical vector, so
+    the search is projective: a point is a line, and an action matters
+    only up to a nonzero scalar.  Raises BoundExceeded with the first
+    bound+1 vectors once a (bound+1)-th appears, as `bfs` does, whose
+    discovery order this keeps: a level's images are scanned by item,
+    then by action.
 
     A level whose frontier has at least `_BATCH_MIN` vectors runs in
     chunks of consecutive items, each computed by `_Batch` as int64
@@ -262,16 +252,15 @@ def int_bfs(start, actions, bound, scales=None, ring=None, inverse=None):
     that index alone (`_Batch.lookup`), and builds tuples only for the
     new ones.
 
-    In a projective search both steps give every image the one exact
-    canonical form (`_canon`, `_Batch.canon`), taking each pivot's
-    inverse from the process-wide `_pivot_inverse`.
+    Both steps give every image the one exact canonical form (`_canon`,
+    `_Batch.canon`), taking each pivot's inverse from the process-wide
+    `_pivot_inverse`.
 
     `inverse`, if given, pairs the actions: `inverse[a]` is the action
-    whose matrix is the inverse of action a's (up to a scalar in a
-    projective search, exactly in a linear one).  An edge v -a-> w then
-    also gives w -inverse[a]-> v, so each such edge is computed once:
-    `known` holds, by discovery position, a flag for each action whose
-    image of that vector is already known.  Both steps set flag
+    whose matrix is the inverse of action a's up to a scalar.  An edge
+    v -a-> w then also gives w -inverse[a]-> v, so each such edge is
+    computed once: `known` holds, by discovery position, a flag for each
+    action whose image of that vector is already known.  Both steps set flag
     inverse[a] on w for every image w they compute from (v, a), whether w
     is new or not; the per-item step skips every action flagged on v, and
     a batched chunk drops the (v, a) flagged before it, ahead of
@@ -279,13 +268,12 @@ def int_bfs(start, actions, bound, scales=None, ring=None, inverse=None):
     so `found`, its order and the truncation point do not depend on
     `inverse` either.
     """
-    scales = [1] * len(actions) if scales is None else list(scales)
     count = len(actions)
     # known[p * count + a]: the image of found[p] under action a is known
     known = None if inverse is None else bytearray(count)
     found = [start]
     seen = {start: 0}  # the vectors the per-item step found -> their positions
-    batch = _Batch(actions, scales, ring)
+    batch = _Batch(actions, ring)
 
     def per_item(lo, hi):
         """The per-item step on found[lo:hi]."""
@@ -295,10 +283,7 @@ def int_bfs(start, actions, bound, scales=None, ring=None, inverse=None):
                 # read afresh: an action that fixes v sets a flag on v itself
                 if known is not None and known[p * count + a]:
                     continue
-                if ring is None:
-                    w = _scaled_apply(cols, scales[a], v)
-                else:
-                    w = _canon(int_apply(cols, v), *ring)
+                w = _canon(int_apply(cols, v), *ring)
                 q = seen.get(w)
                 if q is None and batch.runs:
                     q = batch.find(w)
@@ -382,9 +367,8 @@ class _Batch:
     the row with every stored row of that hash.
     """
 
-    def __init__(self, actions, scales, ring):
+    def __init__(self, actions, ring):
         self.actions = actions
-        self.scales = scales
         self.ring = ring
         self.pivots = {}  # primitive pivot -> (S, cap), see `_pivot`
         self.norm = None  # set by the first batched level
@@ -405,16 +389,13 @@ class _Batch:
                 for r, a in col:
                     sums[r] += abs(a)
             self.norm = max(self.norm, *sums)
-        self.matrix = None  # an action or a scale too large for int64: never batch
-        self.divisors = None
-        if self.norm < _INT64_LIMIT and max(self.scales) < _INT64_LIMIT:
+        self.matrix = None  # an action too large for int64: never batch
+        if self.norm < _INT64_LIMIT:
             self.matrix = np.zeros((size, len(self.actions) * size), dtype=np.int64)
             for k, cols in enumerate(self.actions):
                 for j, col in enumerate(cols):
                     for r, a in col:
                         self.matrix[j, k * size + r] = a
-            if any(x != 1 for x in self.scales):
-                self.divisors = np.array(self.scales, dtype=np.int64)[:, None]
         self.weights = _hash_weights(size).tolist()  # `_row_hashes` of one tuple, in `find`
 
     def distinct_images(self, items, frontier, skip=None):
@@ -439,22 +420,14 @@ class _Batch:
             return None
         if frontier is None:
             frontier = np.array(items, dtype=np.int64)
-        n, size = frontier.shape
-        count = len(self.actions)
-        images = (frontier @ self.matrix).reshape(n, count, size)
-        if self.divisors is not None:
-            if (images % self.divisors).any():
-                raise ArithmeticError(_OFF_LATTICE)
-            images //= self.divisors
-        images = images.reshape(-1, size)
+        images = (frontier @ self.matrix).reshape(-1, frontier.shape[1])
         acts = None
         if skip is not None:
             keep = np.frombuffer(skip, dtype=np.uint8) == 0
-            images, acts = images[keep], np.flatnonzero(keep) % count
-        if self.ring is not None:
-            images = self.canon(images)
-            if images is None:
-                return None
+            images, acts = images[keep], np.flatnonzero(keep) % len(self.actions)
+        images = self.canon(images)
+        if images is None:
+            return None
         hashes = _row_hashes(images)
         labels, first = _group_rows(images, hashes)
         order = first.argsort()  # the classes in scan order
@@ -751,21 +724,24 @@ def int_line_orbit(mats, coords, bound, conductor, inverse=None):
 def kron_lift(left, right=None, affine=False):
     """left (x) right: the matrix of X -> left X right^T on the row-major vec(X).
 
-    All three are d x d; `right` defaults to the identity.  With `affine`
-    the result is diag(1, left (x) right), which acts on (1, vec X).
+    `left` is d x d and `right` e x e, by default the d x d identity; X is
+    d x e, so a vector v -> left v is the case e = 1.  With `affine` the
+    result is diag(1, left (x) right), which acts on (1, vec X).
     """
     d = left.rows
     right = Mat.identity(d) if right is None else right
+    e = right.rows
 
     def nonzero(m):
-        return [(i, k, m[i, k]) for i in range(d) for k in range(d) if not m[i, k].is_zero()]
+        n = m.rows
+        return [(i, k, m[i, k]) for i in range(n) for k in range(n) if not m[i, k].is_zero()]
 
-    rows = [[ZERO] * (d * d) for _ in range(d * d)]
+    rows = [[ZERO] * (d * e) for _ in range(d * e)]
     for i, k, a in nonzero(left):
         for j, l, b in nonzero(right):
-            rows[i * d + j][k * d + l] = a * b
+            rows[i * e + j][k * e + l] = a * b
     if affine:
-        rows = [[ONE] + [ZERO] * (d * d)] + [[ZERO] + row for row in rows]
+        rows = [[ONE] + [ZERO] * (d * e)] + [[ZERO] + row for row in rows]
     return Mat.from_rows(rows)
 
 

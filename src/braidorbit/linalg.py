@@ -286,26 +286,6 @@ def mat_from_json(rows):
     return Mat.from_rows([[parse_cyclo(e) for e in row] for row in rows])
 
 
-def matmul(a, b):
-    return a @ b
-
-
-def det(m):
-    return m.det()
-
-
-def trace(m):
-    return m.trace()
-
-
-def rank(m):
-    return m.rank()
-
-
-def kernel(m):
-    return m.kernel()
-
-
 def eigenspace(m, eigenvalue):
     """Canonical basis of ker(m - eigenvalue * I)."""
     if m.rows != m.cols:

@@ -7,12 +7,19 @@ This module computes reflections, reflection hyperplanes, the regular
 eigenplanes ("proper planes"), orbit strata of projective points, the
 intersection lattice census, the regular polytopes they preserve, and the
 conjugation to the braid-action matrices.
+
+Every orbit here is one projective search of `kernel.int_line_orbit`:
+the strata and the G25 proper planes are orbits of lines, the G32 proper
+planes orbits of Pluecker lines, the reflections orbits of matrices X on
+the lines through (1, vec X), and the regular orbit an orbit of vectors
+v on the lines through (1, v).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 
@@ -160,62 +167,64 @@ class RegularOrbit:
 
     By Steinberg's fixed-point theorem such a vector has a trivial
     stabilizer, so g -> g(base) is a bijection from the group onto the
-    orbit, and the orbit's level-order BFS is a Schreier tree for it.
-    Points are integer coefficient vectors at `conductor`; a generator acts
-    by its integer matrix (`kernel._int_action`) over its integer scale,
-    and the BFS is one linear `kernel.int_bfs`.
+    orbit, and the orbit's level-order BFS is a Schreier tree for it.  A
+    vector v is searched as the line through (1, v), on which g acts by
+    diag(1, g) (`kernel.kron_lift` with a 1 x 1 right factor), so the
+    search is one `kernel.int_line_orbit`.  Each point is that line's
+    canonical vector (den, 0, ..., 0, den v) at `conductor`, the lcm of
+    the given conductor and those of the generators and the base.
+    Raises BoundExceeded past `bound`.
     """
 
     def __init__(self, gens, base, conductor, bound):
         self.generators = gens
-        self.conductor = conductor
         self.base = tuple(cyc(x) for x in base)
-        actions = [_exact_action(g, conductor) for g in gens]
-        self._inverse_actions = [_exact_action(g.inverse(), conductor) for g in gens]
-        start = self._coefficients(self.base)
-        self.points = kernel.int_bfs(
-            start, [cols for cols, _ in actions], bound, scales=[s for _, s in actions]
+        one = Mat.identity(1)
+        lifts = [kernel.kron_lift(g, one, affine=True) for g in gens]
+        self.conductor, phi, self.points, exceeded = kernel.int_line_orbit(
+            lifts, (ONE, *self.base), bound, conductor
         )
-        self.index = {v: i for i, v in enumerate(self.points)}
+        if exceeded:
+            raise BoundExceeded(bound, self.points)
+        self._ring = (self.conductor, phi)
+        self._inverse_actions = [
+            kernel._int_action(kernel.kron_lift(g.inverse(), one, affine=True), self.conductor)
+            for g in gens
+        ]
 
     def __len__(self):
         return len(self.points)
 
-    def _coefficients(self, vec):
-        """The integer coefficient vector of `vec`; ValueError if it has none."""
-        fitted = [x.fit(self.conductor) for x in vec]
-        if any(x.den != 1 for x in fitted):
-            raise ValueError("not an integral vector")
-        return tuple(c for x in fitted for c in x.num)
+    @cached_property
+    def index(self):
+        """The position of each point, built by the first `contains`."""
+        return {v: i for i, v in enumerate(self.points)}
 
     def contains(self, mat):
         """Whether `mat` is the group element that maps base to mat(base).
 
         That element is rebuilt from the Schreier tree: from the point
-        mat(base), step to the image of smallest index under an inverse
-        generator (a BFS parent, a level lower) until the base is reached.
+        mat(base), step to the canonical image of smallest index under an
+        inverse generator (a BFS parent, a level lower) until the base is
+        reached.  An image of the base outside Q(zeta_conductor), or off
+        the orbit, gives False.
         """
         try:
-            i = self.index.get(self._coefficients(mat.apply(self.base)))
+            image = [x.fit(self.conductor) for x in mat.apply(self.base)]
         except ValueError:
             return False
+        i = self.index.get(kernel.line_vector((ONE, *image), self.conductor))
         if i is None:
             return False
         elem = Mat.identity(len(self.base))
         while i:
             v = self.points[i]
             i, a = min(
-                (self.index[kernel._scaled_apply(*inv, v)], a)
-                for a, inv in enumerate(self._inverse_actions)
+                (self.index[kernel._canon(kernel.int_apply(cols, v), *self._ring)], a)
+                for a, cols in enumerate(self._inverse_actions)
             )
             elem = elem @ self.generators[a]
         return elem == mat
-
-
-def _exact_action(m, conductor):
-    """(integer columns, scale) with m v = columns(v) / scale (`kernel._scaled_apply`)."""
-    scale = lcm(*(x.promote(conductor).den for x in m.entries))
-    return kernel._int_action(m, conductor), scale
 
 
 def _reflection_normal(blob, d, conductor):
@@ -422,27 +431,19 @@ def _plucker_rref(w, pairs, dim, conductor, phi):
 # ---- incidence, stabilizers, strata -----------------------------------------
 
 
+def _normals_through(normals, point):
+    """How many of the hyperplanes with these normals contain `point`."""
+    return sum(sum((a * b for a, b in zip(h, point)), ZERO).is_zero() for h in normals)
+
+
 def hyperplanes_through(group, point):
-    count = 0
-    for h in group.hyperplanes:
-        acc = ZERO
-        for a, b in zip(h, point):
-            acc = acc + a * b
-        if acc.is_zero():
-            count += 1
-    return count
+    return _normals_through(group.hyperplanes, point)
 
 
 def proper_planes_through(group, point):
-    count = 0
     if group.name == "g25":
-        for h in group.proper_planes:
-            acc = ZERO
-            for a, b in zip(h, point):
-                acc = acc + a * b
-            if acc.is_zero():
-                count += 1
-        return count
+        return _normals_through(group.proper_planes, point)
+    count = 0
     # the point lies in the plane iff it is point[a] row1 + point[b] row2,
     # with a and b the pivot columns of the RREF rows
     for row1, row2 in group.proper_planes:
@@ -704,7 +705,7 @@ def polytope_vertices(which):
         # This is the single 240-point orbit of the generators above.  The
         # classical coordinate list differs by conjugating with
         # diag(1,1,1,-1) (fourth coordinate negated in the mixed families)
-        # and scales the axis vertices by theta = w - w^2, which puts them
+        # and multiplies the axis vertices by theta = w - w^2, which puts them
         # on the same sphere of radius sqrt(3) as the rest.
         theta = W - W * W
         out = []

@@ -323,12 +323,22 @@ def test_int64_guard_falls_back_to_the_python_step(monkeypatch, exponent, refuse
     assert max(abs(x) for v in batched[2] for x in v) >= 1 << 63
 
 
-@pytest.mark.parametrize("batch_min", [1, 1 << 62])
-def test_regular_orbit_off_the_lattice_is_an_error(monkeypatch, batch_min):
-    # (1, 2, 5): a generator with scale 3 takes the orbit off Z^(3 phi)
-    monkeypatch.setattr(kernel, "_BATCH_MIN", batch_min)
-    with pytest.raises(ArithmeticError, match="off the integer lattice"):
-        reflgrp.RegularOrbit(reflgrp.g25_generators(), (1, 2, 5), 3, 1000)
+@pytest.mark.parametrize(
+    "base, dens", [((1, 2, 3), {1}), ((1, 2, 5), {1, 3})], ids=["1-2-3", "1-2-5"]
+)
+def test_regular_orbit_matches_a_search_over_cyclotomic_vectors(monkeypatch, base, dens):
+    # (1, 2, 5) leaves the integer lattice: some of its points have the
+    # denominator 3.  The reference shares no integer code with the search:
+    # `bfs` over tuples of Cyclotomic under Mat.apply
+    gens = reflgrp.g25_generators()
+    batched, per_item = _batched_and_per_item(
+        monkeypatch, lambda: reflgrp.RegularOrbit(gens, base, 3, 1000)
+    )
+    assert batched.points == per_item.points
+    want = kernel.bfs(tuple(map(cyc, base)), lambda v: (g.apply(v) for g in gens), 1000)
+    assert len(want) == 648
+    assert [kernel.line_coords(w, batched.conductor)[1:] for w in batched.points] == want
+    assert {w[0] for w in batched.points} == dens
 
 
 def test_hash_collisions_regroup_exactly(monkeypatch):
@@ -344,10 +354,22 @@ def test_hash_collisions_regroup_exactly(monkeypatch):
 
 
 def test_action_too_large_for_int64_runs_per_item(monkeypatch):
-    # x -> (2^70 x) / 2^70 cannot be stacked into an int64 matrix
+    # the scalar 2^70 I fixes every line, but cannot be stacked into an
+    # int64 matrix: every level, though batched by size, runs per item
     monkeypatch.setattr(kernel, "_BATCH_MIN", 1)
+    refused = []
+    distinct_images = kernel._Batch.distinct_images
+
+    def spy(self, *args):
+        out = distinct_images(self, *args)
+        refused.append(out is None)
+        return out
+
+    monkeypatch.setattr(kernel._Batch, "distinct_images", spy)
     huge = 1 << 70
-    assert kernel.int_bfs((1, 2), [[((0, huge),), ((1, huge),)]], 10, scales=[huge]) == [(1, 2)]
+    scalar, swap = [((0, huge),), ((1, huge),)], [((1, 1),), ((0, 1),)]
+    assert kernel.int_bfs((1, 2), [scalar, swap], 10, (1, 1)) == [(1, 2), (2, 1)]
+    assert refused == [True, True]
 
 
 # ---- the pivot-inverse memo ------------------------------------------------------

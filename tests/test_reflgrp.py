@@ -300,6 +300,14 @@ def test_g32_membership(g32):
     assert not g32.contains(t @ p)
 
 
+def test_g25_membership_of_matrices_off_the_orbit(g25):
+    assert g25.contains(Mat.identity(3).scale(W))  # the centre
+    # the image (1/2, 1, 3/2) of the base is not integral: no orbit point
+    assert not g25.contains(Mat.identity(3).scale(cyc(1) / 2))
+    # the image (zeta12, 2, 3) lies outside Q(omega)
+    assert not g25.contains(Mat.from_rows([[zeta(12, 1), 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
 def test_element_and_reflection_bytes_are_pinned(g25, g32):
     # the order `group --full` prints and the blob scans and the benchmark index into
     def digest(blobs):

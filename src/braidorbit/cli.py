@@ -355,116 +355,37 @@ def _generic_representative(lp, generic_size):
 
 
 def cmd_tables(args):
-    rows_out = []
-    status_ok = True
+    rows = []  # case id, lambda, tau, expected size, computed size, whether it passed
     if args.which in (1, 2, 3):
         for lp in _table_123_cases(args.which):
+            lam = " ".join(render(x) for x in lp.lambdas)
             fam = table_rows(lp)
-            for row in fam.rows:
-                size = _bfs_size(row.rep)
-                ok = size == row.size
-                status_ok &= ok
-                rows_out.append(
-                    {
-                        "case-id": row.label,
-                        "lambda": " ".join(render(x) for x in lp.lambdas),
-                        "tau": " ".join(render(x) for x in row.rep.tau_full()),
-                        "expected_size": row.size,
-                        "computed_size": size,
-                        "status": "PASS" if ok else "FAIL",
-                    }
-                )
+            cases = [(row.label, row.rep, row.size) for row in fam.rows]
             generic = _generic_representative(lp, fam.generic_size)
-            size = _bfs_size(generic)
-            ok = size == fam.generic_size
-            status_ok &= ok
-            rows_out.append(
-                {
-                    "case-id": f"{fam.name}-generic",
-                    "lambda": " ".join(render(x) for x in lp.lambdas),
-                    "tau": " ".join(render(x) for x in generic.tau_full()),
-                    "expected_size": fam.generic_size,
-                    "computed_size": size,
-                    "status": "PASS" if ok else "FAIL",
-                }
-            )
+            cases.append((f"{fam.name}-generic", generic, fam.generic_size))
+            for case_id, rep, expected in cases:
+                size = _bfs_size(rep)
+                tau = " ".join(render(x) for x in rep.tau_full())
+                rows.append([case_id, lam, tau, expected, size, size == expected])
     elif args.which in (4, 5):
-        from .cyclo import zeta
-
-        if args.which == 4:
-            g = _build_group("g25")
-            nu = zeta(9, 1)
-            rep54, _ = reflgrp.g25_order12_representative(g)
-            cases = [
-                ("order-9-line", (nu, nu**2, cyc(1)), 72),
-                ("order-12-line", rep54, 54),
-                ("line-on-2-planes", (cyc(1), cyc(0), cyc(0)), 12),
-                ("line-on-4-planes", (cyc(1), cyc(-1), cyc(0)), 9),
-                ("plane-and-proper", (cyc(1), cyc(1), cyc(0)), 36),
-                ("generic-in-plane", (cyc(1), cyc(2), cyc(0)), 72),
-                ("generic-on-proper", (cyc(1), cyc(1), cyc(3)), 108),
-                ("generic", (cyc(1), cyc(2), cyc(5)), 216),
-            ]
-        else:
-            g = _build_group("g32")
-            nu9, eta = zeta(9, 1), zeta(12, 1)
-            v30, _, _, _ = reflgrp.g32_order30_representative()
-            v24, _, _, _ = reflgrp.g32_order24_representative()
-            basis, _ = reflgrp._g32_seed_plane()
-            on_e = tuple(a + 2 * b for a, b in zip(basis[0], basis[1]))
-            cases = [
-                ("generic", (cyc(1), cyc(2), cyc(3), cyc(5)), 25920),
-                ("order-30-line", v30, 5184),
-                ("generic-on-proper", on_e, 12960),
-                ("order-24-line", v24, 6480),
-                ("generic-in-hyperplane", (cyc(1), cyc(2), cyc(5), cyc(0)), 8640),
-                ("order-9-line", (nu9, nu9**2, cyc(1), cyc(0)), 2880),
-                ("line-on-2-hyperplanes", (cyc(1), cyc(2), cyc(0), cyc(0)), 2880),
-                ("on-2-and-3-proper", (cyc(1), eta, cyc(0), cyc(0)), 1440),
-                ("line-on-4-hyperplanes", (cyc(2), cyc(1), cyc(1), cyc(0)), 1080),
-                ("on-4-and-6-proper", _line_540(g), 540),
-                ("line-on-5-hyperplanes", (cyc(1), cyc(1), cyc(0), cyc(0)), 360),
-                ("line-on-12-hyperplanes", (cyc(0), cyc(1), cyc(0), cyc(0)), 40),
-            ]
+        g = _build_group("g25" if args.which == 4 else "g32")
+        cases = (reflgrp.table4_cases if args.which == 4 else reflgrp.table5_cases)(g)
         for case_id, point, expected in cases:
             label = reflgrp.stratify(g, point)
+            tau = "[" + " : ".join(render(cyc(x)) for x in point) + "]"
             ok = label.orbit_size == expected and label.in_table
-            status_ok &= ok
-            rows_out.append(
-                {
-                    "case-id": case_id,
-                    "lambda": g.name,
-                    "tau": "[" + " : ".join(render(cyc(x)) for x in point) + "]",
-                    "expected_size": expected,
-                    "computed_size": label.orbit_size,
-                    "status": "PASS" if ok else "FAIL",
-                }
-            )
+            rows.append([case_id, g.name, tau, expected, label.orbit_size, ok])
     else:
         raise ValueError("tables are numbered 1 to 5")
 
     out_path = args.out or f"table{args.which}.csv"
     with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["case-id", "lambda", "tau", "expected_size", "computed_size", "status"],
-        )
-        writer.writeheader()
-        writer.writerows(rows_out)
-    print(f"wrote {out_path}: {sum(r['status'] == 'PASS' for r in rows_out)}/{len(rows_out)} PASS")
-    return 0 if status_ok else 1
-
-
-def _line_540(g):
-    basis, _ = reflgrp._g32_seed_plane()
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            if a == 0 and b == 0:
-                continue
-            v = tuple(cyc(a) * x + cyc(b) * y for x, y in zip(basis[0], basis[1]))
-            if reflgrp.hyperplanes_through(g, v) == 4:
-                return v
-    raise RuntimeError("no 540-line found")
+        writer = csv.writer(fh)
+        writer.writerow(["case-id", "lambda", "tau", "expected_size", "computed_size", "status"])
+        writer.writerows(row[:5] + ["PASS" if row[5] else "FAIL"] for row in rows)
+    passed = sum(row[5] for row in rows)
+    print(f"wrote {out_path}: {passed}/{len(rows)} PASS")
+    return 0 if passed == len(rows) else 1
 
 
 def main(argv=None):

@@ -9,10 +9,17 @@ intersection lattice census, the regular polytopes they preserve, and the
 conjugation to the braid-action matrices.
 
 Every orbit here is one projective search of `kernel.int_line_orbit`:
-the strata and the G25 proper planes are orbits of lines, the G32 proper
-planes orbits of Pluecker lines, the reflections orbits of matrices X on
-the lines through (1, vec X), and the regular orbit an orbit of vectors
-v on the lines through (1, v).
+the strata are orbits of lines, the proper planes orbits of Pluecker
+lines, the reflections orbits of matrices X on the lines through
+(1, vec X), and the regular orbit an orbit of vectors v on the lines
+through (1, v).
+
+Every incidence is one integer test (`containing`) against a family of
+subspaces cut out by linear forms (`Subspaces`): a hyperplane's normal
+(G25 keeps its proper planes so), or the four forms x -> (x ^ P)_ijk of
+a G32 proper plane's Pluecker vector P (`_plucker_forms`).  The strata,
+the premise of the regular orbit and the lattice census all count
+incidences so.
 """
 
 from __future__ import annotations
@@ -21,11 +28,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from . import kernel
 from .charvar import LinearPart, matrix_of_sigma
-from .cyclo import Cyclotomic, cyc, euler_phi, order_of_root, zeta
+from .cyclo import _reduction_rows, cyc, euler_phi, order_of_root, zeta
 from .linalg import Mat, eigenspace, is_complex_reflection, mat_parallel, matrix_order
 
 W = zeta(3, 1)  # omega
@@ -143,7 +150,9 @@ class ReflGroup:
     elements: list = None  # kernel blobs at `conductor`; G25 only
     reflections: list = None  # kernel blobs at `conductor`
     hyperplanes: list = None  # canonical normals, tuples of Cyclotomic
-    proper_planes: list = None  # G25: normals; G32: 2-row RREF bases
+    proper_planes: list = None  # G25: normals; G32: canonical Pluecker vectors
+    hyperplane_forms: Subspaces = None  # the hyperplanes, for `containing`
+    proper_plane_forms: Subspaces = None  # the proper planes, for `containing`
     regular_orbit: RegularOrbit = field(default=None, repr=False)
 
     def ring(self):
@@ -281,13 +290,23 @@ def build_g25():
     # the stabilizer scans and their oracle tests read the 648 elements
     blobs = [kernel.to_blob_matrix(g, group.conductor) for g in group.generators]
     group.elements = kernel.closure(blobs, group.dim, group.conductor, group.order)
-    group.proper_planes = _g25_proper_planes(group)
+    # the nine order-6 regular eigenplanes, by their normals: in C^3 the
+    # plane with Pluecker vector (p01, p02, p12) has the normal (p12, -p02, p01)
+    seed = Mat.from_rows([[0, -1, 0], [-W, 0, 0], [0, 0, -(W * W)]])
+    assert group.contains(seed)
+    basis = eigenspace(seed, -(W * W))
+    assert len(basis) == 2
+    planes = _plane_orbit_py(group.generators, basis, group.conductor, 100)
+    group.proper_planes = [(p12, -p02, p01) for p01, p02, p12 in planes]
+    group.proper_plane_forms = Subspaces(group.proper_planes)
     return group
 
 
 def build_g32():
     group = _build("g32", g32_generators(), (1, 2, 3, 5), 160_000, G32_DEGREES, G32_CODEGREES)
-    group.proper_planes = _g32_proper_planes(group)
+    basis, _ = _g32_seed_plane()
+    group.proper_planes = _plane_orbit_py(group.generators, basis, conductor=12, bound=600)
+    group.proper_plane_forms = Subspaces(group.proper_planes, plane_dim=group.dim)
     return group
 
 
@@ -317,29 +336,7 @@ def _fill_reflection_data(group):
                 if r is g:
                     normals.update(dict.fromkeys(_reflection_normal(b, d, c) for b in orbit))
     group.hyperplanes = [kernel.line_coords(w, c) for w in normals]
-
-
-def _g25_proper_planes(group):
-    """The order-6 regular eigenplanes of G25, one orbit of 9, as normals."""
-    seed = Mat.from_rows([[0, -1, 0], [-W, 0, 0], [0, 0, -(W * W)]])
-    assert group.contains(seed)
-    basis = eigenspace(seed, -(W * W))
-    assert len(basis) == 2
-    normal = _plane_normal(basis)
-    # orbit of the normal under (g^T)^-1 = transpose of g^-1
-    duals = [g.inverse().transpose() for g in group.generators]
-    conductor, _, found, exceeded = kernel.int_line_orbit(duals, normal, 100, group.conductor)
-    normals = [kernel.line_coords(w, conductor) for w in found]
-    if exceeded:
-        raise BoundExceeded(100, normals)
-    return normals
-
-
-def _plane_normal(basis):
-    m = Mat.from_rows(basis)
-    ker = m.kernel()
-    assert len(ker) == 1
-    return tuple(ker[0])
+    group.hyperplane_forms = Subspaces(group.hyperplanes)
 
 
 def g32_t_element(group=None):
@@ -366,29 +363,24 @@ def _g32_seed_plane():
     raise AssertionError("T^2 must have a 2-dimensional twelfth-root eigenspace")
 
 
-def _g32_proper_planes(group):
-    basis, _ = _g32_seed_plane()
-    return _plane_orbit_py(group.generators, basis, conductor=12, bound=600)
-
-
 def _plane_orbit_py(gens, basis, conductor, bound):
-    """Orbit of the plane spanned by two basis rows, as RREF row pairs.
+    """Orbit of the plane spanned by two basis rows, as Pluecker vectors.
 
     The plane is the line through its Pluecker vector p_kl = r1_k r2_l -
     r1_l r2_k (k < l, in lexicographic order) in the exterior square, on
     which g acts by its second compound (`_compound2`).  So the plane orbit
     is one `kernel.int_line_orbit`, at the lcm of `conductor` and the
-    conductors of the entries, and each plane's RREF is read off its
-    canonical vector (`_plucker_rref`).  Returns the RREF bases in
-    discovery order, the first being that of `basis`; raises BoundExceeded
-    once more than `bound` planes are found.
+    conductors of the entries.  Returns each plane's canonical Pluecker
+    vector (`kernel.line_coords`) in discovery order, the first being that
+    of `basis`; raises BoundExceeded once more than `bound` planes are
+    found.
     """
     r1, r2 = ([cyc(x) for x in row] for row in basis)
     pairs = list(combinations(range(len(r1)), 2))
     start = [r1[k] * r2[l] - r1[l] * r2[k] for k, l in pairs]
     compounds = [_compound2(g, pairs) for g in gens]
-    conductor, phi, found, exceeded = kernel.int_line_orbit(compounds, start, bound, conductor)
-    planes = [_plucker_rref(w, pairs, len(r1), conductor, phi) for w in found]
+    conductor, _, found, exceeded = kernel.int_line_orbit(compounds, start, bound, conductor)
+    planes = [kernel.line_coords(w, conductor) for w in found]
     if exceeded:
         raise BoundExceeded(bound, planes)
     return planes
@@ -405,58 +397,102 @@ def _compound2(g, pairs):
     )
 
 
-def _plucker_rref(w, pairs, dim, conductor, phi):
-    """RREF rows of the plane whose canonical Pluecker vector is `w`.
-
-    The pivot columns (a, b) are the first pair with p_ab != 0, which
-    `kernel._canon` made a positive integer.  With p_lk = -p_kl and
-    p_ll = 0, row 1 is p_lb / p_ab and row 2 is p_al / p_ab over l.
-    """
-    blocks = dict(zip(pairs, (w[i : i + phi] for i in range(0, len(w), phi))))
-    a, b = next(pair for pair in pairs if any(blocks[pair]))
-    den = blocks[a, b][0]
-
-    def entry(k, l):  # p_kl / p_ab
-        if k == l:
-            coeffs = [0] * phi
-        elif k < l:
-            coeffs = blocks[k, l]
-        else:
-            coeffs = [-x for x in blocks[l, k]]
-        return Cyclotomic._make(conductor, coeffs, den)
-
-    return [[entry(l, b) for l in range(dim)], [entry(a, l) for l in range(dim)]]
-
-
 # ---- incidence, stabilizers, strata -----------------------------------------
 
 
-def _normals_through(normals, point):
-    """How many of the hyperplanes with these normals contain `point`."""
-    return sum(sum((a * b for a, b in zip(h, point)), ZERO).is_zero() for h in normals)
+def _plucker_forms(blocks, dim):
+    """The forms x -> (x ^ P)_ijk = x_i P_jk - x_j P_ik + x_k P_ij, i < j < k.
+
+    `blocks` are P's coordinates p_kl (k < l, in lexicographic order) as
+    integer coefficient blocks; a form's blocks are signed copies of them.
+    A point lies on the plane of P iff x ^ P = 0, that is iff every form
+    vanishes (Hodge and Pedoe, Methods of Algebraic Geometry I, ch. VII).
+    """
+    coord = dict(zip(combinations(range(dim), 2), blocks))
+    forms = []
+    for i, j, k in combinations(range(dim), 3):
+        f = [[0] * len(blocks[0])] * dim
+        f[i], f[j], f[k] = coord[j, k], [-c for c in coord[i, k]], coord[i, j]
+        forms.append(f)
+    return forms
+
+
+class Subspaces:
+    """Subspaces of C^d given by vectors of Cyclotomic values.
+
+    Each vector is a hyperplane's normal, or with `plane_dim` = d the
+    Pluecker vector of a plane, cut out by its `_plucker_forms`; `width` is
+    the number of forms per subspace.  Their integer matrix (`matrix`) is
+    built on the first `containing`, so planes never tested never build it.
+    """
+
+    def __init__(self, vectors, plane_dim=None):
+        self.vectors = vectors
+        self.plane_dim = plane_dim
+        self.width = 1 if plane_dim is None else comb(plane_dim, 3)
+
+    @cached_property
+    def matrix(self):
+        """(N0, top, rows): each form's coefficients in the power basis at
+        N0, the lcm of the vectors' conductors (`kernel._int_vectors`), as
+        one row of an int64 array, or of Python ints if top = max|entry|
+        >= 2^62."""
+        import numpy as np
+
+        conductor = lcm(1, *(x.n for v in self.vectors for x in v))
+        rows = []
+        for v in self.vectors:
+            blocks = kernel._int_vectors(v, conductor)
+            forms = [blocks] if self.plane_dim is None else _plucker_forms(blocks, self.plane_dim)
+            rows.extend([c for block in f for c in block] for f in forms)
+        top = max(abs(c) for row in rows for c in row)
+        dtype = np.int64 if top < kernel._INT64_LIMIT else object
+        return conductor, top, np.array(rows, dtype=dtype)
+
+
+def containing(family, points):
+    """Whether each subspace of `family` contains all of `points`: a bool array.
+
+    At N, the lcm of the family's conductor N0 and the points', row (k, t)
+    of a small integer matrix holds the coefficients of zeta_N0^t x_k for
+    each point x (zeta_N0 = zeta_N^(N/N0), one `kernel._times_x` per power
+    of zeta_N): the points' multiplication action, read in the power basis
+    at N0.  The family's rows times it are the coefficients of the forms'
+    values at the points, and a subspace contains the points iff all its
+    forms' values are zero.  The product is on int64 when max|rows| times
+    the matrix's largest column l1-norm, which bounds every value, is
+    below 2^62, and else on Python ints (dtype object).
+    """
+    import numpy as np
+
+    family_conductor, top, rows = family.matrix
+    points = [[cyc(x) for x in p] for p in points]
+    conductor = lcm(family_conductor, *(x.n for p in points for x in p))
+    phi = euler_phi(conductor)
+    size = len(points) * phi
+    vectors = [kernel._int_vectors(p, conductor) for p in points]
+    top_x = _reduction_rows(conductor)[0] if phi > 1 else ()
+    step = conductor // family_conductor
+    matrix = []
+    for k in range(len(points[0])):
+        blocks = [v[k] for v in vectors]
+        for t in range(euler_phi(family_conductor)):
+            if t:
+                for _ in range(step):
+                    blocks = [kernel._times_x(b, top_x) for b in blocks]
+            matrix.append([c for b in blocks for c in b])
+    norm = max(sum(abs(row[r]) for row in matrix) for r in range(size))
+    dtype = np.int64 if top * norm < kernel._INT64_LIMIT else object
+    values = rows.astype(dtype, copy=False) @ np.array(matrix, dtype=dtype)
+    return (values.reshape(-1, family.width * size) == 0).all(axis=1)
 
 
 def hyperplanes_through(group, point):
-    return _normals_through(group.hyperplanes, point)
+    return int(containing(group.hyperplane_forms, [point]).sum())
 
 
 def proper_planes_through(group, point):
-    if group.name == "g25":
-        return _normals_through(group.proper_planes, point)
-    count = 0
-    # the point lies in the plane iff it is point[a] row1 + point[b] row2,
-    # with a and b the pivot columns of the RREF rows
-    for row1, row2 in group.proper_planes:
-        a = next(k for k, e in enumerate(row1) if e)
-        b = next(k for k, e in enumerate(row2) if e)
-        pa, pb = point[a], point[b]
-        if all(
-            point[k] == pa * row1[k] + pb * row2[k]
-            for k in range(len(point))
-            if k != a and k != b
-        ):
-            count += 1
-    return count
+    return int(containing(group.proper_plane_forms, [point]).sum())
 
 
 def point_conductor(group, point):
@@ -497,11 +533,13 @@ class StratumLabel:
 def stratify(group, point):
     """Incidence counts plus the exact orbit size of the line through `point`.
 
-    The size is that of the line's orbit under the generators
-    (`kernel.int_line_orbit`, at the lcm of the group's and the point's
-    conductors), bounded by |G|.  By the orbit-stabilizer theorem it
-    divides |G|, and |G| / size is the order of the line stabilizer that
-    `line_stabilizer_order` counts by a scan of the elements.
+    The counts are those of the hyperplanes and of the proper planes that
+    contain the point, each one `containing` test.  The size is that of
+    the line's orbit under the generators (`kernel.int_line_orbit`, at the
+    lcm of the group's and the point's conductors), bounded by |G|.  By
+    the orbit-stabilizer theorem it divides |G|, and |G| / size is the
+    order of the line stabilizer that `line_stabilizer_order` counts by a
+    scan of the elements.
     """
     point = tuple(cyc(e) for e in point)
     if len(point) != group.dim:
@@ -606,6 +644,57 @@ def g32_order24_representative():
     raise AssertionError("no order-24 eigenvalue found")
 
 
+def table4_cases(group):
+    """Table 4 on G25: (case id, representative point, orbit size) per row."""
+    nu = zeta(9, 1)
+    rep54, _ = g25_order12_representative(group)
+    return [
+        ("order-9-line", (nu, nu**2, ONE), 72),
+        ("order-12-line", rep54, 54),
+        ("line-on-2-planes", (ONE, ZERO, ZERO), 12),
+        ("line-on-4-planes", (ONE, -ONE, ZERO), 9),
+        ("plane-and-proper", (ONE, ONE, ZERO), 36),
+        ("generic-in-plane", (ONE, cyc(2), ZERO), 72),
+        ("generic-on-proper", (ONE, ONE, cyc(3)), 108),
+        ("generic", (ONE, cyc(2), cyc(5)), 216),
+    ]
+
+
+def table5_cases(group):
+    """Table 5 on G32: (case id, representative point, orbit size) per row."""
+    nu9, eta = zeta(9, 1), zeta(12, 1)
+    v30 = g32_order30_representative()[0]
+    v24 = g32_order24_representative()[0]
+    basis, _ = _g32_seed_plane()
+    on_e = tuple(a + 2 * b for a, b in zip(basis[0], basis[1]))
+    return [
+        ("generic", (ONE, cyc(2), cyc(3), cyc(5)), 25920),
+        ("order-30-line", v30, 5184),
+        ("generic-on-proper", on_e, 12960),
+        ("order-24-line", v24, 6480),
+        ("generic-in-hyperplane", (ONE, cyc(2), cyc(5), ZERO), 8640),
+        ("order-9-line", (nu9, nu9**2, ONE, ZERO), 2880),
+        ("line-on-2-hyperplanes", (ONE, cyc(2), ZERO, ZERO), 2880),
+        ("on-2-and-3-proper", (ONE, eta, ZERO, ZERO), 1440),
+        ("line-on-4-hyperplanes", (cyc(2), ONE, ONE, ZERO), 1080),
+        ("on-4-and-6-proper", _line_on_4_hyperplanes(group, basis), 540),
+        ("line-on-5-hyperplanes", (ONE, ONE, ZERO, ZERO), 360),
+        ("line-on-12-hyperplanes", (ZERO, ONE, ZERO, ZERO), 40),
+    ]
+
+
+def _line_on_4_hyperplanes(group, basis):
+    """A line a r1 + b r2 of the seed plane on 4 hyperplanes: row (540, 4, 6)."""
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            if a == 0 and b == 0:
+                continue
+            v = tuple(a * x + b * y for x, y in zip(basis[0], basis[1]))
+            if hyperplanes_through(group, v) == 4:
+                return v
+    raise AssertionError("no 4-hyperplane line found in the seed plane")
+
+
 # ---- lattice census ----------------------------------------------------------
 
 
@@ -636,13 +725,7 @@ def lattice_census(group_or_normals, dim=None):
         if dim is None:
             dim = len(normals[0])
 
-    # incidence is tested on integers: h . v for every normal h at once is
-    # the integer matrix of the normals times v's coefficient vector
-    hyperplanes = Mat.from_rows([list(h) for h in normals])
-    conductor = lcm(*(x.n for x in hyperplanes.entries))
-    phi = euler_phi(conductor)
-    incidence = kernel._int_action(hyperplanes, conductor)
-    slots = len(normals) * phi
+    hyperplanes = Subspaces(normals)
 
     def flats(size):
         """The hyperplanes containing each flat of codimension `size`."""
@@ -654,28 +737,22 @@ def lattice_census(group_or_normals, dim=None):
             ker = Mat.from_rows([list(normals[i]) for i in subset]).kernel()
             if len(ker) != dim - size:
                 continue
-            vectors = ([c for x in kernel._int_vectors(row, conductor) for c in x] for row in ker)
-            images = [kernel.int_apply(incidence, v, slots) for v in vectors]
-            containing = [
-                i
-                for i in range(len(normals))
-                if not any(any(w[i * phi : i * phi + phi]) for w in images)
-            ]
-            covered.update(combinations(containing, size))
-            found.append([normals[i] for i in containing])
+            through = containing(hyperplanes, ker).nonzero()[0].tolist()
+            covered.update(combinations(through, size))
+            found.append([normals[i] for i in through])
         return found
 
     def incidences(found):  # in the order each count first appears
-        return dict(Counter(len(containing) for containing in found))
+        return dict(Counter(len(through) for through in found))
 
     codim2 = flats(2)
     ortho_ok = True
-    for containing in codim2:
-        if len(containing) == 2:
-            ortho_ok = ortho_ok and _hermitian_orthogonal(containing[0], containing[1])
-        elif len(containing) == 4:
+    for planes in codim2:
+        if len(planes) == 2:
+            ortho_ok = ortho_ok and _hermitian_orthogonal(planes[0], planes[1])
+        elif len(planes) == 4:
             ortho_ok = ortho_ok and not any(
-                _hermitian_orthogonal(containing[a], containing[b])
+                _hermitian_orthogonal(planes[a], planes[b])
                 for a in range(4)
                 for b in range(a + 1, 4)
             )

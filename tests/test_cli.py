@@ -295,6 +295,34 @@ def test_module_entry_point_runs_from_a_checkout(capsys, tmp_path):
     assert proc.stdout == run(capsys, *argv)[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify4", "--lambda", "z12,z12^5,z12^3,z12^3"],
+        ["orbit", "--lambda", "z12,z12^5,z12^3,z12^3", "--tau", "z12^3,0,0"],
+        ["tables", "--which", "1"],
+    ],
+)
+def test_small_commands_never_import_numpy(tmp_path, argv):
+    # the README's claim for small orbits, such as the four-puncture tables
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "from braidorbit.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.exit('numpy was imported' if 'numpy' in sys.modules else code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_strata_command(capsys):
     code, out = run(capsys, "strata", "--which", "g25", "--point", "[1:-1:0]")
     data = json.loads(out)
@@ -643,3 +671,61 @@ def test_lattice_command_g32(capsys, shared_g32):
     code, out = run(capsys, "lattice", "--which", "g32")
     assert code == 0
     assert out == LATTICE_G32_JSON
+
+
+# sha256 of what each command writes: the CSV for `tables`, stdout otherwise
+PINNED_OUTPUTS = [
+    (
+        ["tables", "--which", "4"],
+        "b4fd0b29fb2342832d73d967f960b92e1ed6c2c4c96d26b20f55b2a21a392fd0",
+    ),
+    (
+        ["tables", "--which", "5"],
+        "d9ae0cfd554b78743f8dbe1f3f0d2e4a4dcd7afdf9e1db4312f809f988cb30b3",
+    ),
+    (
+        ["strata", "--which", "g25", "--point", "[1:2:0]"],
+        "a173f9966a16b399b80188fcfa64445713a4c3654e4305a758d4be654fef2718",
+    ),
+    (
+        ["strata", "--which", "g32", "--point", "[1:2:3:7]"],
+        "fe2508ee45838f69e4eb8e9d99f1d7f0eb96498a99f4c681831f2b78163f1ff0",
+    ),
+    (
+        ["strata", "--which", "g32", "--point", "[-3:0:-3 + 3*z12^2:-3 - 6*z12 + 3*z12^3]"],
+        "408a75281888dd45904ef6d8ca3707e6dbed5a1ee2e388bebe234e0059afbbfc",
+    ),
+    (
+        ["lattice", "--which", "g25"],
+        "ac2dbf64c851cbfb5e20b152cf0c56b9a8722c5e30af60eccb609307cf7f5cdd",
+    ),
+    (
+        ["lattice", "--which", "g32"],
+        "2e64eabc7b028ad1a5eafd590e7c5075109c3f9b4a71875d3801920a1ebb9eb3",
+    ),
+    (
+        ["group", "--which", "g25", "--full"],
+        "a43663914c379cf870ab379ae31700c9646531d3b5272434ef4200261e3e0808",
+    ),
+    (
+        ["group", "--which", "g32", "--full"],
+        "6c8473c22708127e7f77a3a875e34ad8509e01dd0ae35de714884a2f1f47e516",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_OUTPUTS, ids=[" ".join(a) for a, _ in PINNED_OUTPUTS]
+)
+def test_reflection_group_outputs_pinned(tmp_path, capsys, monkeypatch, g25, g32, argv, digest):
+    # the commands build their group from scratch; here they reuse the session's
+    monkeypatch.setattr(cli, "_build_group", {"g25": g25, "g32": g32}.__getitem__)
+    if argv[0] == "tables":
+        out_path = tmp_path / "table.csv"
+        code, _ = run(capsys, *argv, "--out", str(out_path))
+        out = out_path.read_bytes()
+    else:
+        code, text = run(capsys, *argv)
+        out = text.encode()
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == digest

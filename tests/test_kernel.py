@@ -769,7 +769,7 @@ def test_int_action_recurrence_matches_unit_vectors(conductor):
 
 @pytest.mark.parametrize("conductor", [1, 3, 12])
 def test_int_action_of_a_rectangular_matrix(conductor):
-    # r x c: c * phi columns, output slots below r * phi, as lattice_census uses it
+    # r x c: c * phi columns, output slots below r * phi
     rng = random.Random(conductor)
     phi = euler_phi(conductor)
     for rows, cols in ((5, 3), (2, 4), (1, 2)):

@@ -195,19 +195,35 @@ def _plane_orbit_by_rref(gens, basis, conductor, bound):
     return found
 
 
+def _plucker_rref(p, dim):
+    """The RREF basis of the plane with Pluecker vector p (p_kl, k < l).
+
+    Row k of the skew matrix (p_kl) is r1_k r2 - r2_k r1 for p = r1 ^ r2,
+    so its rows span the plane.
+    """
+    coord = dict(zip(((k, l) for k in range(dim) for l in range(k + 1, dim)), p))
+    skew = [
+        [coord[k, l] if k < l else -coord[l, k] if k > l else ZERO for l in range(dim)]
+        for k in range(dim)
+    ]
+    red, _ = Mat.from_rows(skew).rref()
+    return [list(red.row(i)) for i in range(2)]
+
+
 def test_plane_orbit_matches_rref_bfs():
     seed = Mat.from_rows([[0, -1, 0], [-W, 0, 0], [0, 0, -(W * W)]])
     basis = eigenspace(seed, -(W * W))
     gens = reflgrp.g25_generators()
     planes = reflgrp._plane_orbit_py(gens, basis, 3, 100)
     assert len(planes) == 9
-    assert planes == _plane_orbit_by_rref(gens, basis, 3, 100)
+    rref = [_plucker_rref(p, 3) for p in planes]
+    assert rref == _plane_orbit_by_rref(gens, basis, 3, 100)
 
 
 def test_g32_plane_orbit_is_closed_rref():
     basis, _ = reflgrp._g32_seed_plane()
     gens = reflgrp.g32_generators()
-    planes = reflgrp._plane_orbit_py(gens, basis, 12, 600)
+    planes = [_plucker_rref(p, 4) for p in reflgrp._plane_orbit_py(gens, basis, 12, 600)]
     assert len(planes) == 540
 
     def key(rows):
@@ -380,6 +396,28 @@ def test_g32_strata_table5(g32_table5):
     for point, s, expected in zip(g32_table5.points, g32_table5.strata, cases, strict=True):
         assert (s.orbit_size, s.num_hyperplanes, s.num_proper_planes) == expected, point
         assert s.in_table
+
+
+def test_g32_incidence_past_int64_is_exact(g32, g32_table5):
+    # every product here fails the int64 guard and runs on Python ints; the
+    # counts are those of the earlier test on Cyclotomic values
+    points = g32_table5.points
+    big = 10**30
+    cases = [
+        (tuple(big * x for x in points[9]), (4, 6)),  # the 540-line
+        (tuple(big * x for x in points[2]), (0, 1)),  # on the seed plane
+        (tuple(big * x for x in points[7]), (2, 3)),
+        ((cyc(big), cyc(2 * big + 1), cyc(3), cyc(5)), (0, 0)),
+        # coprime, in [2^61, 2^63): x0 + x1 + x2 = 2^64, which int64 wraps to
+        # 0 on the hyperplane (1, 1, 1, 0)
+        ((6148914691236517205, 6148914691236517205, 6148914691236517206, 2**62 + 1), (0, 0)),
+        # coprime, x0 = x1 + x3: on the hyperplane (1, -1, 0, -1)
+        ((2**62 + 12, 2**61 + 5, 2**61 + 11, 2**61 + 7), (1, 0)),
+    ]
+    for point, counts in cases:
+        point = tuple(map(cyc, point))
+        got = (reflgrp.hyperplanes_through(g32, point), reflgrp.proper_planes_through(g32, point))
+        assert got == counts, point
 
 
 def test_g32_census(g32_census):

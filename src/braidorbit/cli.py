@@ -94,21 +94,22 @@ def _power_terms(conductor):
     ]
 
 
-def _point_text(w, conductor):
-    """The printed point of a nonzero canonical vector (`kernel._canon`).
+def _point_texts(vectors, conductor):
+    """The printed points of nonzero canonical vectors (`kernel._canon`).
 
     Coordinate j is block j of w over the pivot, the first nonzero entry;
     each coefficient b / pivot is reduced by gcd(b, pivot), so the text is
     `render` of each coordinate of `kernel.line_coords(w, conductor)`,
-    without building the values.
+    without building the values.  Each (block, pivot) is written once:
+    the 25920 points of the README's large orbit hold 829 of them.
     """
     terms = _power_terms(conductor)
     phi = len(terms)
-    pivot = next(x for x in w if x)
-    coords = []
-    for i in range(0, len(w), phi):
+
+    @lru_cache(maxsize=None)
+    def coord(block, pivot):
         text = ""
-        for k, b in enumerate(w[i : i + phi]):
+        for k, b in enumerate(block):
             if not b:
                 continue
             g = gcd(b, pivot)
@@ -119,8 +120,14 @@ def _point_text(w, conductor):
                 text += f" - {mag}" if b < 0 else f" + {mag}"
             else:
                 text = f"-{mag}" if b < 0 else mag
-        coords.append(text or "0")
-    return "[" + " : ".join(coords) + "]"
+        return text or "0"
+
+    points = []
+    for w in vectors:
+        pivot = next(x for x in w if x)
+        coords = [coord(w[i : i + phi], pivot) for i in range(0, len(w), phi)]
+        points.append("[" + " : ".join(coords) + "]")
+    return points
 
 
 def cmd_orbit(args):
@@ -138,7 +145,7 @@ def cmd_orbit(args):
             "rotation": rot,
             "size": res.size,
             "exceeded_bound": res.exceeded_bound,
-            "points": [start] + [_point_text(w, res.conductor) for w in res.vectors],
+            "points": [start] + _point_texts(res.vectors, res.conductor),
         }
         _emit(payload, args)
     return 0

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclo import Cyclotomic, cyc, zeta
-from .kernel import BoundExceeded
+from .kernel import BoundExceeded, RowIndex
 from .linalg import Mat
 
 ZERO = cyc(0)
@@ -612,11 +612,9 @@ _CLOSURE_CHUNK = 4096
 # a chunk of fewer products is inserted one product at a time, which
 # costs less than the fixed array calls of matching it as a whole
 _THIN_CHUNK = 32
-# the dict of the thin chunks' cells is moved into a sorted run once it
+# the dict of the thin chunks' cells is moved into the index once it
 # holds this many cells, which bounds its memory on one-product levels
 _THIN_CELLS = 4096
-# numeric_closure stores its elements in blocks of 2**_BLOCK_BITS rows
-_BLOCK_BITS = 14
 
 
 def _cell_keys(x, y):
@@ -641,16 +639,6 @@ def _cell_key(x, y):
 
 _FLOATS = struct.Struct("<dd")
 _FLOAT_BITS = struct.Struct("<QQ")
-
-
-def _key_pairs(sorted_keys, query, order):
-    """Every (i, p) with query[i] == sorted_keys[p]; `order` sorts `query`."""
-    # sorted queries search an order of magnitude faster in a large array
-    query = query[order]
-    lo = sorted_keys.searchsorted(query, "left")
-    counts = sorted_keys.searchsorted(query, "right") - lo
-    qi = order.repeat(counts)
-    return qi, np.arange(len(qi)) + (lo - counts.cumsum() + counts).repeat(counts)
 
 
 def _level_products(gens, items):
@@ -681,29 +669,29 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
     match or an ambiguity is among its candidates.
 
     A level is matched in chunks of about _CLOSURE_CHUNK products.  The
-    stored elements sit in blocks of rows, with their v beside them.
-    Their cell keys are indexed in sorted int64 runs, each over four
-    times the size of the next, so that a chunk's keys are merged in at
-    amortized cost.  A chunk of fewer than _THIN_CHUNK products is
-    inserted one product at a time, through a dict of the cells that it
-    and the thin chunks since the last larger one stored; a candidate
-    3*tol or more away in v is skipped there, as it is at least that far
-    away in max-norm.  Once the dict holds _THIN_CELLS cells, it and the
-    runs are merged into one run, which bounds its memory and leaves each
-    later thin product one run to search.  A larger chunk first moves the
-    dict into a run, and is matched with array operations.  First each of its products
-    gets its nearest distance to the elements stored before the chunk;
-    those below tol are matched.  The rest are then compared with the
-    earlier products of the chunk that share a cell.  If no such distance, and
-    no nearest distance of the rest, lies in [tol, 2*tol), "within tol"
-    is an equivalence relation on the rest: a-b and b-c below tol put
-    a-c below 2*tol, so a and c share a cell and a-c is below tol.  The
-    one-by-one result is then the first product of each class.
+    elements are stored in one `kernel.RowIndex`, each as the row vec(m)
+    followed by its v, and filed under the keys of their storage cells.
+    A chunk of fewer than _THIN_CHUNK products is inserted one product at
+    a time, through the index and a dict of the cells that it and the
+    thin chunks since the last larger one stored, which holds each of
+    their elements with its v; a candidate 3*tol or more away in v is
+    skipped there, as it is at least that far away in max-norm.  Once the
+    dict holds _THIN_CELLS cells, it is moved into the index, which
+    bounds its memory.  A larger chunk first moves the dict into the
+    index, and is matched with array operations.  First each of its
+    products gets its nearest distance to the elements stored before the
+    chunk; those below tol are matched.  The rest are then compared with
+    the earlier products of the chunk that share a cell.  If no such
+    distance, and no nearest distance of the rest, lies in [tol, 2*tol),
+    "within tol" is an equivalence relation on the rest: a-b and b-c below
+    tol put a-c below 2*tol, so a and c share a cell and a-c is below tol.
+    The one-by-one result is then the first product of each class.
     Otherwise the chunk is decided one product at a time from the
     distances already computed, a product matching an earlier one only
     if that one was inserted; this raises AmbiguousMatch exactly where
     the one-by-one insertion would, and stops at the (bound+1)-th
-    insertion, so that no ambiguity past it is raised.
+    insertion, so that no ambiguity past it is raised.  Every distance is
+    taken over the matrix entries.
 
     A product that is no longer finite raises OverflowError: a finite
     group has bounded entries.
@@ -731,56 +719,8 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
     w = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim * dim)])
     w /= np.abs(w).sum()
     reach = 3 * tol  # the storage reach
-    block = 1 << _BLOCK_BITS
-
-    blocks = []  # vec(m) of the stored elements, `block` rows to a block
-    values = []  # their v, in blocks of the same size
-    count = 0
-    runs = []  # sorted (keys, owners) of storage cells and their elements
-    recent = {}  # storage-cell key -> elements, for the latest thin chunks
-
-    def element(i):
-        return blocks[i >> _BLOCK_BITS][i & (block - 1)]
-
-    def value(i):
-        return values[i >> _BLOCK_BITS][i & (block - 1)]
-
-    def rows(idx):
-        """The stored elements with indices `idx`, as rows."""
-        if len(blocks) == 1:
-            return blocks[0][idx]
-        out = np.empty((len(idx), dim * dim), complex)
-        which = idx >> _BLOCK_BITS
-        for b, arr in enumerate(blocks):
-            sel = np.flatnonzero(which == b)
-            out[sel] = arr[idx[sel] & (block - 1)]
-        return out
-
-    def grow():
-        blocks.append(np.empty((block, dim * dim), complex))
-        values.append(np.empty(block, complex))
-
-    def store(new, v):
-        """Append the rows `new`, whose v is `v`, to the blocks."""
-        nonlocal count
-        done = 0
-        while done < len(new):
-            b, at = divmod(count, block)
-            if b == len(blocks):
-                grow()
-            k = min(block - at, len(new) - done)
-            blocks[b][at:at + k] = new[done:done + k]
-            values[b][at:at + k] = v[done:done + k]
-            done += k
-            count += k
-
-    def add_run(keys, owners):
-        """Index `owners` under `keys`, merging runs of similar size."""
-        while runs and len(runs[-1][0]) <= 4 * len(keys):
-            old, old_owners = runs.pop()
-            keys, owners = np.concatenate([old, keys]), np.concatenate([old_owners, owners])
-        order = keys.argsort(kind="stable")
-        runs.append((keys[order], owners[order]))
+    store = RowIndex()  # vec(m), then v, of each element; filed under its storage cells
+    recent = {}  # storage cell -> (element, v), for the latest thin chunks
 
     def storage_keys(v):
         """Keys of the cells within 3*tol of each v, with its position."""
@@ -801,55 +741,45 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
         return True
 
     def fold():
-        """Move the cells of `recent` into a run."""
+        """Move the cells of `recent` into the index."""
         cells = np.array([k for k, js in recent.items() for _ in js], float)
-        elements = np.array([j for js in recent.values() for j in js], np.int64)
-        add_run(_cell_keys(cells[:, 0], cells[:, 1]), elements)
+        elements = np.array([j for js in recent.values() for j, _ in js], np.int64)
+        store.index(_cell_keys(cells[:, 0], cells[:, 1]), elements)
         recent.clear()
 
     def thin(prods, v):
         """Insert a few products one at a time, as a dict-indexed closure
         does; their cells go into `recent`."""
-        nonlocal count
         z = v.tolist()
         # a v that is not finite, or whose cell overflows, is left to wide
         if not all(abs(c) < 1e300 for c in z):
             return wide(prods, v)
-        look = [(round(c.real / grid), round(c.imag / grid)) for c in z]
+        rows = np.concatenate([prods, v[:, None]], axis=1)
         for i, c in enumerate(z):
-            cand = recent.get(look[i], [])
-            if runs:
-                query = _cell_key(*look[i])
-                for keys, owners in runs:
-                    lo = keys.searchsorted(query)
-                    if lo < len(keys) and keys[lo] == query:
-                        cand = cand + owners[lo:keys.searchsorted(query, "right")].tolist()
-            p, near = prods[i], np.inf
-            for j in cand:
-                # v moves no more than the matrix does, so an element 3*tol
-                # or more away in v decides nothing, rounding included
-                if abs(value(j) - c) < reach:
-                    near = min(near, np.abs(element(j) - p).max())
+            look = (round(c.real / grid), round(c.imag / grid))
+            near = np.inf
+            # v moves no more than the matrix does, so an element 3*tol or
+            # more away in v decides nothing, rounding included
+            for j, u in recent.get(look, ()):
+                if abs(u - c) < reach:
+                    near = min(near, np.abs(store.row(j)[:-1] - prods[i]).max())
+            if store.runs:
+                for j in store.positions(_cell_key(*look)):
+                    row = store.row(j)
+                    if abs(row[-1] - c) < reach:
+                        near = min(near, np.abs(row[:-1] - prods[i]).max())
             if not is_new(near):
                 continue
-            b, at = divmod(count, block)
-            if b == len(blocks):
-                grow()
-            blocks[b][at], values[b][at] = p, c
-            count += 1
+            j = store.append(rows[i : i + 1])
             xs = {round((c.real - reach) / grid), round((c.real + reach) / grid)}
             ys = {round((c.imag - reach) / grid), round((c.imag + reach) / grid)}
             for x in xs:
                 for y in ys:
-                    recent.setdefault((x, y), []).append(count - 1)
-            if count > bound:
+                    recent.setdefault((x, y), []).append((j, c))
+            if j >= bound:
                 return
         if len(recent) >= _THIN_CELLS:
             fold()
-            # the stable sort merges the sorted runs in linear time
-            keys, owners = (np.concatenate(parts) for parts in zip(*runs))
-            runs.clear()
-            add_run(keys, owners)
 
     def one_by_one(best, pj, pk, pd):
         """Positions of the products to insert, deciding each in turn.
@@ -870,7 +800,7 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
                 continue
             inserted[k] = True
             new.append(k)
-            if count + len(new) > bound:
+            if len(store) + len(new) > bound:
                 break
         return np.array(new, dtype=np.int64)
 
@@ -878,27 +808,25 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
         """Insert the new products of one chunk, with array operations."""
         if not np.isfinite(v).all():
             raise OverflowError(
-                f"a product is no longer finite after {count} elements: the group is not finite"
+                f"a product is no longer finite after {len(store)} elements: "
+                "the group is not finite"
             )
         if recent:
             fold()
         look = _cell_keys(v.real / grid, v.imag / grid)
         # nearest element stored before the chunk
-        order = look.argsort(kind="stable")
-        pairs = [_key_pairs(keys, look, order) for keys, _ in runs]
-        qi = np.concatenate([q for q, _ in pairs])
-        own = np.concatenate([owners[pos] for (_, owners), (_, pos) in zip(runs, pairs)])
+        qi, own = store.pairs(look)
         best = np.full(len(prods), np.inf)
-        np.minimum.at(best, qi, np.abs(rows(own) - prods[qi]).max(axis=1))
+        np.minimum.at(best, qi, np.abs(store.rows_at(own)[:, :-1] - prods[qi]).max(axis=1))
         rest = np.flatnonzero(best >= tol)
         if not len(rest):
             return
         best, prods, look = best[rest], prods[rest], look[rest]
         # earlier products of the chunk that share a cell
         rest_keys, rest_own = storage_keys(v[rest])
-        order = rest_keys.argsort(kind="stable")
-        pk, pos = _key_pairs(rest_keys[order], look, look.argsort(kind="stable"))
-        pj = rest_own[order][pos]
+        cells = RowIndex()
+        cells.index(rest_keys, rest_own)
+        pk, pj = cells.pairs(look)
         later = pj < pk
         pj, pk = pj[later], pk[later]
         pd = np.abs(prods[pj] - prods[pk]).max(axis=1)
@@ -909,11 +837,11 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
             lead = np.ones(len(rest), bool)
             lead[pk[pd < tol]] = False
             new = lead.nonzero()[0]
+        first = store.append(np.concatenate([prods[new], v[rest[new], None]], axis=1))
         rank = np.full(len(rest), -1)
         rank[new] = np.arange(len(new))
         rank = rank[rest_own]
-        add_run(rest_keys[rank >= 0], rank[rank >= 0] + count)
-        store(prods[new], v[rest[new]])
+        store.index(rest_keys[rank >= 0], rank[rank >= 0] + first)
 
     per_chunk = max(1, _CLOSURE_CHUNK // len(gens))
     # a product that overflows is caught as not finite, without a warning
@@ -922,18 +850,16 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
         thin(first, first @ w)
         start, end = 0, 1
         while start < end:
-            a = start
-            while a < end:
-                # a chunk of the level's items, within one block
-                b = min(a + per_chunk, end, (a | (block - 1)) + 1)
-                at = a & (block - 1)
-                items = blocks[a >> _BLOCK_BITS][at:at + b - a]
+            for a in range(start, end, per_chunk):
+                items = store.rows(a, min(a + per_chunk, end))[:, :-1]
                 prods = _level_products(gens, items.reshape(-1, dim, dim))
                 (thin if len(prods) < _THIN_CHUNK else wide)(prods, prods @ w)
-                a = b
-                if count > bound:
-                    found = [m for arr in blocks for m in arr.reshape(-1, dim, dim)]
-                    found = found[: bound + 1]
+                if len(store) > bound:
+                    # views of the stored rows, not one copy of them all
+                    found = []
+                    for lo in range(0, bound + 1, per_chunk):
+                        rows = store.rows(lo, min(lo + per_chunk, bound + 1))
+                        found.extend(rows[:, :-1].reshape(-1, dim, dim))
                     raise BoundExceeded(bound, found)
-            start, end = end, count
-    return count
+            start, end = end, len(store)
+    return len(store)

@@ -23,8 +23,11 @@ product and canonicalizes the images in batch, guarded so that no value
 can reach 2^62; a small level, or a chunk the guard refuses, runs the
 per-item Python-int step, which has no size limit.  Both give the same
 vectors in the same order.  A batched chunk hashes each canonical image
-once and looks it up in an index of every vector found (`_Batch`), so
-only its new vectors become tuples.  A group orbit's graph is
+once and looks it up among every vector found, which `_Batch` keeps as
+int64 rows filed under their hashes in a `RowIndex`, so only its new
+vectors become tuples.  `RowIndex` is the one row store and key index of
+the package: `connect.numeric_closure` keeps its elements in one too,
+filed under their grid cells.  A group orbit's graph is
 undirected: if v -M-> w then w -M^-1-> v.  So where the caller says
 which action inverts which (`inverse`), both steps compute each such
 edge once and skip the image they already know; the n=4 tables then
@@ -285,7 +288,7 @@ def int_bfs(start, actions, bound, ring, inverse=None):
                     continue
                 w = _canon(int_apply(cols, v), *ring)
                 q = seen.get(w)
-                if q is None and batch.runs:
+                if q is None and batch.store:
                     q = batch.find(w)
                 if q is None:
                     q = seen[w] = len(found)
@@ -307,13 +310,14 @@ def int_bfs(start, actions, bound, ring, inverse=None):
         batch.sync(found)
         pos = batch.lookup(rows, hashes)
         new = np.flatnonzero(pos < 0)[: bound + 1 - len(found)]
-        first = len(found)
+        first = batch.store.append(rows[new])
         found.extend(map(tuple, rows[new].tolist()))
         if len(found) > bound:
             raise BoundExceeded(bound, found)
-        batch.store(rows[new], hashes[new])
+        positions = np.arange(first, len(found))
+        batch.store.index(hashes[new], positions)
         if known is not None:
-            pos[new] = np.arange(first, len(found))
+            pos[new] = positions
             known.extend(bytes(count * len(new)))
             flags = np.frombuffer(known, dtype=np.uint8)
             flags[pos[labels] * count + np.array(inverse)[acts]] = 1
@@ -327,7 +331,7 @@ def int_bfs(start, actions, bound, ring, inverse=None):
         for lo in range(mark, end, width):
             hi = min(lo + width, end)
             if end - mark >= _BATCH_MIN:
-                frontier = batch.rows_at(np.arange(lo, hi)) if as_rows else None
+                frontier = batch.store.rows(lo, hi) if as_rows else None
                 if batched(lo, hi, frontier):
                     continue
             all_batched = False
@@ -336,9 +340,117 @@ def int_bfs(start, actions, bound, ring, inverse=None):
     return found
 
 
-np = None  # numpy, imported by the first batched level
-# `_Batch` stores the found vectors in blocks of 2**_BLOCK_BITS rows
+np = None  # numpy, imported by the first `RowIndex`
+# a `RowIndex` stores its rows in blocks of 2**_BLOCK_BITS
 _BLOCK_BITS = 14
+
+
+class RowIndex:
+    """Rows stored by position, and an index of int64 keys to positions.
+
+    The rows of `int_bfs`'s found vectors and of `connect.numeric_closure`'s
+    elements: `append` stores rows at the next positions, in blocks of
+    2**_BLOCK_BITS rows, so that storing never copies the rows already
+    stored.  `index` files positions under int64 keys (row hashes, grid-cell
+    keys) in sorted runs, each over four times the size of the next, so
+    that keys merge in at amortized cost.  A key may have any number of
+    positions, and a position any number of keys.  Making one imports
+    numpy.
+    """
+
+    def __init__(self):
+        global np
+        import numpy as np
+
+        self.blocks = []
+        self.count = 0  # how many rows are stored
+        self.runs = []  # sorted (keys, positions)
+
+    def __len__(self):
+        return self.count
+
+    def append(self, rows):
+        """Store the 2-D array `rows` at the next positions; returns the first."""
+        first = done = self.count
+        self.count += len(rows)
+        block = 1 << _BLOCK_BITS
+        at = first & (block - 1)
+        end = at + len(rows)
+        if at and end <= block:
+            # the usual case: the rows fit in the room left in the last block
+            self.blocks[-1][at:end] = rows
+            return first
+        while done < self.count:
+            b, at = divmod(done, block)
+            if b == len(self.blocks):
+                self.blocks.append(np.empty((block, rows.shape[1]), rows.dtype))
+            k = min(block - at, self.count - done)
+            self.blocks[b][at : at + k] = rows[done - first : done - first + k]
+            done += k
+        return first
+
+    def row(self, i):
+        """The row at position i."""
+        return self.blocks[i >> _BLOCK_BITS][i & ((1 << _BLOCK_BITS) - 1)]
+
+    def rows(self, lo, hi):
+        """The rows at positions lo .. hi-1; a view when they share a block."""
+        b = lo >> _BLOCK_BITS
+        if (hi - 1) >> _BLOCK_BITS == b:
+            at = lo & ((1 << _BLOCK_BITS) - 1)
+            return self.blocks[b][at : at + hi - lo]
+        return self.rows_at(np.arange(lo, hi))
+
+    def rows_at(self, positions):
+        """The rows at the array `positions`."""
+        if len(self.blocks) == 1:
+            return self.blocks[0][positions]
+        out = np.empty((len(positions), self.blocks[0].shape[1]), self.blocks[0].dtype)
+        which = positions >> _BLOCK_BITS
+        for b in np.unique(which).tolist():
+            sel = np.flatnonzero(which == b)
+            out[sel] = self.blocks[b][positions[sel] & ((1 << _BLOCK_BITS) - 1)]
+        return out
+
+    def index(self, keys, positions):
+        """File the array `positions` under the int64 array `keys`."""
+        if not len(keys):
+            return
+        while self.runs and len(self.runs[-1][0]) <= 4 * len(keys):
+            old, old_positions = self.runs.pop()
+            keys = np.concatenate([old, keys])
+            positions = np.concatenate([old_positions, positions])
+        order = keys.argsort(kind="stable")
+        self.runs.append((keys[order], positions[order]))
+
+    def positions(self, key):
+        """The positions filed under the int `key`, as a list."""
+        out = []
+        for keys, positions in self.runs:
+            lo = hi = keys.searchsorted(key)
+            while hi < len(keys) and keys[hi] == key:
+                hi += 1
+            if hi > lo:
+                out += positions[lo:hi].tolist()
+        return out
+
+    def pairs(self, keys):
+        """Every (i, p) with position p filed under keys[i], as two arrays."""
+        # sorted queries search an order of magnitude faster in a large run
+        order = keys.argsort()
+        query = keys[order]
+        qi, pos = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for run, positions in self.runs:
+            lo = run.searchsorted(query)
+            # a run holds most keys once: only a key met again needs its end
+            hi = lo + (run.take(lo, mode="clip") == query)
+            again = (run.take(hi, mode="clip") == query).nonzero()[0]
+            hi[again] = run.searchsorted(query[again], "right")
+            counts = hi - lo
+            qi.append(order.repeat(counts))
+            at = np.arange(counts.sum()) + (lo - counts.cumsum() + counts).repeat(counts)
+            pos.append(positions[at])
+        return np.concatenate(qi), np.concatenate(pos)
 
 
 class _Batch:
@@ -358,13 +470,10 @@ class _Batch:
 
     Each canonical row is hashed once, by `_group_rows`'s random linear
     form, and that hash both groups the chunk's equal rows and looks them
-    up among the vectors found.  The index stores every found vector that
-    fits int64 by discovery position, in blocks of rows, and their hashes
-    in sorted runs of (hash, position), each over four times the size of
-    the next, so that a chunk's new vectors merge in at amortized cost.
-    A row whose hash is in a run is found only if it equals the stored
-    row exactly; a hash shared by unequal rows is resolved by comparing
-    the row with every stored row of that hash.
+    up among the vectors found.  `store`, a `RowIndex` made by the first
+    batched level, holds every found vector by discovery position, and
+    indexes each that fits int64 under its hash.  A row is found only if
+    it equals a stored vector of its hash exactly (`lookup`, `find`).
     """
 
     def __init__(self, actions, ring):
@@ -372,15 +481,10 @@ class _Batch:
         self.ring = ring
         self.pivots = {}  # primitive pivot -> (S, cap), see `_pivot`
         self.norm = None  # set by the first batched level
-        self.blocks = []  # the stored vectors, by discovery position
-        self.filled = 0  # how many positions are stored
-        self.runs = []  # sorted (hashes, positions) of the stored vectors
+        self.store = None  # the found vectors, a `RowIndex` made by the same
 
     def _build(self):
-        global np
-        import numpy
-
-        np = numpy
+        self.store = RowIndex()
         size = len(self.actions[0])
         self.norm = 0
         for cols in self.actions:
@@ -497,85 +601,48 @@ class _Batch:
         w[big] //= g[big, None]
         return w
 
-    def rows_at(self, positions):
-        """The stored vectors at `positions`, as rows."""
-        if len(self.blocks) == 1:
-            return self.blocks[0][positions]
-        out = np.empty((len(positions), self.blocks[0].shape[1]), dtype=np.int64)
-        which = positions >> _BLOCK_BITS
-        for b in np.unique(which).tolist():
-            sel = np.flatnonzero(which == b)
-            out[sel] = self.blocks[b][positions[sel] & ((1 << _BLOCK_BITS) - 1)]
-        return out
-
-    def store(self, rows, hashes, indexed=None):
-        """Store `rows` at the next positions, under their `hashes`.
-
-        `indexed`, if given, says which rows go into the runs; the others
-        are kept only as placeholders of their positions.
-        """
-        positions = np.arange(self.filled, self.filled + len(rows))
-        block = 1 << _BLOCK_BITS
-        done = 0
-        while done < len(rows):
-            b, at = divmod(self.filled, block)
-            if b == len(self.blocks):
-                self.blocks.append(np.empty((block, rows.shape[1]), dtype=np.int64))
-            k = min(block - at, len(rows) - done)
-            self.blocks[b][at : at + k] = rows[done : done + k]
-            done += k
-            self.filled += k
-        if indexed is not None:
-            hashes, positions = hashes[indexed], positions[indexed]
-        if not len(hashes):
-            return
-        while self.runs and len(self.runs[-1][0]) <= 4 * len(hashes):
-            old, old_positions = self.runs.pop()
-            hashes = np.concatenate([old, hashes])
-            positions = np.concatenate([old_positions, positions])
-        order = hashes.argsort(kind="stable")
-        self.runs.append((hashes[order], positions[order]))
-
     def sync(self, found):
         """Store the vectors the per-item step found since the last store.
 
         A vector with an entry past int64 cannot equal a batched image, so
-        it is only a placeholder, left out of the runs.
+        it is stored as a zero placeholder of its position, under no hash.
         """
-        new = found[self.filled :]
+        new = found[len(self.store) :]
         if not new:
             return
         try:
-            rows, fits = np.array(new, dtype=np.int64), None
+            rows, fits = np.array(new, dtype=np.int64), slice(None)
         except OverflowError:
             fits = [max(map(abs, v)) < _INT64_LIMIT for v in new]
             rows = np.array([v if ok else (0,) * len(v) for v, ok in zip(new, fits)], np.int64)
             fits = np.array(fits)
-        self.store(rows, _row_hashes(rows), fits)
+        first = self.store.append(rows)
+        self.store.index(_row_hashes(rows)[fits], np.arange(first, len(self.store))[fits])
 
     def lookup(self, rows, hashes):
-        """The position of each of `rows` among the stored vectors, or -1."""
+        """The position of each of `rows` among the stored vectors, or -1.
+
+        One row of each hash is compared with every stored vector of that
+        hash.  The other rows of a hash (unequal rows whose hashes collide)
+        are looked up as exact tuples in a dict of those stored vectors, so
+        the work stays linear even when every hash is the same.
+        """
         pos = np.full(len(rows), -1, dtype=np.intp)
-        unsure = np.zeros(len(rows), dtype=bool)
-        # sorted queries search an order of magnitude faster in a large run
         order = hashes.argsort()
         query = hashes[order]
-        for keys, positions in self.runs:
-            at = keys.searchsorted(query)
-            at[at == len(keys)] = 0
-            hit = keys[at] == query
-            q, r = positions[at[hit]], order[hit]
-            same = (self.rows_at(q) == rows[r]).all(axis=1)
-            pos[r[same]] = q[same]
-            unsure[r[~same]] = True
-        unsure = np.flatnonzero(unsure & (pos < 0))
-        if len(unsure):
-            # a hash shared by unequal rows: compare exact tuples with every
-            # stored row of those hashes
-            shared = np.unique(hashes[unsure])
-            cand = np.concatenate([p[np.isin(k, shared)] for k, p in self.runs])
-            stored = dict(zip(map(tuple, self.rows_at(cand).tolist()), cand.tolist()))
-            pos[unsure] = [stored.get(r, -1) for r in map(tuple, rows[unsure].tolist())]
+        first = np.ones(len(rows), dtype=bool)  # the first row of each hash
+        first[1:] = query[1:] != query[:-1]
+        keys, order = query[first], order[first]
+        k, q = self.store.pairs(keys)
+        r = order[k]
+        same = (self.store.rows_at(q) == rows[r]).all(axis=1)
+        pos[r[same]] = q[same]
+        if not first.all():
+            rest = np.setdiff1d(np.arange(len(rows)), order)
+            shared = np.isin(keys[k], hashes[rest])
+            q = q[shared]
+            stored = dict(zip(map(tuple, self.store.rows_at(q).tolist()), q.tolist()))
+            pos[rest] = [stored.get(t, -1) for t in map(tuple, rows[rest].tolist())]
         return pos
 
     def find(self, w):
@@ -583,13 +650,9 @@ class _Batch:
         # `_row_hashes` of w, read as int64
         h = (sum(map(mul, w, self.weights)) + (1 << 63)) % (1 << 64) - (1 << 63)
         w = list(w)
-        for keys, positions in self.runs:
-            at = keys.searchsorted(h)
-            while at < len(keys) and keys[at] == h:
-                q = int(positions[at])
-                if self.blocks[q >> _BLOCK_BITS][q & ((1 << _BLOCK_BITS) - 1)].tolist() == w:
-                    return q
-                at += 1
+        for q in self.store.positions(h):
+            if self.store.row(q).tolist() == w:
+                return q
         return None
 
 
@@ -1009,28 +1072,11 @@ def ring_params(conductor):
 
 
 def to_blob_matrix(m, conductor):
-    phi = euler_phi(conductor)
-    den = 1
-    promoted = []
-    for e in m.entries:
-        pe = e.fit(conductor)
-        promoted.append(pe)
-        den = lcm(den, pe.den)
-    nums = []
-    for pe in promoted:
-        f = den // pe.den
-        nums.extend(c * f for c in pe.num)
-    return pack_values(den, nums)
+    return to_blob_vector(m.entries, conductor)
 
 
 def from_blob_matrix(blob, d, conductor):
-    phi = euler_phi(conductor)
-    den, nums = unpack_values(blob)
-    entries = [
-        Cyclotomic._make(conductor, list(nums[phi * k : phi * (k + 1)]), den)
-        for k in range(d * d)
-    ]
-    return Mat(d, d, entries)
+    return Mat(d, d, from_blob_vector(blob, conductor))
 
 
 def to_blob_vector(vec, conductor):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -92,9 +93,10 @@ def test_points_print_as_render_of_their_coordinates(res):
     # reference renders every coordinate of the point's values
     res = res()
     assert res.vectors
-    for w in res.vectors:
-        coords = line_coords(w, res.conductor)
-        assert cli._point_text(w, res.conductor) == "[" + " : ".join(map(render, coords)) + "]"
+    want = [
+        "[" + " : ".join(map(render, line_coords(w, res.conductor))) + "]" for w in res.vectors
+    ]
+    assert cli._point_texts(res.vectors, res.conductor) == want
 
 def test_orbit_zero_class(capsys):
     code, out = run(
@@ -673,8 +675,54 @@ def test_lattice_command_g32(capsys, shared_g32):
     assert out == LATTICE_G32_JSON
 
 
-# sha256 of what each command writes: the CSV for `tables`, stdout otherwise
+# sha256 of what each README command writes: the CSV for `tables`, stdout
+# otherwise.  `orbit --input rep.json` reads REP_JSON.
 PINNED_OUTPUTS = [
+    (
+        ["orbit", "--lambda", "z12,z12^5,z12^3,z12^3", "--tau", "z12^3,0,0"],
+        "49a94d2760d904521c40184a38c1eebbe82808bb30b4d8153ea342b3bbee1340",
+    ),
+    (
+        ["orbit", "--input", "rep.json"],
+        "49a94d2760d904521c40184a38c1eebbe82808bb30b4d8153ea342b3bbee1340",
+    ),
+    (
+        ["classify4", "--lambda", "z12,z12^5,z12^3,z12^3"],
+        "9725389066b2fc1b3f6826d92dc4c3b132f830198dfe6fcc33adc13cf2a575b9",
+    ),
+    (
+        ["gate", "--lambda", "z4,1,1,1,1,z4^-1", "--tau", "0,1,1,1,0"],
+        "a2d425a786dc55c016405962791e6720af528abf49f3b24be178531277c7a9b5",
+    ),
+    (
+        ["group", "--which", "g25"],
+        "3fe9963e2fd1897d6b13f45439d5c4010a71e6e7ba04ee081f0c4cc7cb0aecc5",
+    ),
+    (
+        ["strata", "--which", "g25", "--point", "[1:-1:0]"],
+        "06cc7314d40d58cc74e38b1acb71378d5d8e8398cd6d0da298cbb80917b778c4",
+    ),
+    (
+        ["coalesce", "--n", "5", "--k", "4", "--l", "1"]
+        + ["--lambda", "z6,z6,z6,z6,z6^2", "--tau", "1,2,3,4"],
+        "dc7f3aee9f3c7accd68f5fc4b62c99b71b730d8399263668ba58a8038b7b4dd2",
+    ),
+    (
+        ["monodromy", "--theta", "1/6,1/6,1/6,1/6", "--poles=-0.7+0.3j,0,1"],
+        "5e2d8b8cc3790d2099bdfe824ffe89abbcef55df23fb6bf0ac967cbf36879c49",
+    ),
+    (
+        ["tables", "--which", "1"],
+        "3a640070d9f9387cb57ebf3b757edef0f219f29a67abc22c64a045be08b240ac",
+    ),
+    (
+        ["tables", "--which", "2"],
+        "e8c314fbd2095211150d654061e32bdda50d06b86ba8d4e3c68f0abf4f7be402",
+    ),
+    (
+        ["tables", "--which", "3"],
+        "a99f7b0448ab4de66857214a9250096e3d8e7e0ce11e2116c2899ec4526c6ce4",
+    ),
     (
         ["tables", "--which", "4"],
         "b4fd0b29fb2342832d73d967f960b92e1ed6c2c4c96d26b20f55b2a21a392fd0",
@@ -714,18 +762,39 @@ PINNED_OUTPUTS = [
 ]
 
 
+REP_JSON = {"n": 4, "lambda": ["z12", "z12^5", "z12^3", "z12^3"], "tau": ["z12^3", "0", "0"]}
+
+# rank-4 `monodromy` takes about 1 s; its one closure-dependent field, the
+# order 155520, is checked by test_rank4_monodromy_closure_155520
+UNPINNED = [["monodromy", "--theta", "1/6,1/6,1/6,1/6,1/6", "--poles=-0.7+0.3j,2.1+0.4j,0,1"]]
+
+
 @pytest.mark.parametrize(
     "argv, digest", PINNED_OUTPUTS, ids=[" ".join(a) for a, _ in PINNED_OUTPUTS]
 )
-def test_reflection_group_outputs_pinned(tmp_path, capsys, monkeypatch, g25, g32, argv, digest):
+def test_readme_outputs_pinned(tmp_path, capsys, monkeypatch, g25, g32, argv, digest):
     # the commands build their group from scratch; here they reuse the session's
     monkeypatch.setattr(cli, "_build_group", {"g25": g25, "g32": g32}.__getitem__)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rep.json").write_text(json.dumps(REP_JSON))
     if argv[0] == "tables":
-        out_path = tmp_path / "table.csv"
-        code, _ = run(capsys, *argv, "--out", str(out_path))
-        out = out_path.read_bytes()
+        code, _ = run(capsys, *argv, "--out", "table.csv")
+        out = (tmp_path / "table.csv").read_bytes()
     else:
         code, text = run(capsys, *argv)
         out = text.encode()
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_every_readme_command_is_pinned():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    usage = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in usage.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 11
+    pinned = [argv for argv, _ in PINNED_OUTPUTS] + UNPINNED
+    for argv in commands:
+        if argv[0] == "tables":
+            argv = argv[: argv.index("--out")]  # the test names its own CSV
+        assert argv in pinned

@@ -523,28 +523,38 @@ CHUNKINGS = {
 }
 
 
-@pytest.mark.parametrize("chunking", CHUNKINGS)
+SEQUENTIAL_CASES = [
+    # with chunks of 5 products (one item) the cut at 100 comes after the
+    # first of a chunk's three products, two of which are new
+    ("rank3-monodromy", 1, "bound"),
+    ("rank3-monodromy", 7, "bound"),
+    ("rank3-monodromy", 100, "bound"),
+    ("rank3-monodromy", 647, "bound"),
+    ("rank3-monodromy", 2000, "size"),
+    ("rank3-huge-entries", 2000, "size"),
+    ("near-duplicates", 2500, "bound"),
+    ("near-duplicates", 200_000, "size"),
+    ("storage-reach", 200_000, "size"),
+    ("ambiguous-against-stored", 100, "ambiguous"),
+    ("ambiguous-within-a-chunk", 100, "ambiguous"),
+    # the cut comes first: no ambiguity after it is raised
+    ("ambiguous-within-a-chunk", 1, "bound"),
+    # a cut beside a merge and a near miss in one chunk
+    ("merge-beside-a-near-miss", 11, "bound"),
+]
+# a case run with every grid cell under one key, so that every stored
+# element is a candidate of every product; only in small chunks, which
+# keep the all-pairs candidates small
+ONE_KEY = "-one-cell-key"
+SEQUENTIAL_RUNS = [(*case, c) for case in SEQUENTIAL_CASES for c in CHUNKINGS] + [
+    ("rank3-monodromy" + ONE_KEY, 100, "bound", c) for c in ("wide-5", "wide-64", "mixed-64")
+]
+
+
 @pytest.mark.parametrize(
-    "name, bound, kind",
-    [
-        # with chunks of 5 products (one item) the cut at 100 comes after the
-        # first of a chunk's three products, two of which are new
-        ("rank3-monodromy", 1, "bound"),
-        ("rank3-monodromy", 7, "bound"),
-        ("rank3-monodromy", 100, "bound"),
-        ("rank3-monodromy", 647, "bound"),
-        ("rank3-monodromy", 2000, "size"),
-        ("rank3-huge-entries", 2000, "size"),
-        ("near-duplicates", 2500, "bound"),
-        ("near-duplicates", 200_000, "size"),
-        ("storage-reach", 200_000, "size"),
-        ("ambiguous-against-stored", 100, "ambiguous"),
-        ("ambiguous-within-a-chunk", 100, "ambiguous"),
-        # the cut comes first: no ambiguity after it is raised
-        ("ambiguous-within-a-chunk", 1, "bound"),
-        # a cut beside a merge and a near miss in one chunk
-        ("merge-beside-a-near-miss", 11, "bound"),
-    ],
+    "name, bound, kind, chunking",
+    SEQUENTIAL_RUNS,
+    ids=["-".join(map(str, run)) for run in SEQUENTIAL_RUNS],
 )
 def test_numeric_closure_matches_sequential_insertion(monkeypatch, name, bound, kind, chunking):
     # the same size, or the same exception with the same elements in the
@@ -552,6 +562,13 @@ def test_numeric_closure_matches_sequential_insertion(monkeypatch, name, bound, 
     chunk, thin = CHUNKINGS[chunking]
     monkeypatch.setattr(connect, "_CLOSURE_CHUNK", chunk)
     monkeypatch.setattr(connect, "_THIN_CHUNK", thin)
+    if name.endswith(ONE_KEY):
+        name = name.removesuffix(ONE_KEY)
+        shape = np.broadcast_shapes
+        monkeypatch.setattr(
+            connect, "_cell_keys", lambda x, y: np.zeros(shape(x.shape, y.shape), np.int64)
+        )
+        monkeypatch.setattr(connect, "_cell_key", lambda x, y: 0)
     want = _sequential_outcome(name, bound)
     assert want[0] == kind
     assert _outcome(numeric_closure, _closure_case(name), bound) == want

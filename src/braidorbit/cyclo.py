@@ -52,11 +52,23 @@ def _poly_divexact(num, den):
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Coefficients of Phi_n, low degree first, monic with integer entries."""
+    """Coefficients of Phi_n, low degree first, monic with integer entries.
+
+    Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, so only squarefree
+    conductors divide x^n - 1 by the Phi_d of their divisors.
+    """
     if n < 1:
         raise ValueError("conductor must be positive")
     if n == 1:
         return (-1, 1)
+    rad = 1
+    for p in _prime_factors(n):
+        rad *= p
+    if rad < n:
+        step = n // rad
+        out = [0] * (step * euler_phi(rad) + 1)
+        out[::step] = cyclotomic_polynomial(rad)
+        return tuple(out)
     num = [0] * (n + 1)
     num[0], num[n] = -1, 1
     for d in range(1, n):
@@ -71,44 +83,56 @@ def euler_phi(n):
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n):
-    """x^e mod Phi_n as integer rows, for e = phi(n) .. 2*phi(n)-2."""
+def _fold_terms(n):
+    """The nonzero terms (j, c) of x^phi = sum c * x^j mod Phi_n, j < phi.
+
+    c = -f_j for the low coefficients f_j of Phi_n, which are mostly zero
+    (Phi_60 has 6 of 16, Phi_100000 4 of 40000), so folding a power x^e,
+    e >= phi, down as x^(e-phi) * x^phi costs one step per term.
+    """
     phi = euler_phi(n)
-    poly = cyclotomic_polynomial(n)
-    rows = []
-    cur = [-c for c in poly[:phi]]  # x^phi
-    for _ in range(phi - 1):
-        rows.append(tuple(cur))
-        head = cur[phi - 1]
-        nxt = [0] + cur[: phi - 1]
-        if head:
-            for j in range(phi):
-                nxt[j] += head * rows[0][j]
-        cur = nxt
-    return tuple(rows)
+    return tuple((j, -f) for j, f in enumerate(cyclotomic_polynomial(n)[:phi]) if f)
+
+
+def _times_x(b, terms):
+    """x * b mod Phi_n for a power-basis vector b, a list.
+
+    `terms` are `_fold_terms(n)`, which fold the coefficient shifted out
+    of the top back into the basis.
+    """
+    h = b[-1]
+    out = [0] + b[:-1]
+    if h:
+        for j, f in terms:
+            out[j] += h * f
+    return out
+
+
+def _fold(n, coeffs):
+    """Reduce the integer polynomial `coeffs` mod Phi_n, in place.
+
+    `coeffs` is a list of at least phi(n) coefficients, low degree first.
+    """
+    phi = euler_phi(n)
+    terms = _fold_terms(n)
+    # fold x^e = x^(e-phi) * x^phi from the top, so each fold lands on
+    # powers still to be folded or already in the basis
+    for e in range(len(coeffs) - 1, phi - 1, -1):
+        c = coeffs[e]
+        if c:
+            base = e - phi
+            for j, f in terms:
+                coeffs[base + j] += c * f
+    del coeffs[phi:]
+    return coeffs
 
 
 def _reduce_exponent(n, e):
     """Integer coefficient vector of zeta_n^e in the power basis."""
-    phi = euler_phi(n)
     e %= n
-    if e < phi:
-        row = [0] * phi
-        row[e] = 1
-        return row
-    # repeated single-step reduction: write x^e = x^(e-phi) * x^phi
-    top = [-c for c in cyclotomic_polynomial(n)[:phi]]
-    cur = [0] * phi
-    cur[phi - 1] = 1
-    steps = e - (phi - 1)
-    for _ in range(steps):
-        head = cur[phi - 1]
-        nxt = [0] + cur[: phi - 1]
-        if head:
-            for j in range(phi):
-                nxt[j] += head * top[j]
-        cur = nxt
-    return cur
+    row = [0] * max(euler_phi(n), e + 1)
+    row[e] = 1
+    return _fold(n, row)
 
 
 @lru_cache(maxsize=None)
@@ -157,16 +181,7 @@ def _mul_mod(n, a, b):
                 y = b[j]
                 if y:
                     conv[i + j] += x * y
-    out = conv[:phi]
-    if phi > 1:
-        rows = _reduction_rows(n)
-        for e in range(phi, 2 * phi - 1):
-            c = conv[e]
-            if c:
-                row = rows[e - phi]
-                for j in range(phi):
-                    out[j] += c * row[j]
-    return out
+    return _fold(n, conv)
 
 
 def _int_inverse(n, num):
@@ -508,15 +523,12 @@ def _roots_of_unity(n):
     the denominator 1.
     """
     phi = euler_phi(n)
-    top = [-c for c in cyclotomic_polynomial(n)[:phi]]  # zeta_n^phi
+    terms = _fold_terms(n)
     powers = []  # zeta_n^0 .. zeta_n^(n-1)
     cur = [1] + [0] * (phi - 1)
     for _ in range(n):
         powers.append(tuple(cur))
-        head = cur[-1]
-        cur = [0] + cur[:-1]
-        if head:
-            cur = [a + head * b for a, b in zip(cur, top)]
+        cur = _times_x(cur, terms)
     big = lcm(2, n)
     table = {}
     for j in range(big):

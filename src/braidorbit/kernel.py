@@ -7,10 +7,12 @@ content-normalized with den > 0, so equal matrices have equal blobs.
 Vectors use the same layout.  A normalized value that does not fit
 int64 raises OverflowError.
 
-`red` is the flattened reduction table: row t (phi ints) expresses
-x^(phi+t) in the power basis, t = 0 .. phi-2.  Projective operations
-(line_canon, line_orbit) are implemented for quadratic rings only,
-where red = (p, q) gives the closed-form inverse.
+The blob functions take `red`, the flattened dense reduction table
+(`ring_params`): row t (phi ints) expresses x^(phi+t) in the power
+basis, t = 0 .. phi-2.  Projective operations (line_canon, line_orbit)
+are implemented for quadratic rings only, where red = (p, q) gives the
+closed-form inverse.  Everything else reduces mod Phi_N with the few
+nonzero terms of x^phi mod Phi_N (`cyclo._fold_terms`).
 
 `bfs` is the level-order search over objects (the blob `line_orbit`),
 and `BoundExceeded` is what every search raises past its bound.
@@ -63,9 +65,11 @@ from .cyclo import (
     ONE,
     ZERO,
     Cyclotomic,
+    _fold_terms,
     _int_inverse,
     _mul_mod,
-    _reduction_rows,
+    _reduce_exponent,
+    _times_x,
     cyc,
     euler_phi,
 )
@@ -136,15 +140,15 @@ def _int_action(m, conductor):
     phi = euler_phi(conductor)
     entries = _int_vectors(m.entries, conductor)
     # column t+1 of a block is x times column t: shift up, and fold the
-    # top coefficient back with x^phi mod Phi_N (phi = 1 needs no fold)
-    top = _reduction_rows(conductor)[0] if phi > 1 else ()
+    # top coefficient back with x^phi mod Phi_N
+    terms = _fold_terms(conductor)
     cols = []
     shared = {}  # each distinct pair once, which halves what a cached action holds
     for k in range(d):
         block_cols = [entries[i * d + k] for i in range(rows)]
         for t in range(phi):
             if t:
-                block_cols = [_times_x(b, top) for b in block_cols]
+                block_cols = [_times_x(b, terms) for b in block_cols]
             col = []
             for i, block_col in enumerate(block_cols):
                 for r, a in enumerate(block_col):
@@ -153,15 +157,6 @@ def _int_action(m, conductor):
                         col.append(shared.setdefault(pair, pair))
             cols.append(tuple(col))
     return cols
-
-
-def _times_x(b, top):
-    """x * b mod Phi_N for a power-basis block b; `top` is x^phi mod Phi_N."""
-    h = b[-1]
-    out = [0] + b[:-1]
-    if h:
-        out = [y + h * z for y, z in zip(out, top)]
-    return out
 
 
 def int_apply(cols, v, size=None):
@@ -555,10 +550,10 @@ class _Batch:
         conductor, phi = self.ring
         s, _ = _pivot_inverse(conductor, key)
         # row t is x^t * s mod Phi_N, so row t+1 is x times row t
-        top = _reduction_rows(conductor)[0]
+        terms = _fold_terms(conductor)
         rows = [list(s)]
         for _ in range(phi - 1):
-            rows.append(_times_x(rows[-1], top))
+            rows.append(_times_x(rows[-1], terms))
         norm = max(sum(abs(row[q]) for row in rows) for q in range(phi))
         if norm < _INT64_LIMIT:
             out = np.array(rows, dtype=np.int64), (_INT64_LIMIT - 1) // norm
@@ -1059,16 +1054,15 @@ def _rank_ff(rows, d, phi, red):
 
 
 def ring_params(conductor):
-    """(phi, red) for the power basis of Q(zeta_conductor).
+    """(phi, red) for the blob functions over the power basis of Q(zeta_conductor).
 
     `red` is the flattened integer reduction table: row t gives
-    x^(phi+t) in the power basis, t = 0 .. phi-2.
+    x^(phi+t) in the power basis, t = 0 .. phi-2.  It holds (phi-1) * phi
+    ints, so it is built only for the blob functions, whose rings are
+    small; the rest of the package folds with `cyclo._fold_terms`.
     """
     phi = euler_phi(conductor)
-    if phi == 1:
-        return 1, ()
-    rows = _reduction_rows(conductor)
-    return phi, tuple(x for row in rows for x in row)
+    return phi, tuple(x for e in range(phi, 2 * phi - 1) for x in _reduce_exponent(conductor, e))
 
 
 def to_blob_matrix(m, conductor):

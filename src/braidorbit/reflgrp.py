@@ -32,7 +32,7 @@ from math import comb, lcm
 
 from . import kernel
 from .charvar import LinearPart, matrix_of_sigma
-from .cyclo import _reduction_rows, cyc, euler_phi, order_of_root, zeta
+from .cyclo import _fold_terms, _times_x, cyc, euler_phi, order_of_root, zeta
 from .linalg import Mat, eigenspace, is_complex_reflection, mat_parallel, matrix_order
 
 W = zeta(3, 1)  # omega
@@ -471,7 +471,7 @@ def containing(family, points):
     phi = euler_phi(conductor)
     size = len(points) * phi
     vectors = [kernel._int_vectors(p, conductor) for p in points]
-    top_x = _reduction_rows(conductor)[0] if phi > 1 else ()
+    terms = _fold_terms(conductor)
     step = conductor // family_conductor
     matrix = []
     for k in range(len(points[0])):
@@ -479,7 +479,7 @@ def containing(family, points):
         for t in range(euler_phi(family_conductor)):
             if t:
                 for _ in range(step):
-                    blocks = [kernel._times_x(b, top_x) for b in blocks]
+                    blocks = [_times_x(b, terms) for b in blocks]
             matrix.append([c for b in blocks for c in b])
     norm = max(sum(abs(row[r]) for row in matrix) for r in range(size))
     dtype = np.int64 if top * norm < kernel._INT64_LIMIT else object

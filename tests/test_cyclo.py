@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,6 +16,10 @@ from braidorbit.cyclo import (
     ParseError,
     Cyclotomic,
     cyc,
+    _fold_terms,
+    _mul_mod,
+    _reduce_exponent,
+    _times_x,
     cyclotomic_polynomial,
     euler_phi,
     order_of_root,
@@ -49,6 +58,7 @@ def poly_div(num, den):
     return [int(c) for c in out]
 
 
+@lru_cache(maxsize=None)
 def phi_oracle(n):
     # divide x^n - 1 by Phi_d for all proper divisors d of n
     poly = [0] * (n + 1)
@@ -56,7 +66,7 @@ def phi_oracle(n):
     for d in range(1, n):
         if n % d == 0:
             poly = poly_div(poly, list(phi_oracle(d)))
-    return poly
+    return tuple(poly)
 
 
 def test_cyclotomic_polynomial_small():
@@ -66,8 +76,89 @@ def test_cyclotomic_polynomial_small():
 
 
 def test_cyclotomic_polynomial_oracle():
-    for n in [2, 3, 4, 5, 8, 9, 15, 24, 30, 60, 105, 360]:
-        assert list(cyclotomic_polynomial(n)) == phi_oracle(n)
+    # the square-full conductors take Phi_n from the Phi of their radical
+    for n in [2, 3, 4, 5, 8, 9, 15, 24, 30, 60, 105, 360, 16, 27, 36, 49, 72, 100, 108, 125, 128]:
+        assert cyclotomic_polynomial(n) == phi_oracle(n)
+
+
+def test_cyclotomic_polynomial_of_a_large_square_full_conductor():
+    # Phi_10 = x^4 - x^3 + x^2 - x + 1, so Phi_100000(x) = Phi_10(x^10000)
+    poly = cyclotomic_polynomial(100000)
+    assert len(poly) == 40001 and euler_phi(100000) == 40000
+    assert {k: c for k, c in enumerate(poly) if c} == {0: 1, 10000: -1, 20000: 1, 30000: -1, 40000: 1}
+    assert _fold_terms(100000) == ((0, -1), (10000, 1), (20000, -1), (30000, 1))
+
+
+# ---- reduction mod Phi_N ----------------------------------------------------
+#
+# _mul_mod, _times_x and _reduce_exponent fold powers x^e, e >= phi, with
+# the nonzero terms of x^phi mod Phi_N.  The oracle is the schoolbook
+# product and long division by phi_oracle's Phi_N.
+
+
+def poly_rem(num, n):
+    """The remainder of the integer polynomial num on division by Phi_n."""
+    mod = phi_oracle(n)
+    phi = len(mod) - 1
+    num = list(num) + [0] * phi
+    for k in range(len(num) - 1, phi - 1, -1):
+        q = num[k]
+        if q:
+            for j, y in enumerate(mod):
+                num[k - phi + j] -= q * y
+    return num[:phi]
+
+
+REDUCTION_CONDUCTORS = list(range(1, 121)) + [211, 420]
+
+
+@pytest.mark.parametrize("n", REDUCTION_CONDUCTORS)
+def test_reduction_matches_long_division(n):
+    rng = random.Random(n)
+    phi = euler_phi(n)
+    big = 1 << 70  # entries past 2^64
+    zero = [0] * phi
+    operands = [zero, [1] + zero[1:], [-big] * phi]
+    for _ in range(2):
+        operands.append([rng.randrange(-9, 10) for _ in range(phi)])
+        operands.append([rng.choice([0, 0, 0, rng.randrange(-big, big)]) for _ in range(phi)])
+    for a in operands:
+        for b in operands[::2]:  # zero, -2^70 everywhere, small, sparse large
+            assert _mul_mod(n, a, b) == poly_rem(poly_mul(a, b), n)
+        assert _times_x(a, _fold_terms(n)) == poly_rem([0] + a, n)
+    top = 2 * n + 3
+    exponents = {0, phi - 1, phi, phi + 1, n - 1, n, top - 1} | set(rng.sample(range(top), min(8, top)))
+    for e in sorted(exponents):
+        assert _reduce_exponent(n, e) == poly_rem([0] * e + [1], n)
+
+
+def test_a_product_at_conductor_100000_stays_small():
+    # phi = 40000: a dense (phi-1) x phi reduction table would hold 1.6e9
+    # ints, so the child caps its address space and fails with MemoryError
+    # rather than exhausting the machine
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import resource, tracemalloc\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from braidorbit.cyclo import zeta\n"
+        "zeta(100000, 1) * zeta(100000, 1)  # caches Phi and its terms\n"
+        "for a, b in [(30000, 20001), (39999, 39999), (1, 99999), (70000, 65000)]:\n"
+        "    x, y, xy = zeta(100000, a), zeta(100000, b), zeta(100000, a + b)\n"
+        "    tracemalloc.start()\n"
+        "    p = x * y\n"
+        "    peak = tracemalloc.get_traced_memory()[1]\n"
+        "    tracemalloc.stop()\n"
+        "    assert p == xy, (a, b)\n"
+        "    assert peak < 16 << 20, (a, b, peak)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_phi_degrees():

@@ -306,6 +306,13 @@ def exp_residue_reflection(c_mat, trace_fraction):
 
 # ---- numeric monodromy --------------------------------------------------------
 
+# monodromy_numeric steps at most this many subintervals at once, which
+# bounds the memory of the stage arrays
+_STEP_BATCH = 64
+# a round of monodromy_numeric steps at most this many subintervals, which
+# bounds the memory of the queue
+_ROUND = 512
+
 # The Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett and Wanner,
 # Solving ODEs I, 2nd ed., 1993, II.5 and II.10): the nodes c_i, the stage
 # matrix a (each row from its nonzero entries), the 8th-order weights b,
@@ -481,28 +488,44 @@ def monodromy_numeric(poles, residues, base=None, local_tol=1e-12, radius_factor
     x'(s) = slope + 2 pi i swing e^(2 pi i s), and its transport is solved
     from I.  The monodromy of a pole is T_out @ T_circle @ T_in.
 
-    Method: the 3k transports of k poles are one stack, advanced together
-    on one shared parameter step by the Dormand-Prince 8(5,3) embedded
-    pair (DOP853; Hairer, Norsett and Wanner, Solving ODEs I, II.10).
-    The coefficients of the whole stack are evaluated at the twelve nodes
-    t + c_i h in one call; each stage is one combination of the earlier
-    stages and one batched product with the coefficients at its node.
+    Method: a linear equation's transport over [0, 1] is the product of
+    its transports over the parts of [0, 1], later @ earlier, and each
+    part's can be solved from I on its own (Nievergelt, CACM 7, 1964).
+    Each piece starts as one subinterval of [0, 1].  A round takes one
+    step from I over up to _ROUND pending subintervals of all the pieces,
+    the leftmost first, with the Dormand-Prince 8(5,3) embedded pair
+    (DOP853; Hairer, Norsett and Wanner, Solving ODEs I, II.10).  They are
+    stepped side by side, _STEP_BATCH at a time: the coefficients are
+    evaluated at the twelve nodes left + c_i width of each, and each stage
+    is one combination of the earlier stages and one product with the
+    coefficients at its node, taken element by element, so that no
+    subinterval's result depends on the others stepped with it.  An
+    accepted subinterval keeps its transport; the accepted ones before a
+    piece's first pending one are multiplied together pairwise and folded
+    into the piece's transport at the end of each round.  For the
+    corollary connections at ranks 3 and 4 no round reaches _ROUND, so
+    each steps every pending subinterval;
+    the cap bounds the memory of runs that need many more, and a
+    transport that overflows is found in the round that folds it.
 
-    Error test: each transport passes its own.  With e5 and e3 the largest
-    entries of its 5th- and 3rd-order error estimates, a step h is
-    accepted only if h e5^2 / sqrt(e5^2 + 0.01 e3^2) <= local_tol * (1 +
-    its largest entry).
+    Error test: each subinterval passes its own.  With e5 and e3 the
+    largest entries of its 5th- and 3rd-order error estimates (both
+    scaled by the width h), its step is accepted only if e5^2 / sqrt(e5^2
+    + 0.01 e3^2) <= local_tol * (1 + the largest entry of its transport).
 
-    Controller: with r the largest ratio of the two sides over the stack,
-    the next step, after an accepted or a rejected one, is
-    h * clip(0.9 r^(-1/8), 0.2, 10).
+    Controller: a rejected subinterval, with r the ratio of the two sides,
+    is split into clip(ceil(r^(1/8) / 0.9), 2, 5) equal parts, the step
+    that h * clip(0.9 r^(-1/8), 0.2, 10) would give after a rejection.
 
     Failures: PoleTooClose before integrating if two poles, or the base
     point and a pole, lie within 1e-8, or a segment base -> entry passes
     within 1e-8 of another pole.  IntegrationFailure for a non-finite
-    error estimate, for a rejected step below 1e-13, and at once for a
-    local_tol below machine epsilon: the estimate sees only truncation
-    error, and below that the rounding of each update is not negligible.
+    error estimate (at the left end of the first such subinterval), for a
+    rejected subinterval narrower than 1e-13, for a transport or a
+    monodromy that is no longer finite (each subinterval's transport may
+    be finite while their product overflows), and at once for a local_tol
+    below machine epsilon: the estimate sees only truncation error, and
+    below that the rounding of each update is not negligible.
     """
     poles = [complex(p) for p in poles]
     if not all(cmath.isfinite(p) for p in poles):
@@ -533,7 +556,7 @@ def monodromy_numeric(poles, residues, base=None, local_tol=1e-12, radius_factor
         raise PoleTooClose("base point sits on a pole")
 
     k = len(poles)
-    # the stack holds the k segments in, then the k circles, then the k
+    # the pieces are the k segments in, then the k circles, then the k
     # segments out, in the order of the poles
     start = np.empty(3 * k, dtype=complex)
     slope = np.zeros(3 * k, dtype=complex)
@@ -553,46 +576,105 @@ def monodromy_numeric(poles, residues, base=None, local_tol=1e-12, radius_factor
     pole_array = np.array(poles)
     flat = np.stack([np.asarray(a, dtype=complex) for a in residues]).reshape(k, m * m)
     n_stages = len(DOP853_C)
+    # the 8th-order update and the 5th- and 3rd-order error estimates
+    weights = np.stack([DOP853_B, DOP853_E5, DOP853_E3])[:, :, None, None, None]
+    stage_rows = DOP853_A[:, :, None, None, None]
+    eye = np.eye(m, dtype=complex)[:, :, None]
 
-    def coeffs(t, h):
-        """x'(s) sum_p A_p / (x(s) - p) for every piece at each node s = t + c_i h."""
-        s = (t + h * DOP853_C)[:, None]
-        turn = swing * np.exp(2j * np.pi * s)
-        x = start + s * slope + turn
-        dx = slope + 2j * np.pi * turn
-        return ((dx[..., None] / (x[..., None] - pole_array)) @ flat).reshape(
-            n_stages, 3 * k, m, m
-        )
+    def step(piece, left, width):
+        """One DOP853 step from I over each subinterval [left, left + width]
+        of its piece: the transports and the error ratios.
 
-    z = np.tile(np.eye(m, dtype=complex), (3 * k, 1, 1))
-    stages = np.empty((n_stages, 3 * k, m, m), dtype=complex)
-    flat_stages = stages.reshape(n_stages, -1)
-    t = 0.0
-    h = 0.05
-    min_h = 1e-13
-    while t < 1.0:
-        h = min(h, 1.0 - t)
-        a = coeffs(t, h)
-        ha = h * DOP853_A
-        stages[0] = a[0] @ z
+        Subintervals run along the last axis, and every sum is taken
+        element by element in a fixed order, so that a subinterval's
+        result does not depend on the others stepped with it."""
+        s = DOP853_C[:, None] * width + left
+        turn = swing[piece] * np.exp(2j * np.pi * s)
+        x = start[piece] + s * slope[piece] + turn
+        dx = slope[piece] + 2j * np.pi * turn
+        # h x'(s) sum_p A_p / (x(s) - p) at each node
+        w = (width * dx)[:, None] / (x[:, None] - pole_array[:, None])
+        a = w[:, 0, None] * flat[0, :, None]
+        for q in range(1, k):
+            a += w[:, q, None] * flat[q, :, None]
+        a = a.reshape(n_stages, m, m, -1)
+        stages = np.empty_like(a)  # h times the derivative at each stage
+        stages[0] = a[0]
         for i in range(1, n_stages):
-            stages[i] = a[i] @ (z + (ha[i, :i] @ flat_stages[:i]).reshape(z.shape))
-        z_new = z + (h * DOP853_B @ flat_stages).reshape(z.shape)
-        e5 = np.abs(DOP853_E5 @ flat_stages).reshape(3 * k, -1).max(axis=1)
-        e3 = np.abs(DOP853_E3 @ flat_stages).reshape(3 * k, -1).max(axis=1)
+            y = eye + (stage_rows[i, :i] * stages[:i]).sum(axis=0)
+            stages[i] = (a[i][:, :, None] * y).sum(axis=1)
+        update, est5, est3 = ((row * stages).sum(axis=0) for row in weights)
+        z = eye + update
+        e5, e3 = (np.abs(e).max(axis=(0, 1)) for e in (est5, est3))
         denom = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
-        err = h * e5 * e5 / np.where(denom > 0, denom, 1.0)
-        room = local_tol * (1 + np.abs(z_new).reshape(3 * k, -1).max(axis=1))
-        ratio = float((err / room).max())
-        if not math.isfinite(ratio):
-            raise IntegrationFailure(f"non-finite error estimate at s = {t:.6g}")
-        if ratio <= 1.0:
-            z = z_new
-            t += h
-        elif h < min_h:
-            raise IntegrationFailure("step size underflow")
-        h *= 10.0 if ratio == 0 else min(10.0, max(0.2, 0.9 * ratio ** -0.125))
-    return list(z[2 * k :] @ z[k : 2 * k] @ z[:k])
+        err = e5 * e5 / np.where(denom > 0, denom, 1.0)
+        return z.transpose(2, 0, 1), err / (local_tol * (1 + np.abs(z).max(axis=(0, 1))))
+
+    # the queue: the subintervals not yet folded into their piece's
+    # transport, in the order of the pieces and of s
+    piece = np.arange(3 * k)
+    left = np.zeros(3 * k)
+    width = np.ones(3 * k)
+    transport = np.empty((3 * k, m, m), dtype=complex)
+    accepted = np.zeros(3 * k, dtype=bool)
+    whole = np.tile(np.eye(m, dtype=complex), (3 * k, 1, 1))
+    while len(piece):
+        todo = np.flatnonzero(~accepted)[:_ROUND]
+        batches = [todo[a : a + _STEP_BATCH] for a in range(0, len(todo), _STEP_BATCH)]
+        z, ratio = map(np.concatenate, zip(*(step(piece[b], left[b], width[b]) for b in batches)))
+        bad = ~np.isfinite(ratio)
+        if bad.any():
+            raise IntegrationFailure(f"non-finite error estimate at s = {left[todo[bad]][0]:.6g}")
+        ok = ratio <= 1.0
+        transport[todo[ok]] = z[ok]
+        accepted[todo[ok]] = True
+        split = todo[~ok]
+        if len(split):
+            if (width[split] < 1e-13).any():
+                raise IntegrationFailure("step size underflow")
+            parts = np.ones(len(piece), dtype=np.int64)
+            parts[split] = np.clip(np.ceil(ratio[~ok] ** 0.125 / 0.9), 2, 5)
+            # part j of a subinterval starts j of its widths past the left end
+            j = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+            piece, left, width, transport, accepted = (
+                np.repeat(v, parts, axis=0) for v in (piece, left, width / parts, transport, accepted)
+            )
+            left = left + j * width
+        # a piece's transport is the product of its subintervals' transports,
+        # later @ earlier; the head of a piece, the accepted subintervals
+        # before its first pending one, is folded in
+        waiting = np.cumsum(~accepted)
+        head = waiting == (waiting - ~accepted)[np.searchsorted(piece, piece)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            done, folded = _ordered_products(transport[head], piece[head])
+            whole[folded] = done @ whole[folded]
+        bad = ~np.isfinite(whole[folded]).all(axis=(1, 2))
+        if bad.any():
+            end = (left + width)[head & (piece == folded[bad][0])].max()
+            raise IntegrationFailure(f"the transport is no longer finite at s = {end:.6g}")
+        piece, left, width, transport, accepted = (
+            v[~head] for v in (piece, left, width, transport, accepted)
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        monodromy = whole[2 * k :] @ whole[k : 2 * k] @ whole[:k]
+    if not np.isfinite(monodromy).all():
+        raise IntegrationFailure("the monodromy of a loop is not finite")
+    return list(monodromy)
+
+
+def _ordered_products(mats, runs):
+    """The product of each run of equal values of `runs` (in order), later
+    @ earlier, multiplying neighbours pairwise: the products and the run
+    values."""
+    while len(runs) and (runs[1:] == runs[:-1]).any():
+        pos = np.arange(len(runs)) - np.searchsorted(runs, runs)
+        even = pos % 2 == 0
+        # an even position is paired with the next one of its run, if any
+        paired = np.flatnonzero(even & np.append(runs[1:] == runs[:-1], False))
+        out = mats[even]
+        out[np.searchsorted(np.flatnonzero(even), paired)] = mats[paired + 1] @ mats[paired]
+        mats, runs = out, runs[even]
+    return mats, runs
 
 
 def _segment_distance(q, a, b):

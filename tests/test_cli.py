@@ -382,58 +382,96 @@ MONODROMY_README_JSON = {
     "poles": ["(-0.7+0.3j)", "0j", "(1+0j)"],
     "generators": [
         [
-            [-0.20874260838972636, -0.6218057722078555],
-            [0.03717518062042313, -0.4682221453868418],
-            [0.11316618019686703, -0.27003238175520444],
-            [-0.5591020877587021, 0.4469301519372106],
-            [0.7830108207755346, -0.11869653886559105],
-            [-0.10538814693324018, -0.11253188849457206],
-            [-0.6079339152147489, 0.298178046796481],
-            [-0.17607158828792907, -0.15408624927259423],
-            [0.9257317876141775, -0.12552309271101822],
+            [-0.20874260838970665, -0.621805772207869],
+            [0.037175180620438016, -0.4682221453868533],
+            [0.11316618019687494, -0.27003238175519373],
+            [-0.55910208775864, 0.4469301519371607],
+            [0.7830108207755146, -0.11869653886553126],
+            [-0.10538814693324194, -0.11253188849455514],
+            [-0.6079339152147306, 0.2981780467964596],
+            [-0.1760715882879216, -0.1540862492725998],
+            [0.9257317876141741, -0.1255230927110229],
         ],
         [
-            [0.9346167990666027, -0.036028413493951056],
-            [-0.1773132520584118, -0.2821967925035276],
-            [0.022704043278342374, -0.07266724420148123],
-            [-0.34733862631752604, -0.0012508674336349887],
-            [-0.35351328140735394, -0.756688335130373],
-            [-0.06940317213752684, -0.3473561178264424],
-            [-0.08630292080019705, 0.0635917647683],
-            [-0.4746214627674373, 0.06150071330217163],
-            [0.9188964823407878, -0.0733086551601262],
+            [0.9346167990665398, -0.036028413493918936],
+            [-0.17731325205839077, -0.2821967925035007],
+            [0.022704043278336753, -0.07266724420148439],
+            [-0.3473386263175187, -0.001250867433603833],
+            [-0.3535132814073414, -0.7566883351303867],
+            [-0.06940317213753563, -0.3473561178264462],
+            [-0.08630292080020109, 0.06359176476832587],
+            [-0.47462146276744094, 0.06150071330216583],
+            [0.9188964823407964, -0.07330865516013493],
         ],
         [
-            [0.8890204408163118, -0.006934495035937243],
-            [-0.15868456525309893, -0.03155520154594841],
-            [-0.15223872128636662, -0.6276220199949523],
-            [-0.11079083838252347, -0.024308684754169203],
-            [0.84496218323506, -0.0565719613786238],
-            [-0.055523826207527736, -0.656431361814206],
-            [-0.19485191279953507, 0.16206852964908217],
-            [-0.3124534074476932, 0.195854890318159],
-            [-0.23398262405135956, -0.8025189473698896],
+            [0.8890204408163106, -0.00693449503597824],
+            [-0.15868456525314123, -0.03155520154594929],
+            [-0.15223872128638344, -0.6276220199949066],
+            [-0.11079083838250547, -0.02430868475417157],
+            [0.8449621832350473, -0.056571961378588616],
+            [-0.05552382620748539, -0.6564313618141308],
+            [-0.19485191279955502, 0.16206852964908885],
+            [-0.31245340744774414, 0.19585489031817319],
+            [-0.2339826240513497, -0.8025189473699004],
         ],
     ],
     "local_eigenvalues": [
         [
-            [-0.5000000000000167, -0.8660254037844486],
-            [1.0000000000000018, -1.787459069646502e-14],
-            [1.0, 9.228728892196614e-16],
+            [-0.4999999999999776, -0.8660254037844448],
+            [0.9999999999999716, 2.8199664825478976e-14],
+            [0.9999999999999875, -6.51768135989661e-15],
         ],
         [
-            [-0.5000000000000159, -0.8660254037844608],
-            [1.0000000000000653, 2.8171909249863347e-15],
-            [0.9999999999999877, 7.533961866165923e-15],
+            [-0.5000000000000051, -0.8660254037844638],
+            [0.9999999999999997, 2.2787064833916032e-14],
+            [1.0000000000000004, 6.106226635438361e-16],
         ],
         [
-            [-0.5000000000000053, -0.8660254037844458],
-            [1.0000000000000016, 1.97877969698761e-16],
-            [1.0000000000000162, -4.746311850489793e-15],
+            [-0.49999999999999767, -0.8660254037844657],
+            [1.000000000000006, -4.463096558993129e-14],
+            [0.9999999999999998, 4.281531319804202e-14],
         ],
     ],
     "closure_size": 648,
 }
+
+# the generators as printed when the loops were integrated by sequential
+# DOP853 steps shared by all the loop pieces
+MONODROMY_SEQUENTIAL_DOP853_GENERATORS = [
+    [
+        [-0.20874260838972636, -0.6218057722078555],
+        [0.03717518062042313, -0.4682221453868418],
+        [0.11316618019686703, -0.27003238175520444],
+        [-0.5591020877587021, 0.4469301519372106],
+        [0.7830108207755346, -0.11869653886559105],
+        [-0.10538814693324018, -0.11253188849457206],
+        [-0.6079339152147489, 0.298178046796481],
+        [-0.17607158828792907, -0.15408624927259423],
+        [0.9257317876141775, -0.12552309271101822],
+    ],
+    [
+        [0.9346167990666027, -0.036028413493951056],
+        [-0.1773132520584118, -0.2821967925035276],
+        [0.022704043278342374, -0.07266724420148123],
+        [-0.34733862631752604, -0.0012508674336349887],
+        [-0.35351328140735394, -0.756688335130373],
+        [-0.06940317213752684, -0.3473561178264424],
+        [-0.08630292080019705, 0.0635917647683],
+        [-0.4746214627674373, 0.06150071330217163],
+        [0.9188964823407878, -0.0733086551601262],
+    ],
+    [
+        [0.8890204408163118, -0.006934495035937243],
+        [-0.15868456525309893, -0.03155520154594841],
+        [-0.15223872128636662, -0.6276220199949523],
+        [-0.11079083838252347, -0.024308684754169203],
+        [0.84496218323506, -0.0565719613786238],
+        [-0.055523826207527736, -0.656431361814206],
+        [-0.19485191279953507, 0.16206852964908217],
+        [-0.3124534074476932, 0.195854890318159],
+        [-0.23398262405135956, -0.8025189473698896],
+    ],
+]
 
 # the generators as printed when the loops were integrated by adaptive RK4
 # with step doubling; they agree with a DOP853 oracle within 1e-13
@@ -520,6 +558,7 @@ def test_monodromy_readme_output_pinned(capsys):
     assert out == json.dumps(MONODROMY_README_JSON, indent=2) + "\n"
     pinned = MONODROMY_README_JSON["generators"]
     for reference, bound in (
+        (MONODROMY_SEQUENTIAL_DOP853_GENERATORS, 1e-12),
         (MONODROMY_RK4_GENERATORS, 1e-12),
         (MONODROMY_CENTRAL_DIFFERENCE_GENERATORS, 1e-9),
     ):
@@ -709,7 +748,7 @@ PINNED_OUTPUTS = [
     ),
     (
         ["monodromy", "--theta", "1/6,1/6,1/6,1/6", "--poles=-0.7+0.3j,0,1"],
-        "5e2d8b8cc3790d2099bdfe824ffe89abbcef55df23fb6bf0ac967cbf36879c49",
+        "de00eed985ba5f9f54de3222b0871bc60782d4f0a1d568b536e5972aa086539c",
     ),
     (
         ["tables", "--which", "1"],

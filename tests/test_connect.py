@@ -318,6 +318,72 @@ def test_monodromy_numeric_local_tol_sweep(local_tol):
         assert np.abs(g - w).max() < max(100 * local_tol, 1e-11)
 
 
+_S_POINTS = {3: [-0.7 + 0.3j], 4: [-0.7 + 0.3j, 2.1 + 0.4j]}
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+@pytest.mark.parametrize("cap", [1, 10**6])
+def test_monodromy_batching_cannot_move_a_bit(monkeypatch, rank, cap):
+    # every subinterval is stepped on its own data with sums in a fixed
+    # order, so how many are stepped together changes nothing
+    poles, residues = corollary_connection(rank, _S_POINTS[rank], sign=+1)
+    want = monodromy_numeric(poles, residues)
+    monkeypatch.setattr(connect, "_STEP_BATCH", cap)
+    got = monodromy_numeric(poles, residues)
+    assert np.array_equal(np.stack(got), np.stack(want))
+
+
+@pytest.mark.parametrize("round_cap", [1, 7, 100])
+def test_monodromy_round_cap_only_regroups_products(monkeypatch, round_cap):
+    # a smaller round folds the same accepted transports in other groups
+    poles, residues = corollary_connection(3, _S_POINTS[3], sign=+1)
+    want = monodromy_numeric(poles, residues)
+    monkeypatch.setattr(connect, "_ROUND", round_cap)
+    got = monodromy_numeric(poles, residues)
+    for g, w in zip(got, want, strict=True):
+        assert np.abs(g - w).max() < 1e-13
+
+
+def test_monodromy_overflowing_transport_raises():
+    # each subinterval's transport is finite, but their product overflows:
+    # it must raise, never return inf or nan
+    poles, residues = corollary_connection(3, _S_POINTS[3], sign=+1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(IntegrationFailure, match="no longer finite at s = "):
+            monodromy_numeric(poles, [1000 * a for a in residues])
+
+
+def test_monodromy_memory_is_bounded():
+    # ×300 residues need about 30000 subintervals; holding every accepted
+    # transport until the end took a 10.8 MiB tracemalloc peak, and the
+    # rounds of at most _ROUND subintervals fold them as they go
+    poles, residues = corollary_connection(3, _S_POINTS[3], sign=+1)
+    tracemalloc.start()
+    try:
+        got = monodromy_numeric(poles, [300 * a for a in residues])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.isfinite(g).all() for g in got)
+    assert peak < 4 * 2**20
+
+
+def test_ordered_products_match_sequential_products():
+    rng = random.Random(5)
+    runs = np.array(sorted(rng.randrange(6) for _ in range(40)))
+    mats = np.array(
+        [[[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)] for _ in range(3)] for _ in runs]
+    )
+    got, values = connect._ordered_products(mats, runs)
+    assert values.tolist() == sorted(set(runs.tolist()))
+    for g, v in zip(got, values):
+        want = np.eye(3)
+        for m in mats[runs == v]:
+            want = m @ want
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_dop853_tableau_matches_scipy():
     from scipy.integrate._ivp import dop853_coefficients as ref
 

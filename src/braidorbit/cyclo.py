@@ -456,11 +456,6 @@ class Cyclotomic:
     def is_rational(self):
         return not any(self.num[1:])
 
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den)
-
     def galois(self, k):
         """Image under zeta_n -> zeta_n^k; requires gcd(k, n) = 1."""
         if gcd(k, self.n) != 1:

@@ -36,8 +36,8 @@ edge once and skip the image they already know; the n=4 tables then
 canonicalize 4182 images per pass instead of 8304, and the batched
 levels of the 2880-point n=6 orbit 34364 rows instead of 57220.
 `int_line_orbit` (the braid orbits of `charvar`, classify's projective
-group, the G25/G32 line and plane orbits and the regular orbit of
-`reflgrp`) runs on it; `IntActions` keeps a matrix list's integer
+group, the G25/G32 line and plane orbits and the levels of `reflgrp`'s
+stabilizer chain) runs on it; `IntActions` keeps a matrix list's integer
 actions per conductor, so the braid orbits of one linear part build them
 once.  A vector or a matrix X is searched as the line through (1, vec X),
 on which X -> L X R^T acts by diag(1, L (x) R) (`kron_lift`; a vector

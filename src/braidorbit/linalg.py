@@ -176,22 +176,18 @@ class Mat:
         return d
 
     def inverse(self):
+        """M^-1: the right half of rref([M | I]), whose left half is then I.
+
+        Raises SingularMatrix when one of M's columns has no pivot.
+        """
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        a = [list(self.row(i)) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if pivot is None:
-                raise SingularMatrix("matrix is singular")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv = a[col][col].inverse()
-            a[col] = [e * inv for e in a[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero():
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return Mat(n, n, [a[i][j + n] for i in range(n) for j in range(n)])
+        ident = Mat.identity(n)
+        red, pivots = Mat.from_rows([self.row(i) + ident.row(i) for i in range(n)]).rref()
+        if pivots != tuple(range(n)):
+            raise SingularMatrix("matrix is singular")
+        return Mat(n, n, [red[i, j] for i in range(n) for j in range(n, 2 * n)])
 
     def adjugate(self):
         """adj(M), with adj(M) M = M adj(M) = det(M) I, singular M included.
@@ -271,19 +267,6 @@ class Mat:
     def __repr__(self):
         rows = "; ".join(", ".join(str(e) for e in self.row(i)) for i in range(self.rows))
         return f"Mat[{rows}]"
-
-
-def mat_to_json(m):
-    """Rows of cyclotomic literal strings (the JSON wire format)."""
-    from .cyclo import render
-
-    return [[render(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-
-
-def mat_from_json(rows):
-    from .cyclo import parse_cyclo
-
-    return Mat.from_rows([[parse_cyclo(e) for e in row] for row in rows])
 
 
 def eigenspace(m, eigenvalue):

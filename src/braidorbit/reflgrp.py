@@ -1,25 +1,26 @@
 """The complex reflection groups G25 and G32: construction and orbit data.
 
 Both groups are generated by order-3 reflections with entries in Q(omega).
-The order is the size of one regular orbit (`RegularOrbit`), which also
-decides membership; only G25 keeps its 648 elements, for stabilizer scans.
-This module computes reflections, reflection hyperplanes, the regular
-eigenplanes ("proper planes"), orbit strata of projective points, the
-intersection lattice census, the regular polytopes they preserve, and the
-conjugation to the braid-action matrices.
+The order and membership come from one stabilizer chain over the base
+e_1, ..., e_d (`StabilizerChain`), whose subgroups are generated by the
+reflections that fix the base vectors; only G25 keeps its 648 elements,
+for stabilizer scans.  This module computes reflections, reflection
+hyperplanes, the regular eigenplanes ("proper planes"), orbit strata of
+projective points, the intersection lattice census, the regular
+polytopes they preserve, and the conjugation to the braid-action
+matrices.
 
 Every orbit here is one projective search of `kernel.int_line_orbit`:
 the strata are orbits of lines, the proper planes orbits of Pluecker
 lines, the reflections orbits of matrices X on the lines through
-(1, vec X), and the regular orbit an orbit of vectors v on the lines
-through (1, v).
+(1, vec X), and the levels of the chain orbits of the base vectors v on
+the lines through (1, v).
 
 Every incidence is one integer test (`containing`) against a family of
 subspaces cut out by linear forms (`Subspaces`): a hyperplane's normal
 (G25 keeps its proper planes so), or the four forms x -> (x ^ P)_ijk of
-a G32 proper plane's Pluecker vector P (`_plucker_forms`).  The strata,
-the premise of the regular orbit and the lattice census all count
-incidences so.
+a G32 proper plane's Pluecker vector P (`_plucker_forms`).  The strata
+and the lattice census count incidences so.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from . import kernel
 from .charvar import LinearPart, matrix_of_sigma
 from .cyclo import _fold_terms, _times_x, cyc, euler_phi, order_of_root, zeta
-from .linalg import Mat, eigenspace, is_complex_reflection, mat_parallel, matrix_order
+from .linalg import Mat, eigenspace, mat_parallel, matrix_order
 
 W = zeta(3, 1)  # omega
 ONE = cyc(1)
@@ -148,18 +149,18 @@ class ReflGroup:
     degrees: tuple
     codegrees: tuple
     elements: list = None  # kernel blobs at `conductor`; G25 only
-    reflections: list = None  # kernel blobs at `conductor`
+    reflections: list = None  # kernel blobs at `conductor`, all of the group's
     hyperplanes: list = None  # canonical normals, tuples of Cyclotomic
     proper_planes: list = None  # G25: normals; G32: canonical Pluecker vectors
     hyperplane_forms: Subspaces = None  # the hyperplanes, for `containing`
     proper_plane_forms: Subspaces = None  # the proper planes, for `containing`
-    regular_orbit: RegularOrbit = field(default=None, repr=False)
+    chain: StabilizerChain = field(default=None, repr=False)  # gives order and `contains`
 
     def ring(self):
         return kernel.ring_params(self.conductor)
 
     def contains(self, mat):
-        return self.regular_orbit.contains(mat)
+        return self.chain.contains(mat)
 
     def element_mats(self):
         if self.elements is None:
@@ -171,69 +172,85 @@ class ReflGroup:
 BoundExceeded = kernel.BoundExceeded
 
 
-class RegularOrbit:
-    """The orbit of a vector on no reflection hyperplane: a copy of the group.
+class StabilizerChain:
+    """The chain G = G_0 > G_1 > ... of the stabilizers of e_1, e_2, ...
 
-    By Steinberg's fixed-point theorem such a vector has a trivial
-    stabilizer, so g -> g(base) is a bijection from the group onto the
-    orbit, and the orbit's level-order BFS is a Schreier tree for it.  A
-    vector v is searched as the line through (1, v), on which g acts by
-    diag(1, g) (`kernel.kron_lift` with a 1 x 1 right factor), so the
-    search is one `kernel.int_line_orbit`.  Each point is that line's
-    canonical vector (den, 0, ..., 0, den v) at `conductor`, the lcm of
-    the given conductor and those of the generators and the base.
-    Raises BoundExceeded past `bound`.
+    G_i is the subgroup that fixes e_1 .. e_i.  By Steinberg's fixed-point
+    theorem (Trans. AMS 112, 1964), the subgroup of a finite reflection
+    group that fixes a set of vectors is generated by the reflections that
+    fix them.  So G_i is generated by the reflections of G (`reflections`,
+    all of them) that fix e_1 .. e_i: the chain needs no Schreier
+    generators, and stops when no reflection is left.  Level i is the orbit
+    of e_i under G_(i-1), of size [G_(i-1) : G_i], so |G| is the product of
+    the level sizes.  A vector v is searched as the line through (1, v), on
+    which g acts by diag(1, g) (`kernel.kron_lift` with a 1 x 1 right
+    factor), so a level is one `kernel.int_line_orbit`, and its level-order
+    BFS is a Schreier tree.  Each point is the canonical vector
+    (den, 0, ..., 0, den v) at `conductor`, the lcm of the given conductor
+    and those of the generators.  Raises BoundExceeded past `bound`.
     """
 
-    def __init__(self, gens, base, conductor, bound):
-        self.generators = gens
-        self.base = tuple(cyc(x) for x in base)
+    def __init__(self, gens, reflections, conductor, bound):
+        self.conductor = lcm(conductor, *(x.n for g in gens for x in g.entries))
+        # per level: e_i, the inverses of G_(i-1)'s generators as matrices and
+        # as integer actions, the orbit's points and the position of each
+        self.levels = []
         one = Mat.identity(1)
-        lifts = [kernel.kron_lift(g, one, affine=True) for g in gens]
-        self.conductor, phi, self.points, exceeded = kernel.int_line_orbit(
-            lifts, (ONE, *self.base), bound, conductor
-        )
-        if exceeded:
-            raise BoundExceeded(bound, self.points)
-        self._ring = (self.conductor, phi)
-        self._inverse_actions = [
-            kernel._int_action(kernel.kron_lift(g.inverse(), one, affine=True), self.conductor)
-            for g in gens
-        ]
+        d = gens[0].rows if gens else 0
+        for k in range(d):
+            base = tuple(ONE if j == k else ZERO for j in range(d))
+            lifts = [kernel.kron_lift(g, one, affine=True) for g in gens]
+            _, _, points, exceeded = kernel.int_line_orbit(
+                lifts, (ONE, *base), bound, self.conductor
+            )
+            if exceeded:
+                raise BoundExceeded(bound, points)
+            inverses = [g.inverse() for g in gens]
+            actions = [
+                kernel._int_action(kernel.kron_lift(g, one, affine=True), self.conductor)
+                for g in inverses
+            ]
+            index = {v: i for i, v in enumerate(points)}
+            self.levels.append((base, inverses, actions, points, index))
+            gens = reflections = [r for r in reflections if r.apply(base) == base]
+            if not gens:
+                break
 
-    def __len__(self):
-        return len(self.points)
+    @property
+    def sizes(self):
+        return tuple(len(points) for *_, points, _ in self.levels)
 
-    @cached_property
-    def index(self):
-        """The position of each point, built by the first `contains`."""
-        return {v: i for i, v in enumerate(self.points)}
+    @property
+    def order(self):
+        return prod(self.sizes)
 
     def contains(self, mat):
-        """Whether `mat` is the group element that maps base to mat(base).
+        """Whether `mat` lies in the group: sift it down the chain.
 
-        That element is rebuilt from the Schreier tree: from the point
-        mat(base), step to the canonical image of smallest index under an
-        inverse generator (a BFS parent, a level lower) until the base is
-        reached.  An image of the base outside Q(zeta_conductor), or off
-        the orbit, gives False.
+        At each level, from the point mat(e_i), step to the canonical image
+        of smallest index under an inverse generator (a BFS parent, a level
+        lower) until e_i is reached, and left-multiply `mat` by each
+        inverse used; then `mat` fixes e_i.  An image outside
+        Q(zeta_conductor), or off the level's orbit, gives False; so does a
+        sifted `mat` that is not the identity at the end.
         """
-        try:
-            image = [x.fit(self.conductor) for x in mat.apply(self.base)]
-        except ValueError:
-            return False
-        i = self.index.get(kernel.line_vector((ONE, *image), self.conductor))
-        if i is None:
-            return False
-        elem = Mat.identity(len(self.base))
-        while i:
-            v = self.points[i]
-            i, a = min(
-                (self.index[kernel._canon(kernel.int_apply(cols, v), *self._ring)], a)
-                for a, cols in enumerate(self._inverse_actions)
-            )
-            elem = elem @ self.generators[a]
-        return elem == mat
+        ring = (self.conductor, euler_phi(self.conductor))
+        for base, inverses, actions, points, index in self.levels:
+            try:
+                image = [x.fit(self.conductor) for x in mat.apply(base)]
+            except ValueError:
+                return False
+            i = index.get(kernel.line_vector((ONE, *image), self.conductor))
+            if i is None:
+                return False
+            while i:
+                v = points[i]
+                i, a = min(
+                    (index[kernel._canon(kernel.int_apply(cols, v), *ring)], a)
+                    for a, cols in enumerate(actions)
+                )
+                mat = inverses[a] @ mat
+        return mat.is_identity()
 
 
 def _reflection_normal(blob, d, conductor):
@@ -264,29 +281,32 @@ def _vector_key(vec, conductor):
     return kernel.line_vector(tuple(vec) + (ONE,), conductor)
 
 
-def _build(name, gens, base, bound, degrees, codegrees):
-    """The group generated by `gens`, of order the size of the orbit of `base`."""
+def _build(name, gens, bound, degrees, codegrees):
+    """The group generated by `gens`, of the order of its stabilizer chain;
+    `bound` bounds the reflections' conjugation orbits and each chain level."""
     for g in gens:
         assert matrix_order(g, 4) == 3
-    orbit = RegularOrbit(gens, base, 3, bound)
-    group = ReflGroup(
+    d, c = gens[0].rows, 3
+    reflections, hyperplanes = _reflection_data(gens, c, bound)
+    mats = [kernel.from_blob_matrix(b, d, c) for b in reflections]
+    chain = StabilizerChain(gens, mats, c, bound)
+    return ReflGroup(
         name=name,
-        dim=len(base),
-        conductor=3,
+        dim=d,
+        conductor=c,
         generators=gens,
-        order=len(orbit),
+        order=chain.order,
         degrees=degrees,
         codegrees=codegrees,
-        regular_orbit=orbit,
+        reflections=reflections,
+        hyperplanes=hyperplanes,
+        hyperplane_forms=Subspaces(hyperplanes),
+        chain=chain,
     )
-    _fill_reflection_data(group)
-    # the premise of the regular orbit: base lies on no reflection hyperplane
-    assert hyperplanes_through(group, orbit.base) == 0
-    return group
 
 
 def build_g25():
-    group = _build("g25", g25_generators(), (1, 2, 3), 1000, G25_DEGREES, G25_CODEGREES)
+    group = _build("g25", g25_generators(), 1000, G25_DEGREES, G25_CODEGREES)
     # the stabilizer scans and their oracle tests read the 648 elements
     blobs = [kernel.to_blob_matrix(g, group.conductor) for g in group.generators]
     group.elements = kernel.closure(blobs, group.dim, group.conductor, group.order)
@@ -303,40 +323,41 @@ def build_g25():
 
 
 def build_g32():
-    group = _build("g32", g32_generators(), (1, 2, 3, 5), 160_000, G32_DEGREES, G32_CODEGREES)
+    group = _build("g32", g32_generators(), 160_000, G32_DEGREES, G32_CODEGREES)
     basis, _ = _g32_seed_plane()
     group.proper_planes = _plane_orbit_py(group.generators, basis, conductor=12, bound=600)
     group.proper_plane_forms = Subspaces(group.proper_planes, plane_dim=group.dim)
     return group
 
 
-def _fill_reflection_data(group):
-    """Reflections as conjugation orbits of the generators and their squares.
+def _reflection_data(gens, c, bound):
+    """The reflections, as blobs at `c`, and the reflection hyperplanes' normals.
 
-    Every reflection of G25 and G32 has order 3 and is conjugate to a
-    generator or to its square.  A reflection r and r^2 fix the same
+    The reflections are the conjugation orbits of the generators and their
+    squares: every reflection of G25 and G32 has order 3 and is conjugate
+    to a generator or to its square.  A reflection r and r^2 fix the same
     hyperplane, and the conjugates of g^2 are the squares of g's
     conjugates, so the hyperplanes are read off the orbits of the
     generators alone, in discovery order, on integers (`_reflection_normal`).
+    Each orbit is bounded by `bound`.
     """
-    d, c = group.dim, group.conductor
+    d = gens[0].rows
     # X -> g X g^-1 is X -> g X (g^-T)^T; both orbits share the integer actions
     lifts = kernel.IntActions(
-        kernel.kron_lift(g, g.inverse().transpose(), affine=True) for g in group.generators
+        kernel.kron_lift(g, g.inverse().transpose(), affine=True) for g in gens
     )
-    group.reflections = []
+    reflections = []
     seen = set()
     normals = {}  # canonical vector -> None, in discovery order
-    for g in group.generators:
+    for g in gens:
         for r in (g, g @ g):
             if kernel.to_blob_matrix(r, c) not in seen:
-                orbit = kernel.matrix_orbit(lifts, r, group.order, c)
+                orbit = kernel.matrix_orbit(lifts, r, bound, c)
                 seen.update(orbit)
-                group.reflections.extend(orbit)
+                reflections.extend(orbit)
                 if r is g:
                     normals.update(dict.fromkeys(_reflection_normal(b, d, c) for b in orbit))
-    group.hyperplanes = [kernel.line_coords(w, c) for w in normals]
-    group.hyperplane_forms = Subspaces(group.hyperplanes)
+    return reflections, [kernel.line_coords(w, c) for w in normals]
 
 
 def g32_t_element(group=None):
@@ -876,12 +897,9 @@ def steinberg_check(group, point):
         img = mat.apply(point)
         if all(a == b for a, b in zip(img, point)):
             fixing.append(mat)
-    if not fixing:
-        return stab_order == 1
-    # base lies on no reflection hyperplane, so the subgroup acts freely on
-    # its orbit, whose size is the subgroup's order
-    sub = RegularOrbit(fixing, group.regular_orbit.base, group.conductor, group.order)
-    return len(sub) == stab_order
+    # every element of <fixing> fixes the point, so its reflections are
+    # exactly `fixing`, and the chain over them is exact (order 1 if empty)
+    return StabilizerChain(fixing, fixing, group.conductor, group.order).order == stab_order
 
 
 def line_stabilizer_is_cyclic(group, point):

@@ -274,12 +274,21 @@ def test_int_line_orbit_batched_matches_per_item(monkeypatch, name):
     assert batched == per_item
 
 
+def _regular_orbit(gens, base, bound):
+    """The orbit of the vector `base`, searched on the lines through (1, v):
+    the search of each level of `reflgrp.StabilizerChain`.  A vector on no
+    reflection hyperplane has a trivial stabilizer, so its orbit is as
+    large as the group."""
+    one = Mat.identity(1)
+    lifts = [kernel.kron_lift(g, one, affine=True) for g in gens]
+    return kernel.int_line_orbit(lifts, (cyc(1), *map(cyc, base)), bound, 3)
+
+
 def test_regular_orbit_batched_matches_per_item(monkeypatch):
     batched, per_item = _batched_and_per_item(
-        monkeypatch,
-        lambda: reflgrp.RegularOrbit(reflgrp.g25_generators(), (1, 2, 3), 3, 1000).points,
+        monkeypatch, lambda: _regular_orbit(reflgrp.g25_generators(), (1, 2, 3), 1000)
     )
-    assert len(batched) == 648
+    assert len(batched[2]) == 648 and batched[3] is False
     assert batched == per_item
 
 
@@ -332,13 +341,14 @@ def test_regular_orbit_matches_a_search_over_cyclotomic_vectors(monkeypatch, bas
     # `bfs` over tuples of Cyclotomic under Mat.apply
     gens = reflgrp.g25_generators()
     batched, per_item = _batched_and_per_item(
-        monkeypatch, lambda: reflgrp.RegularOrbit(gens, base, 3, 1000)
+        monkeypatch, lambda: _regular_orbit(gens, base, 1000)
     )
-    assert batched.points == per_item.points
+    assert batched == per_item
+    conductor, _, points, _ = batched
     want = kernel.bfs(tuple(map(cyc, base)), lambda v: (g.apply(v) for g in gens), 1000)
     assert len(want) == 648
-    assert [kernel.line_coords(w, batched.conductor)[1:] for w in batched.points] == want
-    assert {w[0] for w in batched.points} == dens
+    assert [kernel.line_coords(w, conductor)[1:] for w in points] == want
+    assert {w[0] for w in points} == dens
 
 
 def test_hash_collisions_regroup_exactly(monkeypatch):

@@ -141,10 +141,3 @@ def test_kernel_canonical():
     m1 = Mat.from_rows([[1, 1, 0]])
     m2 = Mat.from_rows([[2, 2, 0], [4, 4, 0]])
     assert m1.kernel() == m2.kernel()
-
-
-def test_mat_json_roundtrip():
-    from braidorbit.linalg import mat_from_json, mat_to_json
-
-    m = Mat.from_rows([[W, 1], [cyc(0), W * W / 3]])
-    assert mat_from_json(mat_to_json(m)) == m

@@ -33,11 +33,14 @@ def test_traced_names_resolve():
             assert callable(getattr(cls, attr, None)), (modname, clsname, attr)
 
 
+def _workloads():
+    return ast.parse((PERFBENCH / "workloads.py").read_text())
+
+
 def test_workload_names_resolve():
-    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
     names = {
         (node.value.id, node.attr)
-        for node in ast.walk(tree)
+        for node in ast.walk(_workloads())
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id in ("kernel", "reflgrp")
@@ -45,5 +48,31 @@ def test_workload_names_resolve():
     assert ("kernel", "line_orbit") in names and ("reflgrp", "stratify") in names
     for modname, attr in sorted(names):
         assert hasattr(importlib.import_module(f"braidorbit.{modname}"), attr), (modname, attr)
-    # the workload reads G25's element list
-    assert "elements" in reflgrp.ReflGroup.__dataclass_fields__
+
+
+# the names under which the workloads hold a reflgrp.ReflGroup
+GROUP_NAMES = ("g25", "g32", "group")
+
+
+def _is_group(node):
+    """`g25`, `group`, ... or `self.g25`, ..."""
+    if isinstance(node, ast.Name):
+        return node.id in GROUP_NAMES
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in GROUP_NAMES
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def test_workload_group_attributes_resolve(g25):
+    attrs = {
+        node.attr
+        for node in ast.walk(_workloads())
+        if isinstance(node, ast.Attribute) and _is_group(node.value)
+    }
+    assert {"elements", "order", "reflections", "generators"} <= attrs
+    assert isinstance(g25, reflgrp.ReflGroup)
+    for attr in sorted(attrs):
+        assert hasattr(g25, attr), attr

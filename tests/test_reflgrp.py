@@ -304,8 +304,7 @@ def test_g32_t_element(g32):
 
 def test_g32_membership(g32):
     t = reflgrp.g32_t_element()
-    base = g32.regular_orbit.base
-    assert base == (ONE, cyc(2), cyc(3), cyc(5))
+    base = (ONE, cyc(2), cyc(3), cyc(5))
     assert g32.contains(t)
     assert g32.contains(Mat.identity(4).scale(-1))
     assert not g32.contains(Mat.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]))
@@ -314,6 +313,54 @@ def test_g32_membership(g32):
     p = Mat.identity(4) + Mat.from_rows([[2, -1, 0, 0], [4, -2, 0, 0], [0] * 4, [0] * 4])
     assert p.apply(base) == base and p != Mat.identity(4)
     assert not g32.contains(t @ p)
+    assert not g32.contains(_transvection_e23(4))
+
+
+def _transvection_e23(d):
+    """I + E_23, of infinite order: it fixes e_1 and e_2, so the chain passes
+    it through its first two levels and rejects it at the third."""
+    e = Mat.identity(d)
+    p = e + Mat.from_rows([[1 if (i, j) == (1, 2) else 0 for j in range(d)] for i in range(d)])
+    assert p.apply(e.row(0)) == e.row(0) and p.apply(e.row(1)) == e.row(1)
+    return p
+
+
+def test_chain_level_sizes(g25, g32):
+    # [G_(i-1) : G_i] for the stabilizers G_i of e_1 .. e_i
+    assert g25.chain.sizes == (72, 3, 3)
+    assert g32.chain.sizes == (240, 72, 3, 3)
+    # a level past the bound raises, like every search
+    gens = reflgrp.g25_generators()
+    mats = [kernel.from_blob_matrix(b, 3, 3) for b in g25.reflections]
+    with pytest.raises(reflgrp.BoundExceeded):
+        reflgrp.StabilizerChain(gens, mats, 3, 71)
+    # <R3> = <diag(1, w^2, 1)> fixes e_1 and no reflection of it fixes e_2,
+    # so its chain stops after two levels; only the final identity test
+    # rejects diag(1, 1, w), which fixes e_1 and e_2
+    r3 = gens[2]
+    sub = reflgrp.StabilizerChain([r3], [r3, r3 @ r3], 3, 10)
+    assert sub.sizes == (1, 3) and sub.order == 3 and sub.contains(r3 @ r3)
+    assert not sub.contains(Mat.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, W]]))
+
+
+def test_g25_chain_contains_every_element(g25):
+    # the elements come from the blob closure, which shares no code with the chain
+    mats = list(g25.element_mats())
+    assert len(mats) == 648
+    assert all(g25.contains(m) for m in mats)
+
+
+def test_g32_chain_order_matches_a_regular_orbit(g32):
+    # (1, 2, 3, 5) lies on no reflection hyperplane, so its stabilizer is
+    # trivial and its orbit, searched on the lines through (1, v), is as
+    # large as the group
+    base = (ONE, cyc(2), cyc(3), cyc(5))
+    assert reflgrp.hyperplanes_through(g32, base) == 0
+    one = Mat.identity(1)
+    lifts = [kernel.kron_lift(g, one, affine=True) for g in g32.generators]
+    _, _, points, exceeded = kernel.int_line_orbit(lifts, (ONE, *base), 200_000, 3)
+    assert not exceeded
+    assert len(points) == g32.order == 155520
 
 
 def test_g25_membership_of_matrices_off_the_orbit(g25):
@@ -322,6 +369,7 @@ def test_g25_membership_of_matrices_off_the_orbit(g25):
     assert not g25.contains(Mat.identity(3).scale(cyc(1) / 2))
     # the image (zeta12, 2, 3) lies outside Q(omega)
     assert not g25.contains(Mat.from_rows([[zeta(12, 1), 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert not g25.contains(_transvection_e23(3))
 
 
 def test_element_and_reflection_bytes_are_pinned(g25, g32):

@@ -11,16 +11,20 @@ polytopes they preserve, and the conjugation to the braid-action
 matrices.
 
 Every orbit here is one projective search of `kernel.int_line_orbit`:
-the strata are orbits of lines, the proper planes orbits of Pluecker
-lines, the reflections orbits of matrices X on the lines through
-(1, vec X), and the levels of the chain orbits of the base vectors v on
-the lines through (1, v).
+the proper planes are orbits of Pluecker lines, the reflections orbits
+of matrices X on the lines through (1, vec X), and the levels of a
+chain, like the linear forms behind the basic invariants, orbits of
+vectors v on the lines through (1, v).  The strata need no search: a
+line's orbit has |G| / (|G_v| m) points (`stratify`), where G_v, the
+stabilizer of a vector v on the line, is generated by the reflections
+that fix v and m is read off the basic invariants (`BasicInvariants`).
 
 Every incidence is one integer test (`containing`) against a family of
 subspaces cut out by linear forms (`Subspaces`): a hyperplane's normal
 (G25 keeps its proper planes so), or the four forms x -> (x ^ P)_ijk of
 a G32 proper plane's Pluecker vector P (`_plucker_forms`).  The strata
-and the lattice census count incidences so.
+and the lattice census count incidences so, and the strata read the
+reflections that fix a point off its hyperplanes.
 """
 
 from __future__ import annotations
@@ -29,11 +33,20 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from . import kernel
 from .charvar import LinearPart, matrix_of_sigma
-from .cyclo import _fold_terms, _times_x, cyc, euler_phi, order_of_root, zeta
+from .cyclo import (
+    Cyclotomic,
+    _fold_terms,
+    _mul_mod,
+    _times_x,
+    cyc,
+    euler_phi,
+    order_of_root,
+    zeta,
+)
 from .linalg import Mat, eigenspace, mat_parallel, matrix_order
 
 W = zeta(3, 1)  # omega
@@ -155,6 +168,27 @@ class ReflGroup:
     hyperplane_forms: Subspaces = None  # the hyperplanes, for `containing`
     proper_plane_forms: Subspaces = None  # the proper planes, for `containing`
     chain: StabilizerChain = field(default=None, repr=False)  # gives order and `contains`
+    invariant_seed: tuple = None  # a linear form whose orbit gives `invariants`
+    # |G_v| per set of hyperplanes through v, by `parabolic_order`
+    parabolic_orders: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def invariants(self):
+        """The basic invariants (`basic_invariants`), built on first use."""
+        return basic_invariants(self, self.invariant_seed)
+
+    @cached_property
+    def hyperplane_reflections(self):
+        """The reflections fixing each hyperplane, as matrices, indexed like
+        `hyperplanes`: each reflection's hyperplane is read off its blob
+        (`_reflection_normal`)."""
+        c = self.conductor
+        position = {kernel.line_vector(h, c): i for i, h in enumerate(self.hyperplanes)}
+        out = [[] for _ in self.hyperplanes]
+        for blob in self.reflections:
+            i = position[_reflection_normal(blob, self.dim, c)]
+            out[i].append(kernel.from_blob_matrix(blob, self.dim, c))
+        return out
 
     def ring(self):
         return kernel.ring_params(self.conductor)
@@ -187,38 +221,56 @@ class StabilizerChain:
     factor), so a level is one `kernel.int_line_orbit`, and its level-order
     BFS is a Schreier tree.  Each point is the canonical vector
     (den, 0, ..., 0, den v) at `conductor`, the lcm of the given conductor
-    and those of the generators.  Raises BoundExceeded past `bound`.
+    and those of the generators and reflections.  Each matrix's integer
+    action is built once, however many levels it generates; the inverses
+    that `contains` walks with are built on its first call, once each.
+    Raises BoundExceeded past `bound`.
     """
 
     def __init__(self, gens, reflections, conductor, bound):
-        self.conductor = lcm(conductor, *(x.n for g in gens for x in g.entries))
-        # per level: e_i, the inverses of G_(i-1)'s generators as matrices and
-        # as integer actions, the orbit's points and the position of each
+        self.conductor = c = lcm(
+            conductor, *(x.n for g in (*gens, *reflections) for x in g.entries)
+        )
+        ring = (c, euler_phi(c))
+        actions = {}  # id(g) -> g's integer action
+        # per level: e_i, G_(i-1)'s generators, the orbit's points and the
+        # position of each
         self.levels = []
-        one = Mat.identity(1)
         d = gens[0].rows if gens else 0
         for k in range(d):
             base = tuple(ONE if j == k else ZERO for j in range(d))
-            lifts = [kernel.kron_lift(g, one, affine=True) for g in gens]
-            _, _, points, exceeded = kernel.int_line_orbit(
-                lifts, (ONE, *base), bound, self.conductor
-            )
-            if exceeded:
-                raise BoundExceeded(bound, points)
-            inverses = [g.inverse() for g in gens]
-            actions = [
-                kernel._int_action(kernel.kron_lift(g, one, affine=True), self.conductor)
-                for g in inverses
-            ]
+            for g in gens:
+                if id(g) not in actions:
+                    actions[id(g)] = self._action(g)
+            start = kernel.line_vector((ONE, *base), c)
+            points = kernel.int_bfs(start, [actions[id(g)] for g in gens], bound, ring)
             index = {v: i for i, v in enumerate(points)}
-            self.levels.append((base, inverses, actions, points, index))
+            self.levels.append((base, gens, points, index))
             gens = reflections = [r for r in reflections if r.apply(base) == base]
             if not gens:
                 break
 
+    def _action(self, g):
+        """The integer action of g on the lines through (1, v)."""
+        return kernel._int_action(kernel.kron_lift(g, Mat.identity(1), affine=True), self.conductor)
+
+    @cached_property
+    def _inverses(self):
+        """Per level, the inverses of its generators as matrices and as
+        integer actions, each built once."""
+        built = {}  # id(g) -> (g^-1, g^-1's action)
+        out = []
+        for _, gens, _, _ in self.levels:
+            for g in gens:
+                if id(g) not in built:
+                    inverse = g.inverse()
+                    built[id(g)] = inverse, self._action(inverse)
+            out.append([built[id(g)] for g in gens])
+        return out
+
     @property
     def sizes(self):
-        return tuple(len(points) for *_, points, _ in self.levels)
+        return tuple(len(points) for _, _, points, _ in self.levels)
 
     @property
     def order(self):
@@ -235,7 +287,7 @@ class StabilizerChain:
         sifted `mat` that is not the identity at the end.
         """
         ring = (self.conductor, euler_phi(self.conductor))
-        for base, inverses, actions, points, index in self.levels:
+        for (base, _, points, index), inverses in zip(self.levels, self._inverses):
             try:
                 image = [x.fit(self.conductor) for x in mat.apply(base)]
             except ValueError:
@@ -247,9 +299,9 @@ class StabilizerChain:
                 v = points[i]
                 i, a = min(
                     (index[kernel._canon(kernel.int_apply(cols, v), *ring)], a)
-                    for a, cols in enumerate(actions)
+                    for a, (_, cols) in enumerate(inverses)
                 )
-                mat = inverses[a] @ mat
+                mat = inverses[a][0] @ mat
         return mat.is_identity()
 
 
@@ -319,6 +371,8 @@ def build_g25():
     planes = _plane_orbit_py(group.generators, basis, group.conductor, 100)
     group.proper_planes = [(p12, -p02, p01) for p01, p02, p12 in planes]
     group.proper_plane_forms = Subspaces(group.proper_planes)
+    # 27 forms on 9 lines; a hyperplane normal's 72 forms lie 6 to a line
+    group.invariant_seed = group.proper_planes[0]
     return group
 
 
@@ -327,6 +381,7 @@ def build_g32():
     basis, _ = _g32_seed_plane()
     group.proper_planes = _plane_orbit_py(group.generators, basis, conductor=12, bound=600)
     group.proper_plane_forms = Subspaces(group.proper_planes, plane_dim=group.dim)
+    group.invariant_seed = group.hyperplanes[0]  # 240 forms on 40 lines
     return group
 
 
@@ -542,6 +597,206 @@ def point_stabilizer_order(group, point):
     return kernel.stab_count_point(*_scan(group, point))
 
 
+def parabolic_order(group, through):
+    """|G_v| for a point v on exactly the hyperplanes `through`.
+
+    `through` is v's incidence array, `containing` of the group's
+    hyperplanes.  A reflection fixes v iff its hyperplane contains v, so
+    the reflections that fix v are read off `hyperplane_reflections`, and
+    by Steinberg's theorem they generate G_v: its order is that of their
+    stabilizer chain, 1 when there are none.  The order is memoized on the
+    group per incidence pattern, of which there are as many as flats.
+    """
+    key = through.tobytes()
+    order = group.parabolic_orders.get(key)
+    if order is None:
+        by_plane = group.hyperplane_reflections
+        fixing = [r for i in through.nonzero()[0] for r in by_plane[i]]
+        order = StabilizerChain(fixing, fixing, group.conductor, group.order).order
+        group.parabolic_orders[key] = order
+    return order
+
+
+def _common_ints(values, conductor):
+    """(den, vectors): the values' integer power-basis vectors at `conductor`,
+    all over their one common denominator den."""
+    promoted = [x.promote(conductor) for x in values]
+    den = lcm(1, *(x.den for x in promoted))
+    return den, [[c * (den // x.den) for c in x.num] for x in promoted]
+
+
+def _pow_mod(n, x, e):
+    """x^e mod Phi_n for a power-basis integer vector x and e >= 1."""
+    out = x
+    for bit in bin(e)[3:]:
+        out = _mul_mod(n, out, out)
+        if bit == "1":
+            out = _mul_mod(n, out, x)
+    return out
+
+
+class BasicInvariants:
+    """The invariants F_d(v) = sum over `forms` a of (a . v)^d, one per degree.
+
+    `forms` are linear forms, one per line of an orbit of forms under the
+    transposed generators, each as that orbit found it (`basic_invariants`
+    explains why); `orbit_size` is the number of forms in the orbit.  The
+    values are computed on integers.  At N, the lcm of the forms' and the
+    point's conductors, the forms are power-basis vectors over one common
+    denominator D and the point over its own denominator e, so the sums
+    of (D a . e v)^d are the integer vectors of (D e)^d F_d(v), all
+    scaled alike per degree.  Every degree is a multiple of g, their gcd:
+    each (a . v)^d is a power of (a . v)^g.
+    """
+
+    _KEEP = 4  # conductors whose integer forms are kept
+
+    def __init__(self, forms, degrees, orbit_size=None):
+        self.forms = forms
+        self.degrees = degrees
+        self.orbit_size = len(forms) if orbit_size is None else orbit_size
+        self.conductor = lcm(1, *(x.n for a in forms for x in a))
+        self._at = {}  # conductor -> (D, the forms' integer vectors there)
+
+    def _forms_at(self, conductor):
+        found = self._at.get(conductor)
+        if found is None:
+            d = len(self.forms[0])
+            den, flat = _common_ints([x for a in self.forms for x in a], conductor)
+            found = den, [flat[i : i + d] for i in range(0, len(flat), d)]
+            if len(self._at) >= self._KEEP:
+                del self._at[next(iter(self._at))]
+            self._at[conductor] = found
+        return found
+
+    def _linear(self, point):
+        """(N, D e, the integer vectors of D e (a . v) for each form a)."""
+        point = [cyc(x) for x in point]
+        n = lcm(self.conductor, *(x.n for x in point))
+        den, forms = self._forms_at(n)
+        e, v = _common_ints(point, n)
+        zero = [0] * euler_phi(n)
+        values = []
+        for a in forms:
+            total = zero
+            for x, y in zip(a, v):
+                if any(x) and any(y):
+                    total = [s + t for s, t in zip(total, _mul_mod(n, x, y))]
+            values.append(total)
+        return n, den * e, values
+
+    def _sums(self, point):
+        """(N, s, sums): sums[i] is the integer vector of s^d F_d(point) for
+        d = degrees[i], at N."""
+        n, scale, values = self._linear(point)
+        g = gcd(*self.degrees)
+        top = max(self.degrees) // g
+        sums = [[0] * euler_phi(n) for _ in self.degrees]
+        for x in values:
+            if not any(x):
+                continue
+            powers = [_pow_mod(n, x, g)]  # (a . v)^(g k) for k = 1 .. top
+            while len(powers) < top:
+                powers.append(_mul_mod(n, powers[-1], powers[0]))
+            for total, d in zip(sums, self.degrees):
+                for j, c in enumerate(powers[d // g - 1]):
+                    total[j] += c
+        return n, scale, sums
+
+    def values(self, point):
+        """The exact values F_d(point), one Cyclotomic per degree."""
+        n, scale, sums = self._sums(point)
+        return [Cyclotomic._make(n, s, scale**d) for s, d in zip(sums, self.degrees)]
+
+    def scalar_order(self, point):
+        """m = gcd{d : F_d(point) != 0}: lambda v lies in the orbit of v
+        exactly when lambda^m = 1 (`stratify`)."""
+        _, _, sums = self._sums(point)
+        nonzero = [d for d, s in zip(self.degrees, sums) if any(s)]
+        if not nonzero:
+            raise ValueError("the zero vector spans no line")
+        return gcd(*nonzero)
+
+    def jacobian(self, point):
+        """det(dF_d / dx_j) at `point`, times a nonzero rational, exactly.
+
+        dF_d / dx_j is d times the sum of (a . v)^(d-1) a_j; on the integer
+        vectors row d is scaled by D^d e^(d-1) / d.
+        """
+        n, _, values = self._linear(point)
+        _, forms = self._forms_at(n)
+        phi = euler_phi(n)
+        rows = []
+        for d in self.degrees:
+            row = [[0] * phi for _ in forms[0]]
+            for x, a in zip(values, forms):
+                if any(x):
+                    power = _pow_mod(n, x, d - 1)
+                    for total, y in zip(row, a):
+                        if any(y):
+                            for j, c in enumerate(_mul_mod(n, power, y)):
+                                total[j] += c
+            rows.append([Cyclotomic._make(n, total, 1) for total in row])
+        return Mat.from_rows(rows).det()
+
+
+def basic_invariants(group, seed):
+    """Basic invariants of `group`, from the orbit of the linear form `seed`.
+
+    The forms a' of the orbit of a = `seed` under g -> g^T give invariants
+    F_d(v) = sum (a' . v)^d, because a' . (g v) = (g^T a') . v and each g^T
+    permutes the orbit.  The orbit is one `kernel.int_line_orbit` on the
+    lines through (1, a).  If it holds k forms on each of its lines, they
+    are the multiples z a' by the k-th roots z of unity, so the sum over a
+    line is k (a' . v)^d when k divides d and 0 otherwise.  So the build
+    requires k = gcd(degrees) = |Z(G)|: then every F_d is k times the sum
+    over one form per line, which `BasicInvariants` keeps.  (With more
+    forms per line some F_d vanish identically: a G25 hyperplane normal
+    gives 72 forms on 12 lines and F_9 = 0.)  The kept forms must be those
+    the orbit found: one canonical normal per line, as
+    `g25_proper_plane_normals` lists them, is a different multiple of each
+    form, and its F_9 is not invariant.  For the same reason every form is
+    scaled by one common denominator: scaling each by its own, as
+    `kernel._int_vectors` of one form does, took G32's order-30 and
+    order-24 lines and its 12960 row to 25920, and its 540 row to 1080.
+
+    Algebraically independent homogeneous invariants whose degrees
+    multiply to |G| generate the invariant ring (Lehrer and Taylor,
+    Unitary Reflection Groups, 2009, ch. 3).  So the build also requires
+    prod(degrees) = |G| and a nonzero Jacobian determinant at one integer
+    point, exactly; Steinberg's theorem puts the zeros of the Jacobian of
+    basic invariants on the reflection hyperplanes, and this point lies on
+    none.  The build raises AssertionError when a requirement fails; it
+    never falls back.
+    """
+    one = Mat.identity(1)
+    lifts = [kernel.kron_lift(g.transpose(), one, affine=True) for g in group.generators]
+    n, _, found, exceeded = kernel.int_line_orbit(
+        lifts, (ONE, *seed), group.order, group.conductor
+    )
+    if exceeded:
+        raise AssertionError(f"the {group.name} seed form has more than |G| images")
+    lines = {}  # the line of each form -> the forms on it, in discovery order
+    for w in found:
+        a = kernel.line_coords(w, n)[1:]
+        lines.setdefault(kernel.line_vector(a, n), []).append(a)
+    per_line = gcd(*group.degrees)
+    if any(len(forms) != per_line for forms in lines.values()):
+        raise AssertionError(
+            f"the {group.name} seed form's orbit has {len(found)} forms on "
+            f"{len(lines)} lines, not {per_line} on each"
+        )
+    if prod(group.degrees) != group.order:
+        raise AssertionError(f"the {group.name} degrees do not multiply to {group.order}")
+    invariants = BasicInvariants(
+        [forms[0] for forms in lines.values()], group.degrees, len(found)
+    )
+    point = tuple(cyc(x) for x in (1, 2, 5, 11)[: group.dim])
+    if invariants.jacobian(point).is_zero():
+        raise AssertionError(f"the {group.name} invariants are not algebraically independent")
+    return invariants
+
+
 @dataclass(frozen=True)
 class StratumLabel:
     orbit_size: int
@@ -555,25 +810,29 @@ def stratify(group, point):
     """Incidence counts plus the exact orbit size of the line through `point`.
 
     The counts are those of the hyperplanes and of the proper planes that
-    contain the point, each one `containing` test.  The size is that of
-    the line's orbit under the generators (`kernel.int_line_orbit`, at the
-    lcm of the group's and the point's conductors), bounded by |G|.  By
-    the orbit-stabilizer theorem it divides |G|, and |G| / size is the
-    order of the line stabilizer that `line_stabilizer_order` counts by a
-    scan of the elements.
+    contain the point, each one `containing` test.  The size comes from
+    the orbit-stabilizer theorem, with no search.  The stabilizer of the
+    line maps onto the scalars lambda with lambda v in G v, with kernel
+    G_v, the vector's stabilizer, whose order `parabolic_order` reads off
+    the hyperplane incidence.  Basic invariants separate the orbits of
+    vectors and F_d(lambda v) = lambda^d F_d(v), so those scalars are the
+    m-th roots of unity for m = gcd{d : F_d(v) != 0} (Springer, Invent.
+    Math. 25, 1974; `BasicInvariants.scalar_order`).  The size is
+    |G| / (|G_v| m).  `tests/test_reflgrp.py` keeps the line orbit
+    (`kernel.int_line_orbit`) as its oracle.
     """
     point = tuple(cyc(e) for e in point)
     if len(point) != group.dim:
         raise ValueError(f"{group.name} acts on points with {group.dim} coordinates")
     if all(e.is_zero() for e in point):
         raise ValueError("the zero vector spans no line")
-    nh = hyperplanes_through(group, point)
+    through = containing(group.hyperplane_forms, [point])
+    nh = int(through.sum())
     np_ = proper_planes_through(group, point)
-    _, _, orbit, _ = kernel.int_line_orbit(
-        group.generators, point, group.order, group.conductor
+    size, rest = divmod(
+        group.order, parabolic_order(group, through) * group.invariants.scalar_order(point)
     )
-    size = len(orbit)
-    assert group.order % size == 0
+    assert rest == 0
     table = G25_STRATA if group.name == "g25" else G32_STRATA
     in_table = (size, nh, np_) in table
     tag = None
@@ -888,18 +1147,14 @@ def conjugacy_to_braid_action(n, z):
 
 
 def steinberg_check(group, point):
-    """Point stabilizer equals the subgroup generated by fixing reflections."""
+    """Point stabilizer equals the subgroup generated by fixing reflections.
+
+    The point stabilizer is counted by a scan of the elements; the
+    subgroup's order is `parabolic_order`, the one `stratify` uses.
+    """
     point = tuple(cyc(e) for e in point)
-    stab_order = point_stabilizer_order(group, point)
-    fixing = []
-    for blob in group.reflections:
-        mat = kernel.from_blob_matrix(blob, group.dim, group.conductor)
-        img = mat.apply(point)
-        if all(a == b for a, b in zip(img, point)):
-            fixing.append(mat)
-    # every element of <fixing> fixes the point, so its reflections are
-    # exactly `fixing`, and the chain over them is exact (order 1 if empty)
-    return StabilizerChain(fixing, fixing, group.conductor, group.order).order == stab_order
+    scanned = point_stabilizer_order(group, point)  # G25 only
+    return parabolic_order(group, containing(group.hyperplane_forms, [point])) == scanned
 
 
 def line_stabilizer_is_cyclic(group, point):

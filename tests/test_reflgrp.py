@@ -5,7 +5,7 @@ import random
 import pytest
 
 from braidorbit import kernel, reflgrp
-from braidorbit.cyclo import cyc, order_of_root, zeta
+from braidorbit.cyclo import cyc, euler_phi, order_of_root, zeta
 from braidorbit.linalg import Mat, eigenspace, is_complex_reflection, mat_parallel, matrix_order
 
 W = zeta(3, 1)
@@ -157,9 +157,9 @@ def test_line_stabilizers_cyclic(g25):
 
 
 def test_orbit_stabilizer_consistency(g25):
-    # stratify's line orbit against the element scan, on all eight Table-4
-    # rows (the order-9 and order-12 lines at conductors 9 and 12) and on
-    # random lines
+    # stratify's size, |G| / (|G_v| m), against the element scan, which
+    # shares no code with it, on all eight Table-4 rows (the order-9 and
+    # order-12 lines at conductors 9 and 12) and on random lines
     rng = random.Random(17)
     points = [row[0] for row in G25_TABLE4]
     points.append(reflgrp.g25_order12_representative(g25)[0])
@@ -520,3 +520,137 @@ def test_in_plane_orbit_pattern(g25):
             if coords[2].is_zero():
                 in_plane += 1
         assert in_plane == count, rep
+
+
+# ---- strata by orbit-stabilizer, against the line orbit ------------------------
+
+
+def _line_orbit_size(group, point):
+    """The oracle: the size of the line's orbit, searched."""
+    _, _, orbit, exceeded = kernel.int_line_orbit(
+        group.generators, point, group.order, group.conductor
+    )
+    assert not exceeded
+    return len(orbit)
+
+
+def _random_value(rng, conductor):
+    """A random element of Z[zeta_conductor] with small coefficients."""
+    return sum(
+        (rng.randrange(-2, 3) * zeta(conductor, j) for j in range(euler_phi(conductor))),
+        cyc(rng.randrange(1, 4)),
+    )
+
+
+def _random_point(rng, conductor, normals=None, dim=None):
+    """A random point at `conductor`, on the subspace cut out by `normals`."""
+    basis = Mat.from_rows([list(n) for n in normals]).kernel() if normals else None
+    if basis is None:
+        return tuple(_random_value(rng, conductor) for _ in range(dim))
+    coeffs = [_random_value(rng, conductor) for _ in basis]
+    return tuple(sum((c * b[k] for c, b in zip(coeffs, basis)), ZERO) for k in range(len(basis[0])))
+
+
+def _random_points(rng, group, conductors):
+    """Per conductor: a generic point, one on a random hyperplane and one
+    on that hyperplane's intersection with another."""
+    points = []
+    for k in conductors:
+        h = rng.sample(group.hyperplanes, 2)
+        points.append(_random_point(rng, k, dim=group.dim))
+        points.append(_random_point(rng, k, h[:1]))
+        points.append(_random_point(rng, k, h))
+    return points
+
+
+def _assert_size_and_chain(group, point):
+    point = tuple(map(cyc, point))
+    s = reflgrp.stratify(group, point)
+    assert s.orbit_size == _line_orbit_size(group, point), point
+    # the memoized |G_v| against a fresh chain over the reflections found by
+    # applying each one to the point
+    through = reflgrp.containing(group.hyperplane_forms, [point])
+    assert through.tobytes() in group.parabolic_orders
+    mats = [kernel.from_blob_matrix(b, group.dim, group.conductor) for b in group.reflections]
+    fixing = [r for r in mats if r.apply(point) == point]
+    assert len(fixing) == 2 * s.num_hyperplanes  # r and r^2 on each hyperplane
+    fresh = reflgrp.StabilizerChain(fixing, fixing, group.conductor, group.order).order
+    assert reflgrp.parabolic_order(group, through) == fresh
+    return s
+
+
+def test_strata_sizes_match_line_orbits_g25(g25):
+    rows = [point for _, point, _ in reflgrp.table4_cases(g25)]
+    rng = random.Random(26)
+    rows += _random_points(rng, g25, (1, 4, 5, 9, 12))
+    rows += [_random_point(rng, k, [n]) for k, n in zip((4, 5, 9, 12), g25.proper_planes)]
+    sizes = {_assert_size_and_chain(g25, p).orbit_size for p in rows}
+    assert sizes == {216, 108, 72, 54, 36, 12, 9}  # every Table-4 size
+    assert {x.n for p in rows for x in p} >= {1, 4, 5, 9, 12}
+
+
+def test_strata_sizes_match_line_orbits_g32(g32, g32_table5):
+    # the twelve Table-5 rows, and three random lines: 25920-line searches
+    # take about 0.15 s each
+    for point in g32_table5.points:
+        _assert_size_and_chain(g32, point)
+    rng = random.Random(32)
+    h = rng.sample(g32.hyperplanes, 2)
+    points = [
+        _random_point(rng, 4, dim=4),
+        _random_point(rng, 5, h[:1]),
+        _random_point(rng, 9, h),
+    ]
+    sizes = [_assert_size_and_chain(g32, p).orbit_size for p in points]
+    assert sizes[0] == 25920 and sizes[2] < sizes[1] < sizes[0]
+
+
+def test_basic_invariants_premise(g25, g32):
+    # exactly gcd(degrees) = |Z(G)| forms on each line of the seed's orbit,
+    # and a nonzero Jacobian at one integer point off the hyperplanes
+    for group, forms, lines in ((g25, 27, 9), (g32, 240, 40)):
+        inv = group.invariants
+        assert (inv.orbit_size, len(inv.forms)) == (forms, lines)
+        assert inv.degrees == group.degrees and math.prod(inv.degrees) == group.order
+        generic = tuple(map(cyc, (1, 2, 5, 11)[: group.dim]))
+        assert reflgrp.hyperplanes_through(group, generic) == 0
+        assert not inv.jacobian(generic).is_zero()
+        # Steinberg: the Jacobian vanishes on every reflection hyperplane
+        on_plane = tuple(map(cyc, (1, 2, 0, 0)[: group.dim]))
+        assert reflgrp.hyperplanes_through(group, on_plane) > 0
+        assert inv.jacobian(on_plane).is_zero()
+
+
+def test_basic_invariants_refuse_a_seed_with_too_many_forms_per_line(g25):
+    # a hyperplane normal's orbit has 72 forms on 12 lines: 6 per line, and F_9 = 0
+    with pytest.raises(AssertionError, match="72 forms on 12 lines"):
+        reflgrp.basic_invariants(g25, g25.hyperplanes[0])
+
+
+def test_basic_invariants_are_invariant(g25, g32):
+    rng = random.Random(6)
+    for group, conductors in ((g25, (1, 4, 9, 12)), (g32, (1, 12))):
+        inv = group.invariants
+        for k in conductors:
+            p = _random_point(rng, k, dim=group.dim)
+            values = inv.values(p)
+            assert not any(v.is_zero() for v in values)
+            for g in group.generators:
+                assert inv.values(g.apply(p)) == values
+
+
+def test_one_canonical_normal_per_line_is_not_invariant(g25):
+    # the displayed normals are other multiples of the orbit's forms: F_6 and
+    # F_12 stay invariant but F_9 does not, and the 54 and 108 rows, on no
+    # hyperplane (G_v = 1), come out as 216
+    bad = reflgrp.BasicInvariants(reflgrp.g25_proper_plane_normals(), reflgrp.G25_DEGREES)
+    p = (ONE, cyc(2), cyc(5))
+    moved = [bad.values(g.apply(p)) for g in g25.generators]
+    assert all(v[0] == bad.values(p)[0] and v[2] == bad.values(p)[2] for v in moved)
+    assert any(v[1] != bad.values(p)[1] for v in moved)
+    cases = {case: point for case, point, _ in reflgrp.table4_cases(g25)}
+    for case, size in (("order-12-line", 54), ("generic-on-proper", 108)):
+        point = cases[case]
+        assert reflgrp.hyperplanes_through(g25, point) == 0
+        assert g25.order // g25.invariants.scalar_order(point) == size
+        assert g25.order // bad.scalar_order(point) == 216

@@ -5,7 +5,10 @@ deg Phi_N coefficients per entry.  A matrix is a bytes blob of
 little-endian int64: [den, c(0,0,0..phi-1), c(0,1,*), ...]; blobs are
 content-normalized with den > 0, so equal matrices have equal blobs.
 Vectors use the same layout.  A normalized value that does not fit
-int64 raises OverflowError.
+int64 raises OverflowError.  Only the benchmark calls the blob block
+(`closure`, through `reflgrp.ReflGroup.elements`, the scans
+`stab_count_line` and `reflection_indices`, and `line_orbit`); no
+command of the package reads a blob.
 
 The blob functions take `red`, the flattened dense reduction table
 (`ring_params`): row t (phi ints) expresses x^(phi+t) in the power
@@ -44,9 +47,9 @@ on which X -> L X R^T acts by diag(1, L (x) R) (`kron_lift`; a vector
 v -> g v is the case R = (1)).  That line's canonical vector is
 (den, 0, ..., 0, den vec X): its pivot is a positive integer, so such a
 search computes no inverse.  `matrix_orbit` is this search over
-matrices, and reads X's blob off the canonical vector; the G25
-`closure` and `reflgrp`'s conjugation orbits, which give the
-reflections, run on it.
+matrices, returning those vectors; `reflgrp`'s conjugation orbits,
+which give the reflections, run on it.  The blob `closure` runs the same
+search, and is the one place that packs such vectors into blobs.
 
 The identity of an exact point is its canonical integer vector:
 `line_vector` builds it from Cyclotomic values at an explicit conductor
@@ -114,15 +117,12 @@ def bfs(start, step, bound):
 
 
 def _int_vectors(values, conductor):
-    """Integer power-basis vectors of `values` at `conductor`.
-
-    All are scaled by the lcm of their denominators, so their ratios stay.
-    """
+    """(den, vectors): the integer power-basis vectors of `values` at
+    `conductor`, all over their one common denominator den, the lcm of
+    theirs, so their ratios stay."""
     promoted = [x.promote(conductor) for x in values]
-    den = 1
-    for x in promoted:
-        den = lcm(den, x.den)
-    return [[c * (den // x.den) for c in x.num] for x in promoted]
+    den = lcm(1, *(x.den for x in promoted))
+    return den, [[c * (den // x.den) for c in x.num] for x in promoted]
 
 
 def _int_action(m, conductor):
@@ -138,7 +138,7 @@ def _int_action(m, conductor):
     """
     rows, d = m.rows, m.cols
     phi = euler_phi(conductor)
-    entries = _int_vectors(m.entries, conductor)
+    _, entries = _int_vectors(m.entries, conductor)
     # column t+1 of a block is x times column t: shift up, and fold the
     # top coefficient back with x^phi mod Phi_N
     terms = _fold_terms(conductor)
@@ -703,7 +703,7 @@ def line_vector(values, conductor):
     span the same line, whatever conductors their values are stored at, so
     the tuple is the hashable identity of the line.
     """
-    flat = [c for v in _int_vectors(values, conductor) for c in v]
+    flat = [c for v in _int_vectors(values, conductor)[1] for c in v]
     return _canon(flat, conductor, euler_phi(conductor))
 
 
@@ -804,24 +804,20 @@ def kron_lift(left, right=None, affine=False):
 
 
 def matrix_orbit(lifts, start, bound, conductor):
-    """Orbit of the d x d matrix `start` under maps X -> left X right^T, as blobs.
+    """Orbit of the d x d matrix `start` under maps X -> left X right^T.
 
     Each map is given by its `kron_lift(left, right, affine=True)`, and
     `lifts` is a list of them or their `IntActions`.  The search is one
     projective `int_line_orbit` at `conductor`, which the entries'
-    conductors must divide: X is the line through (1, vec X).  That
-    line's canonical vector (den, 0, ..., 0, nums) is X's normalized blob
-    with phi - 1 zeros inserted, so every pivot is a positive integer and
-    no search step computes an inverse.  Blobs come in discovery order,
-    each item's images taken for the lifts in turn.  Raises BoundExceeded,
-    holding the first bound+1 blobs, past the bound.
+    conductors must divide: X is the line through (1, vec X).  Returns
+    each X as that line's canonical vector (den, 0, ..., 0, den vec X),
+    whose pivot is a positive integer, so no search step computes an
+    inverse; `line_coords(w)[1:]` are X's entries.  The vectors come in
+    discovery order, each item's images taken for the lifts in turn.
+    Raises BoundExceeded, holding the first bound+1 vectors, past the
+    bound.
     """
-    conductor, phi, found, exceeded = int_line_orbit(
-        lifts, (ONE, *start.entries), bound, conductor
-    )
-    # in place, so each vector is freed as its blob is made
-    for i, v in enumerate(found):
-        found[i] = _pack(v[:1] + v[phi:])
+    _, _, found, exceeded = int_line_orbit(lifts, (ONE, *start.entries), bound, conductor)
     if exceeded:
         raise BoundExceeded(bound, found)
     return found
@@ -916,11 +912,21 @@ def closure(gens, d, conductor, bound):
     """The group generated by the d x d blob matrices `gens`, as blobs.
 
     The elements come in BFS order from the identity, each element's
-    images being g m for the generators g in turn (`matrix_orbit`).  Raises
-    BoundExceeded, holding the first bound+1 elements, past the bound.
+    images being g m for the generators g in turn: the orbit of the line
+    through (1, vec I) (see `matrix_orbit`).  Its canonical vector
+    (den, 0, ..., 0, nums) is the element's normalized blob with phi - 1
+    zeros inserted.  Raises BoundExceeded, holding the first bound+1
+    elements, past the bound.
     """
     lifts = [kron_lift(from_blob_matrix(g, d, conductor), affine=True) for g in gens]
-    return matrix_orbit(lifts, Mat.identity(d), bound, conductor)
+    start = (ONE, *Mat.identity(d).entries)
+    _, phi, found, exceeded = int_line_orbit(lifts, start, bound, conductor)
+    # in place, so each vector is freed as its blob is made
+    for i, v in enumerate(found):
+        found[i] = _pack(v[:1] + v[phi:])
+    if exceeded:
+        raise BoundExceeded(bound, found)
+    return found
 
 
 def stab_count_line(elements, v, d, phi, red):
@@ -943,14 +949,6 @@ def stab_count_line(elements, v, d, phi, red):
                 ok = False
                 break
         if ok:
-            count += 1
-    return count
-
-
-def stab_count_point(elements, v, d, phi, red):
-    count = 0
-    for m in elements:
-        if mat_vec(m, v, d, phi, red) == v:
             count += 1
     return count
 

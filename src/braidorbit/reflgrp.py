@@ -3,9 +3,10 @@
 Both groups are generated by order-3 reflections with entries in Q(omega).
 The order and membership come from one stabilizer chain over the base
 e_1, ..., e_d (`StabilizerChain`), whose subgroups are generated by the
-reflections that fix the base vectors; only G25 keeps its 648 elements,
-for stabilizer scans.  This module computes reflections, reflection
-hyperplanes, the regular eigenplanes ("proper planes"), orbit strata of
+reflections that fix the base vectors; neither group lists its elements
+(G25's blob list, `ReflGroup.elements`, is built only when read).  This
+module computes reflections, reflection hyperplanes, the regular
+eigenplanes ("proper planes"), orbit strata and stabilizers of
 projective points, the intersection lattice census, the regular
 polytopes they preserve, and the conjugation to the braid-action
 matrices.
@@ -18,6 +19,9 @@ vectors v on the lines through (1, v).  The strata need no search: a
 line's orbit has |G| / (|G_v| m) points (`stratify`), where G_v, the
 stabilizer of a vector v on the line, is generated by the reflections
 that fix v and m is read off the basic invariants (`BasicInvariants`).
+The stabilizer functions take the same two factors
+(`line_stabilizer_order`, `point_stabilizer_order`); only
+`steinberg_check` searches, for the orbit of the vector v.
 
 Every incidence is one integer test (`containing`) against a family of
 subspaces cut out by linear forms (`Subspaces`): a hyperplane's normal
@@ -161,9 +165,10 @@ class ReflGroup:
     order: int
     degrees: tuple
     codegrees: tuple
-    elements: list = None  # kernel blobs at `conductor`; G25 only
-    reflections: list = None  # kernel blobs at `conductor`, all of the group's
+    reflections: list = None  # all of the group's, as matrices
     hyperplanes: list = None  # canonical normals, tuples of Cyclotomic
+    # per hyperplane, indexed like `hyperplanes`, the reflections that fix it
+    hyperplane_reflections: list = field(default=None, repr=False)
     proper_planes: list = None  # G25: normals; G32: canonical Pluecker vectors
     hyperplane_forms: Subspaces = None  # the hyperplanes, for `containing`
     proper_plane_forms: Subspaces = None  # the proper planes, for `containing`
@@ -178,28 +183,17 @@ class ReflGroup:
         return basic_invariants(self, self.invariant_seed)
 
     @cached_property
-    def hyperplane_reflections(self):
-        """The reflections fixing each hyperplane, as matrices, indexed like
-        `hyperplanes`: each reflection's hyperplane is read off its blob
-        (`_reflection_normal`)."""
-        c = self.conductor
-        position = {kernel.line_vector(h, c): i for i, h in enumerate(self.hyperplanes)}
-        out = [[] for _ in self.hyperplanes]
-        for blob in self.reflections:
-            i = position[_reflection_normal(blob, self.dim, c)]
-            out[i].append(kernel.from_blob_matrix(blob, self.dim, c))
-        return out
-
-    def ring(self):
-        return kernel.ring_params(self.conductor)
+    def elements(self):
+        """The elements as kernel blobs at `conductor`, in BFS order from
+        the identity (`kernel.closure`), built on first read; G25 only.
+        The benchmark reads them; no function of the package does."""
+        if self.order > 1000:
+            raise ValueError(f"{self.name} has {self.order} elements and no element list")
+        blobs = [kernel.to_blob_matrix(g, self.conductor) for g in self.generators]
+        return kernel.closure(blobs, self.dim, self.conductor, self.order)
 
     def contains(self, mat):
         return self.chain.contains(mat)
-
-    def element_mats(self):
-        if self.elements is None:
-            raise ValueError(f"{self.name} is built without its element list")
-        return (kernel.from_blob_matrix(b, self.dim, self.conductor) for b in self.elements)
 
 
 # what build_g25, build_g32 and _plane_orbit_py raise past their bounds
@@ -221,31 +215,32 @@ class StabilizerChain:
     factor), so a level is one `kernel.int_line_orbit`, and its level-order
     BFS is a Schreier tree.  Each point is the canonical vector
     (den, 0, ..., 0, den v) at `conductor`, the lcm of the given conductor
-    and those of the generators and reflections.  Each matrix's integer
-    action is built once, however many levels it generates; the inverses
-    that `contains` walks with are built on its first call, once each.
-    Raises BoundExceeded past `bound`.
+    and those of the generators and reflections; `bases` holds those of
+    e_1, ..., e_d.  Each matrix's integer action is built once, however
+    many levels it generates; the inverses' actions, which `contains`
+    sifts with, are built on its first call, once each.  Raises
+    BoundExceeded past `bound`.
     """
 
     def __init__(self, gens, reflections, conductor, bound):
         self.conductor = c = lcm(
             conductor, *(x.n for g in (*gens, *reflections) for x in g.entries)
         )
-        ring = (c, euler_phi(c))
-        actions = {}  # id(g) -> g's integer action
-        # per level: e_i, G_(i-1)'s generators, the orbit's points and the
-        # position of each
-        self.levels = []
+        self.ring = ring = (c, euler_phi(c))
         d = gens[0].rows if gens else 0
-        for k in range(d):
-            base = tuple(ONE if j == k else ZERO for j in range(d))
+        basis = [tuple(ONE if j == k else ZERO for j in range(d)) for k in range(d)]
+        self.bases = [kernel.line_vector((ONE, *e), c) for e in basis]
+        actions = {}  # id(g) -> g's integer action
+        # per level: G_(i-1)'s generators, the orbit of e_i and the position
+        # of each point
+        self.levels = []
+        for base, start in zip(basis, self.bases):
             for g in gens:
                 if id(g) not in actions:
                     actions[id(g)] = self._action(g)
-            start = kernel.line_vector((ONE, *base), c)
             points = kernel.int_bfs(start, [actions[id(g)] for g in gens], bound, ring)
             index = {v: i for i, v in enumerate(points)}
-            self.levels.append((base, gens, points, index))
+            self.levels.append((gens, points, index))
             gens = reflections = [r for r in reflections if r.apply(base) == base]
             if not gens:
                 break
@@ -256,62 +251,67 @@ class StabilizerChain:
 
     @cached_property
     def _inverses(self):
-        """Per level, the inverses of its generators as matrices and as
-        integer actions, each built once."""
-        built = {}  # id(g) -> (g^-1, g^-1's action)
+        """Per level, the integer actions of its generators' inverses, each
+        built once."""
+        built = {}  # id(g) -> g^-1's action
         out = []
-        for _, gens, _, _ in self.levels:
+        for gens, _, _ in self.levels:
             for g in gens:
                 if id(g) not in built:
-                    inverse = g.inverse()
-                    built[id(g)] = inverse, self._action(inverse)
+                    built[id(g)] = self._action(g.inverse())
             out.append([built[id(g)] for g in gens])
         return out
 
     @property
     def sizes(self):
-        return tuple(len(points) for _, _, points, _ in self.levels)
+        return tuple(len(points) for _, points, _ in self.levels)
 
     @property
     def order(self):
         return prod(self.sizes)
 
     def contains(self, mat):
-        """Whether `mat` lies in the group: sift it down the chain.
+        """Whether `mat` lies in the group: sift it down the chain, on integers.
 
-        At each level, from the point mat(e_i), step to the canonical image
-        of smallest index under an inverse generator (a BFS parent, a level
-        lower) until e_i is reached, and left-multiply `mat` by each
-        inverse used; then `mat` fixes e_i.  An image outside
-        Q(zeta_conductor), or off the level's orbit, gives False; so does a
-        sifted `mat` that is not the identity at the end.
+        h = `mat` is kept as the canonical vectors of its columns h(e_k).  At
+        level i, from the point h(e_i), step to the canonical image of
+        smallest index under an inverse generator (a BFS parent, a level
+        lower) until e_i is reached, applying each inverse used to h(e_i),
+        ..., h(e_d) (it fixes e_1 .. e_(i-1)).  An entry outside
+        Q(zeta_conductor), or an image off the level's orbit, gives False;
+        the sifted h is the identity exactly when every h(e_k) is e_k.
         """
-        ring = (self.conductor, euler_phi(self.conductor))
-        for (base, _, points, index), inverses in zip(self.levels, self._inverses):
-            try:
-                image = [x.fit(self.conductor) for x in mat.apply(base)]
-            except ValueError:
-                return False
-            i = index.get(kernel.line_vector((ONE, *image), self.conductor))
+        c, d = self.conductor, len(self.bases)
+        if not d:  # the trivial group, with no generators
+            return mat.is_identity()
+        try:
+            columns = [[mat[j, k].fit(c) for j in range(d)] for k in range(d)]
+        except ValueError:
+            return False
+        images = [kernel.line_vector((ONE, *col), c) for col in columns]
+        for k, ((_, points, index), inverses) in enumerate(zip(self.levels, self._inverses)):
+            i = index.get(images[k])
             if i is None:
                 return False
             while i:
-                v = points[i]
                 i, a = min(
-                    (index[kernel._canon(kernel.int_apply(cols, v), *ring)], a)
-                    for a, (_, cols) in enumerate(inverses)
+                    (index[kernel._canon(kernel.int_apply(cols, points[i]), *self.ring)], a)
+                    for a, cols in enumerate(inverses)
                 )
-                mat = inverses[a][0] @ mat
-        return mat.is_identity()
+                images[k:] = [
+                    kernel._canon(kernel.int_apply(inverses[a], w), *self.ring) for w in images[k:]
+                ]
+        return images == self.bases
 
 
-def _reflection_normal(blob, d, conductor):
-    """The canonical vector (`kernel._canon`) of the normal of a reflection's
-    fixed hyperplane: a nonzero row of blob - den * I, for the d x d blob."""
+def _reflection_normal(w, d, conductor):
+    """The canonical vector (`kernel._canon`) of the normal of the hyperplane
+    that the d x d reflection X fixes: a nonzero row of den (X - I), read off
+    X's canonical vector w = (den, 0, ..., 0, den vec X) (`matrix_orbit`)."""
     phi = euler_phi(conductor)
-    den, nums = kernel.unpack_values(blob)
+    den = w[0]
     for i in range(d):
-        row = list(nums[i * d * phi : (i + 1) * d * phi])
+        row = list(w[(1 + i * d) * phi : (1 + (i + 1) * d) * phi])
         row[i * phi] -= den
         if any(row):
             return kernel._canon(row, conductor, phi)
@@ -339,9 +339,8 @@ def _build(name, gens, bound, degrees, codegrees):
     for g in gens:
         assert matrix_order(g, 4) == 3
     d, c = gens[0].rows, 3
-    reflections, hyperplanes = _reflection_data(gens, c, bound)
-    mats = [kernel.from_blob_matrix(b, d, c) for b in reflections]
-    chain = StabilizerChain(gens, mats, c, bound)
+    reflections, hyperplanes, by_plane = _reflection_data(gens, c, bound)
+    chain = StabilizerChain(gens, reflections, c, bound)
     return ReflGroup(
         name=name,
         dim=d,
@@ -352,6 +351,7 @@ def _build(name, gens, bound, degrees, codegrees):
         codegrees=codegrees,
         reflections=reflections,
         hyperplanes=hyperplanes,
+        hyperplane_reflections=by_plane,
         hyperplane_forms=Subspaces(hyperplanes),
         chain=chain,
     )
@@ -359,9 +359,6 @@ def _build(name, gens, bound, degrees, codegrees):
 
 def build_g25():
     group = _build("g25", g25_generators(), 1000, G25_DEGREES, G25_CODEGREES)
-    # the stabilizer scans and their oracle tests read the 648 elements
-    blobs = [kernel.to_blob_matrix(g, group.conductor) for g in group.generators]
-    group.elements = kernel.closure(blobs, group.dim, group.conductor, group.order)
     # the nine order-6 regular eigenplanes, by their normals: in C^3 the
     # plane with Pluecker vector (p01, p02, p12) has the normal (p12, -p02, p01)
     seed = Mat.from_rows([[0, -1, 0], [-W, 0, 0], [0, 0, -(W * W)]])
@@ -386,15 +383,14 @@ def build_g32():
 
 
 def _reflection_data(gens, c, bound):
-    """The reflections, as blobs at `c`, and the reflection hyperplanes' normals.
+    """(reflections, normals, by_plane): the reflections, the reflection
+    hyperplanes' normals and, per hyperplane, the reflections that fix it.
 
     The reflections are the conjugation orbits of the generators and their
-    squares: every reflection of G25 and G32 has order 3 and is conjugate
-    to a generator or to its square.  A reflection r and r^2 fix the same
-    hyperplane, and the conjugates of g^2 are the squares of g's
-    conjugates, so the hyperplanes are read off the orbits of the
-    generators alone, in discovery order, on integers (`_reflection_normal`).
-    Each orbit is bounded by `bound`.
+    squares, in discovery order: every reflection of G25 and G32 has order
+    3 and is conjugate to a generator or to its square.  A reflection r and
+    r^2 fix the same hyperplane, which is read off r's canonical vector on
+    integers (`_reflection_normal`).  Each orbit is bounded by `bound`.
     """
     d = gens[0].rows
     # X -> g X g^-1 is X -> g X (g^-T)^T; both orbits share the integer actions
@@ -403,23 +399,24 @@ def _reflection_data(gens, c, bound):
     )
     reflections = []
     seen = set()
-    normals = {}  # canonical vector -> None, in discovery order
+    by_normal = {}  # canonical normal -> its reflections, in discovery order
     for g in gens:
         for r in (g, g @ g):
-            if kernel.to_blob_matrix(r, c) not in seen:
+            if kernel.line_vector((ONE, *r.entries), c) not in seen:
                 orbit = kernel.matrix_orbit(lifts, r, bound, c)
                 seen.update(orbit)
-                reflections.extend(orbit)
-                if r is g:
-                    normals.update(dict.fromkeys(_reflection_normal(b, d, c) for b in orbit))
-    return reflections, [kernel.line_coords(w, c) for w in normals]
+                for w in orbit:
+                    x = Mat(d, d, kernel.line_coords(w, c)[1:])
+                    reflections.append(x)
+                    by_normal.setdefault(_reflection_normal(w, d, c), []).append(x)
+    normals = [kernel.line_coords(w, c) for w in by_normal]
+    return reflections, normals, list(by_normal.values())
 
 
 def g32_t_element(group=None):
     """The order-24 product R1^2 R2 R3^2 R4 R2^2 R3."""
     r1, r2, r3, r4 = g32_generators()
-    t = r1 @ r1 @ r2 @ r3 @ r3 @ r4 @ r2 @ r2 @ r3
-    return t
+    return r1 @ r1 @ r2 @ r3 @ r3 @ r4 @ r2 @ r2 @ r3
 
 
 def g32_order30_element():
@@ -518,7 +515,7 @@ class Subspaces:
         conductor = lcm(1, *(x.n for v in self.vectors for x in v))
         rows = []
         for v in self.vectors:
-            blocks = kernel._int_vectors(v, conductor)
+            _, blocks = kernel._int_vectors(v, conductor)
             forms = [blocks] if self.plane_dim is None else _plucker_forms(blocks, self.plane_dim)
             rows.extend([c for block in f for c in block] for f in forms)
         top = max(abs(c) for row in rows for c in row)
@@ -546,7 +543,7 @@ def containing(family, points):
     conductor = lcm(family_conductor, *(x.n for p in points for x in p))
     phi = euler_phi(conductor)
     size = len(points) * phi
-    vectors = [kernel._int_vectors(p, conductor) for p in points]
+    vectors = [kernel._int_vectors(p, conductor)[1] for p in points]
     terms = _fold_terms(conductor)
     step = conductor // family_conductor
     matrix = []
@@ -571,32 +568,6 @@ def proper_planes_through(group, point):
     return int(containing(group.proper_plane_forms, [point]).sum())
 
 
-def point_conductor(group, point):
-    c = group.conductor
-    for e in point:
-        c = lcm(c, cyc(e).n)
-    return c
-
-
-def _scan(group, point):
-    """The arguments of a kernel stabilizer scan of `point`, at its conductor."""
-    c = point_conductor(group, point)
-    mats = group.element_mats()  # G25 only: a ValueError without the elements
-    elements = group.elements
-    if c != group.conductor:
-        elements = [kernel.to_blob_matrix(m, c) for m in mats]
-    phi, red = kernel.ring_params(c)
-    return elements, kernel.to_blob_vector(point, c), group.dim, phi, red
-
-
-def line_stabilizer_order(group, point):
-    return kernel.stab_count_line(*_scan(group, point))
-
-
-def point_stabilizer_order(group, point):
-    return kernel.stab_count_point(*_scan(group, point))
-
-
 def parabolic_order(group, through):
     """|G_v| for a point v on exactly the hyperplanes `through`.
 
@@ -617,12 +588,33 @@ def parabolic_order(group, through):
     return order
 
 
-def _common_ints(values, conductor):
-    """(den, vectors): the values' integer power-basis vectors at `conductor`,
-    all over their one common denominator den."""
-    promoted = [x.promote(conductor) for x in values]
-    den = lcm(1, *(x.den for x in promoted))
-    return den, [[c * (den // x.den) for c in x.num] for x in promoted]
+def _incidence(group, point):
+    """(point, through): `point` as Cyclotomic values and its hyperplane
+    incidence array (`containing`).  A point of the wrong length, or the
+    zero vector, raises ValueError."""
+    point = tuple(cyc(e) for e in point)
+    if len(point) != group.dim:
+        raise ValueError(f"{group.name} acts on points with {group.dim} coordinates")
+    if all(e.is_zero() for e in point):
+        raise ValueError("the zero vector spans no line")
+    return point, containing(group.hyperplane_forms, [point])
+
+
+def _line_stabilizer_order(group, point, through):
+    """|G_v| m for the line through v = `point` on the hyperplanes `through`:
+    its stabilizer maps onto the m-th roots of unity with kernel G_v."""
+    return parabolic_order(group, through) * group.invariants.scalar_order(point)
+
+
+def point_stabilizer_order(group, point):
+    """|G_v| for the vector v = `point`: `parabolic_order` of its incidence."""
+    return parabolic_order(group, _incidence(group, point)[1])
+
+
+def line_stabilizer_order(group, point):
+    """The order of the stabilizer of the line through `point`, |G_v| m: the
+    two factors that `stratify` divides |G| by."""
+    return _line_stabilizer_order(group, *_incidence(group, point))
 
 
 def _pow_mod(n, x, e):
@@ -662,7 +654,7 @@ class BasicInvariants:
         found = self._at.get(conductor)
         if found is None:
             d = len(self.forms[0])
-            den, flat = _common_ints([x for a in self.forms for x in a], conductor)
+            den, flat = kernel._int_vectors([x for a in self.forms for x in a], conductor)
             found = den, [flat[i : i + d] for i in range(0, len(flat), d)]
             if len(self._at) >= self._KEEP:
                 del self._at[next(iter(self._at))]
@@ -674,7 +666,7 @@ class BasicInvariants:
         point = [cyc(x) for x in point]
         n = lcm(self.conductor, *(x.n for x in point))
         den, forms = self._forms_at(n)
-        e, v = _common_ints(point, n)
+        e, v = kernel._int_vectors(point, n)
         zero = [0] * euler_phi(n)
         values = []
         for a in forms:
@@ -818,20 +810,14 @@ def stratify(group, point):
     vectors and F_d(lambda v) = lambda^d F_d(v), so those scalars are the
     m-th roots of unity for m = gcd{d : F_d(v) != 0} (Springer, Invent.
     Math. 25, 1974; `BasicInvariants.scalar_order`).  The size is
-    |G| / (|G_v| m).  `tests/test_reflgrp.py` keeps the line orbit
+    |G| / (|G_v| m), the line stabilizer's order being that of
+    `line_stabilizer_order`.  `tests/test_reflgrp.py` keeps the line orbit
     (`kernel.int_line_orbit`) as its oracle.
     """
-    point = tuple(cyc(e) for e in point)
-    if len(point) != group.dim:
-        raise ValueError(f"{group.name} acts on points with {group.dim} coordinates")
-    if all(e.is_zero() for e in point):
-        raise ValueError("the zero vector spans no line")
-    through = containing(group.hyperplane_forms, [point])
+    point, through = _incidence(group, point)
     nh = int(through.sum())
     np_ = proper_planes_through(group, point)
-    size, rest = divmod(
-        group.order, parabolic_order(group, through) * group.invariants.scalar_order(point)
-    )
+    size, rest = divmod(group.order, _line_stabilizer_order(group, point, through))
     assert rest == 0
     table = G25_STRATA if group.name == "g25" else G32_STRATA
     in_table = (size, nh, np_) in table
@@ -1147,32 +1133,44 @@ def conjugacy_to_braid_action(n, z):
 
 
 def steinberg_check(group, point):
-    """Point stabilizer equals the subgroup generated by fixing reflections.
+    """Whether G_v, the stabilizer of v = `point`, is generated by the
+    reflections that fix v.
 
-    The point stabilizer is counted by a scan of the elements; the
-    subgroup's order is `parabolic_order`, the one `stratify` uses.
+    |G_v| is |G| / |G v|, where G v, the orbit of the vector v, is one
+    `kernel.int_line_orbit` of the line through (1, v) under diag(1, g),
+    as a level of the stabilizer chain runs it: a search that shares no
+    code with the reflections or the invariants.  The subgroup that the
+    reflections generate has order `parabolic_order`, the one `stratify`
+    uses.  A vector on no hyperplane has an orbit as large as the group.
     """
-    point = tuple(cyc(e) for e in point)
-    scanned = point_stabilizer_order(group, point)  # G25 only
-    return parabolic_order(group, containing(group.hyperplane_forms, [point])) == scanned
+    point, through = _incidence(group, point)
+    one = Mat.identity(1)
+    lifts = [kernel.kron_lift(g, one, affine=True) for g in group.generators]
+    _, _, orbit, exceeded = kernel.int_line_orbit(
+        lifts, (ONE, *point), group.order, group.conductor
+    )
+    return not exceeded and parabolic_order(group, through) * len(orbit) == group.order
 
 
 def line_stabilizer_is_cyclic(group, point):
-    """Exhibit a generator of the stabilizer of a line (G25-sized groups)."""
-    point = tuple(cyc(e) for e in point)
-    stab = []
-    for mat in group.element_mats():
-        if mat_parallel(mat.apply(point), point):
-            stab.append(mat)
-    order = len(stab)
-    for mat in stab:
-        if matrix_order(mat, order + 1) == order:
-            return True
-    # the stabilizer acts on the line through scalars; cyclic iff some
-    # element realizes the full scalar group
-    scalars = set()
-    for mat in stab:
-        img = mat.apply(point)
-        pivot = next(i for i, e in enumerate(point) if not e.is_zero())
-        scalars.add(order_of_root(img[pivot] / point[pivot]))
-    return max(s for s in scalars if s) == order
+    """Whether the stabilizer of the line through `point` is cyclic: exactly
+    when no reflection hyperplane contains the point.
+
+    The line stabilizer acts on the line through v = `point` by scalars,
+    with kernel G_v.  Off the hyperplanes G_v = 1 by Steinberg's theorem,
+    so the line stabilizer embeds in C^x through its eigenvalue on v, and
+    a finite subgroup of C^x is cyclic.  On a hyperplane, a reflection r
+    fixes v, and the line stabilizer contains Z(G) x <r>: the centre of the
+    irreducible G consists of scalars, which fix every line, and meets <r>
+    trivially, since a scalar that fixes v is 1.  3 divides |Z(G)| =
+    gcd(degrees) and r has order 3, so the line stabilizer contains
+    C_3 x C_3, which no cyclic group does.
+    """
+    _, through = _incidence(group, point)
+    on = through.nonzero()[0]
+    if not len(on):
+        return True
+    r = group.hyperplane_reflections[on[0]][0]
+    # the premise of the proof
+    assert gcd(*group.degrees) % 3 == 0 and (r @ r @ r).is_identity()
+    return False

@@ -1,5 +1,6 @@
 """Session-wide fixtures: each reflection group is built once per test run,
-and the G32 Table-5 strata and lattice census are computed once."""
+and the G32 Table-5 strata and lattice census are computed once, as are
+G25's elements for the reference scans."""
 
 import time
 from dataclasses import dataclass
@@ -7,11 +8,37 @@ from dataclasses import dataclass
 import pytest
 
 from braidorbit import reflgrp
+from braidorbit.linalg import Mat
 
 
 @pytest.fixture(scope="session")
 def g25():
     return reflgrp.build_g25()
+
+
+@pytest.fixture(scope="session")
+def g25_elements():
+    """G25's 648 elements as matrices, in BFS order from the identity.
+
+    A plain search over the generators on `Mat` products: the reference
+    for the stabilizer functions and the chain, with which it shares no
+    code, nor with the basic invariants or the blob kernel.
+    """
+
+    def key(m):  # the entries' coefficients at conductor 3, cheaper than their hashes
+        return tuple((y.num, y.den) for y in (x.promote(3) for x in m.entries))
+
+    gens = reflgrp.g25_generators()
+    found = [Mat.identity(3)]
+    seen = {key(found[0])}
+    for m in found:
+        for g in gens:
+            x = g @ m
+            k = key(x)
+            if k not in seen:
+                seen.add(k)
+                found.append(x)
+    return found
 
 
 @pytest.fixture(scope="session")

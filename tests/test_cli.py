@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from braidorbit import cli, reflgrp
+from braidorbit import cli, kernel, reflgrp
 from braidorbit.charvar import AffineRep, LinearPart, ProjClass, normalize, orbit
 from braidorbit.cli import main
 from braidorbit.cyclo import cyc, parse_cyclo, render, zeta
@@ -150,14 +150,16 @@ def test_orbit_without_values_is_an_error(capsys):
 
 
 def test_kernel_overflow_is_an_error(capsys, g25):
-    # strata runs its orbit on Python ints, so a huge entry gets its exact
-    # stratum; the int64 stabilizer scan still refuses it with an error
+    # strata and the stabilizer functions run on Python ints, so a huge
+    # entry gets its exact stratum and stabilizer; the int64 blob format
+    # refuses it with an error that names the value
     code, out = run(capsys, "strata", "--which", "g25", "--point", "[100000000000000000000:1:0]")
     data = json.loads(out)
     assert code == 0
     assert (data["orbit_size"], data["reflection_hyperplanes"], data["proper_planes"]) == (72, 1, 0)
+    assert reflgrp.line_stabilizer_order(g25, (cyc(10**20), cyc(1), cyc(0))) == 9
     with pytest.raises(OverflowError, match="100000000000000000000"):
-        reflgrp.line_stabilizer_order(g25, (cyc(10**20), cyc(1), cyc(0)))
+        kernel.to_blob_vector((10**20, 1, 0), 3)
 
 
 def test_orbit_past_its_bound_prints_points_of_any_length(capsys):
@@ -637,6 +639,17 @@ def test_tables_command_table4(tmp_path, capsys):
     code, out = run(capsys, "tables", "--which", "4", "--out", str(out_path))
     assert code == 0
     assert out_path.read_bytes() == TABLE4_CSV
+
+
+def test_g25_build_and_table4_never_list_the_elements(tmp_path, capsys, monkeypatch):
+    # G25's blob element list is built only when `elements` is read
+    calls = []
+    monkeypatch.setattr(kernel, "closure", lambda *args: calls.append(args))
+    reflgrp.build_g25()
+    code, _ = run(capsys, "tables", "--which", "4", "--out", str(tmp_path / "t4.csv"))
+    assert code == 0
+    assert (tmp_path / "t4.csv").read_bytes() == TABLE4_CSV
+    assert calls == []
 
 
 TABLE5_CSV = "".join(

@@ -42,8 +42,7 @@ def test_g25_order_and_counts(g25):
 
 
 def test_g25_reflections_all_order_3(g25):
-    for blob in g25.reflections:
-        m = kernel.from_blob_matrix(blob, 3, 3)
+    for m in g25.reflections:
         assert matrix_order(m, 4) == 3
         ok, ev = is_complex_reflection(m)
         assert ok and order_of_root(ev) == 3
@@ -62,11 +61,10 @@ def test_g25_proper_planes_match_display(g25):
 
 
 def test_g25_hyperplane_orbit_transitive(g25):
-    phi, red = kernel.ring_params(3)
-    gens = [kernel.to_blob_matrix(g.inverse().transpose(), 3) for g in g25.generators]
-    v = kernel.to_blob_vector((ZERO, ZERO, ONE), 3)
-    orbit = kernel.line_orbit(gens, v, 3, phi, red, 50)
-    assert len(orbit) == 12
+    # normals move under the inverse transposes
+    gens = [g.inverse().transpose() for g in g25.generators]
+    _, _, orbit, exceeded = kernel.int_line_orbit(gens, (ZERO, ZERO, ONE), 50, 3)
+    assert not exceeded and len(orbit) == 12
 
 
 # (point, orbit size, hyperplanes, proper planes) for seven rows of Table 4;
@@ -150,27 +148,51 @@ def test_steinberg_on_samples(g25):
         assert reflgrp.steinberg_check(g25, p)
 
 
+def test_steinberg_check_compares_two_orders(g25, monkeypatch):
+    # with a wrong |G_v| the vector orbit refutes it, except off the
+    # hyperplanes, where G_v = 1 and the orbit has 648 vectors
+    monkeypatch.setattr(reflgrp, "parabolic_order", lambda group, through: 1)
+    assert not reflgrp.steinberg_check(g25, (ONE, -ONE, ZERO))
+    assert reflgrp.steinberg_check(g25, (ONE, cyc(2), cyc(5)))
+
+
 def test_line_stabilizers_cyclic(g25):
     nu = zeta(9, 1)
     for p in [(nu, nu**2, ONE), (ONE, cyc(2), cyc(5))]:
         assert reflgrp.line_stabilizer_is_cyclic(g25, p)
 
 
-def test_orbit_stabilizer_consistency(g25):
-    # stratify's size, |G| / (|G_v| m), against the element scan, which
-    # shares no code with it, on all eight Table-4 rows (the order-9 and
-    # order-12 lines at conductors 9 and 12) and on random lines
+def _scanned_stabilizers(elements, point):
+    """(line stabilizer, point stabilizer, whether the line stabilizer is
+    cyclic) of `point`, by a scan of the group's `elements`."""
+    line = [m for m in elements if mat_parallel(m.apply(point), point)]
+    fixing = [m for m in line if m.apply(point) == point]
+    cyclic = any(matrix_order(m, len(line)) == len(line) for m in line)
+    return len(line), len(fixing), cyclic
+
+
+def test_orbit_stabilizer_consistency(g25, g25_elements):
+    # stratify's size and the three stabilizer functions against a scan of
+    # the elements found by a plain BFS, which shares no code with them, on
+    # all eight Table-4 rows (the order-9 and order-12 lines at conductors 9
+    # and 12) and on random lines
     rng = random.Random(17)
     points = [row[0] for row in G25_TABLE4]
     points.append(reflgrp.g25_order12_representative(g25)[0])
     for _ in range(5):
         points.append((ONE, cyc(rng.randrange(-4, 5)), cyc(rng.randrange(-4, 5))))
+    cyclic_rows = 0
     for p in points:
-        stab = reflgrp.line_stabilizer_order(g25, p)
+        line, fixing, cyclic = _scanned_stabilizers(g25_elements, p)
+        assert reflgrp.line_stabilizer_order(g25, p) == line
+        assert reflgrp.point_stabilizer_order(g25, p) == fixing
+        assert reflgrp.line_stabilizer_is_cyclic(g25, p) == cyclic
         s = reflgrp.stratify(g25, p)
-        assert s.orbit_size * stab == 648
+        assert s.orbit_size * line == 648
         assert s.in_table
-    assert {reflgrp.point_conductor(g25, p) for p in points} == {3, 9, 12}
+        cyclic_rows += cyclic
+    assert 0 < cyclic_rows < len(points)
+    assert {math.lcm(3, *(x.n for x in p)) for p in points} == {3, 9, 12}
 
 
 def _plane_orbit_by_rref(gens, basis, conductor, bound):
@@ -243,9 +265,9 @@ def test_g32_plane_orbit_is_closed_rref():
 
 def test_reflection_agreement_with_pointwise_fix(g25):
     # every reflection fixes its hyperplane pointwise and has order > 1
-    for blob in g25.reflections[:8]:
-        m = kernel.from_blob_matrix(blob, 3, 3)
-        normal = kernel.line_coords(reflgrp._reflection_normal(blob, 3, 3), 3)
+    for m in g25.reflections[:8]:
+        w = kernel.line_vector((ONE, *m.entries), 3)
+        normal = kernel.line_coords(reflgrp._reflection_normal(w, 3, 3), 3)
         basis = Mat.from_rows([list(normal)]).kernel()
         for v in basis:
             assert m.apply(v) == tuple(v)
@@ -331,9 +353,8 @@ def test_chain_level_sizes(g25, g32):
     assert g32.chain.sizes == (240, 72, 3, 3)
     # a level past the bound raises, like every search
     gens = reflgrp.g25_generators()
-    mats = [kernel.from_blob_matrix(b, 3, 3) for b in g25.reflections]
     with pytest.raises(reflgrp.BoundExceeded):
-        reflgrp.StabilizerChain(gens, mats, 3, 71)
+        reflgrp.StabilizerChain(gens, g25.reflections, 3, 71)
     # <R3> = <diag(1, w^2, 1)> fixes e_1 and no reflection of it fixes e_2,
     # so its chain stops after two levels; only the final identity test
     # rejects diag(1, 1, w), which fixes e_1 and e_2
@@ -343,11 +364,10 @@ def test_chain_level_sizes(g25, g32):
     assert not sub.contains(Mat.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, W]]))
 
 
-def test_g25_chain_contains_every_element(g25):
-    # the elements come from the blob closure, which shares no code with the chain
-    mats = list(g25.element_mats())
-    assert len(mats) == 648
-    assert all(g25.contains(m) for m in mats)
+def test_g25_chain_contains_every_element(g25, g25_elements):
+    # the elements come from a plain BFS, which shares no code with the chain
+    assert len(g25_elements) == 648
+    assert all(g25.contains(m) for m in g25_elements)
 
 
 def test_g32_chain_order_matches_a_regular_orbit(g32):
@@ -373,13 +393,17 @@ def test_g25_membership_of_matrices_off_the_orbit(g25):
 
 
 def test_element_and_reflection_bytes_are_pinned(g25, g32):
-    # the order `group --full` prints and the blob scans and the benchmark index into
+    # the elements' order, which the benchmark indexes into, and the
+    # reflections' values and order, each matrix as its blob at conductor 3
     def digest(blobs):
         return hashlib.sha256(b"".join(blobs)).hexdigest()
 
+    def blobs(mats):
+        return [kernel.to_blob_matrix(m, 3) for m in mats]
+
     assert digest(g25.elements) == "49a84cc2f3156da405505bc4a238d2504425ee3c95c7155e5acbcdabb54d7e82"
-    assert digest(g25.reflections) == "ea02784e501b2d6a258bc496ae15f6074a50406950eb2c402ef8e1d070a8e642"
-    assert digest(g32.reflections) == "52b332a0a665e30fab1ef8e6243e7cd8cc4f13420537bb202cf80ff393a95476"
+    assert digest(blobs(g25.reflections)) == "ea02784e501b2d6a258bc496ae15f6074a50406950eb2c402ef8e1d070a8e642"
+    assert digest(blobs(g32.reflections)) == "52b332a0a665e30fab1ef8e6243e7cd8cc4f13420537bb202cf80ff393a95476"
     # the hyperplanes' values, conductors included, and their order
     for group, pinned in (
         (g25, "ed6485ef1ef0ab72b671907f6753d73892df0896214bef68d6d18b4b8fbcc09c"),
@@ -389,31 +413,41 @@ def test_element_and_reflection_bytes_are_pinned(g25, g32):
         assert hashlib.sha256(repr(values).encode()).hexdigest() == pinned
 
 
-def test_reflections_by_conjugation(g25, g32):
-    # the conjugation orbits against the rank scan of all 648 elements
-    assert g25.order == len(g25.elements)
-    phi, red = g25.ring()
-    scanned = {g25.elements[i] for i in kernel.reflection_indices(g25.elements, 3, phi, red)}
-    assert set(g25.reflections) == scanned
-    assert len(set(g32.reflections)) == 80
-    for blob in g32.reflections:
-        m = kernel.from_blob_matrix(blob, 4, 3)
+def test_reflections_by_conjugation(g25, g32, g25_elements):
+    # the conjugation orbits against a rank scan of all 648 elements
+    identity = Mat.identity(3)
+    scanned = {m.entries for m in g25_elements if (m - identity).rank() == 1}
+    assert {m.entries for m in g25.reflections} == scanned
+    assert len(g25.reflections) == 24
+    assert len({m.entries for m in g32.reflections}) == 80
+    for m in g32.reflections:
         assert matrix_order(m, 4) == 3
         assert is_complex_reflection(m)[0]
 
 
-@pytest.mark.parametrize(
-    "scan",
-    [
-        reflgrp.line_stabilizer_order,
-        reflgrp.point_stabilizer_order,
-        reflgrp.steinberg_check,
-        reflgrp.line_stabilizer_is_cyclic,
-    ],
-)
-def test_element_scans_need_the_element_list(g32, scan):
-    with pytest.raises(ValueError, match="g32"):
-        scan(g32, (ONE, cyc(2), cyc(3), cyc(5)))
+def test_g32_stabilizers(g32, g32_table5):
+    # on all twelve Table-5 rows: the line stabilizer times the orbit size
+    # is |G|, and it is cyclic exactly on the four rows on no hyperplane
+    centre = Mat.identity(4).scale(W)
+    assert g32.contains(centre)
+    for point, s in zip(g32_table5.points, g32_table5.strata, strict=True):
+        assert reflgrp.line_stabilizer_order(g32, point) * s.orbit_size == 155520
+        cyclic = reflgrp.line_stabilizer_is_cyclic(g32, point)
+        assert cyclic == (s.num_hyperplanes == 0), point
+        if not cyclic:
+            # the reference: the centre's omega I and a reflection r of
+            # order 3 that fixes the point generate C_3 x C_3 in it
+            r = next(r for r in g32.reflections if r.apply(point) == tuple(point))
+            assert (r @ r @ r).is_identity() and not r.is_scalar()
+    assert sum(s.num_hyperplanes == 0 for s in g32_table5.strata) == 4
+
+
+def test_g32_steinberg_on_the_rows_on_two_or_more_hyperplanes(g32, g32_table5):
+    # |G_v| against |G| over the searched orbit of the vector v; a vector on
+    # fewer hyperplanes has 51840 or 155520 images
+    rows = [p for p, s in zip(g32_table5.points, g32_table5.strata) if s.num_hyperplanes >= 2]
+    assert len(rows) == 6
+    assert all(reflgrp.steinberg_check(g32, p) for p in rows)
 
 
 def test_g32_seed_plane_matches_displayed_equations():
@@ -503,8 +537,6 @@ def test_in_plane_orbit_pattern(g25):
     # inside one reflection plane the stabilizer quotient acts with
     # line-orbit pattern 2 / 3 / 3 / 6; equivalently the ambient orbits
     # meet the plane {z=0} in that many lines
-    phi, red = kernel.ring_params(3)
-    gens = [kernel.to_blob_matrix(g, 3) for g in g25.generators]
     expected = {
         (ONE, ZERO, ZERO): 2,  # orbit 12
         (ONE, -ONE, ZERO): 3,  # orbit 9
@@ -512,13 +544,9 @@ def test_in_plane_orbit_pattern(g25):
         (ONE, cyc(2), ZERO): 6,  # orbit 72, generic in the plane
     }
     for rep, count in expected.items():
-        v = kernel.to_blob_vector(rep, 3)
-        orbit = kernel.line_orbit(gens, v, 3, phi, red, 300)
-        in_plane = 0
-        for blob in orbit:
-            coords = kernel.from_blob_vector(blob, 3)
-            if coords[2].is_zero():
-                in_plane += 1
+        n, _, orbit, exceeded = kernel.int_line_orbit(g25.generators, rep, 300, 3)
+        assert not exceeded
+        in_plane = sum(kernel.line_coords(w, n)[2].is_zero() for w in orbit)
         assert in_plane == count, rep
 
 
@@ -567,15 +595,16 @@ def _assert_size_and_chain(group, point):
     point = tuple(map(cyc, point))
     s = reflgrp.stratify(group, point)
     assert s.orbit_size == _line_orbit_size(group, point), point
+    assert reflgrp.line_stabilizer_order(group, point) * s.orbit_size == group.order
     # the memoized |G_v| against a fresh chain over the reflections found by
     # applying each one to the point
     through = reflgrp.containing(group.hyperplane_forms, [point])
     assert through.tobytes() in group.parabolic_orders
-    mats = [kernel.from_blob_matrix(b, group.dim, group.conductor) for b in group.reflections]
-    fixing = [r for r in mats if r.apply(point) == point]
+    fixing = [r for r in group.reflections if r.apply(point) == point]
     assert len(fixing) == 2 * s.num_hyperplanes  # r and r^2 on each hyperplane
     fresh = reflgrp.StabilizerChain(fixing, fixing, group.conductor, group.order).order
     assert reflgrp.parabolic_order(group, through) == fresh
+    assert reflgrp.point_stabilizer_order(group, point) == fresh
     return s
 
 

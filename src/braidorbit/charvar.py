@@ -10,6 +10,17 @@ The exact action of a linear part (`BraidAction`: each pure letter's
 matrix and its adjugate, and their integer matrices per search
 conductor) is built once and shared by every orbit and `apply_braid`
 call on that part while it is one of the last two parts used.
+
+Orbits are searched under one pure letter fewer than P_(n-1) has.  The
+full twist generates the centre of P_(n-1) and acts on the free group by
+conjugation by x_1...x_(n-1), so it fixes every conjugacy class; the
+action factors through PMod(S_(0,n)) = P_(n-1)/Z (Farb and Margalit, *A
+Primer on Mapping Class Groups*, 2012, ch. 9).  The full twist is the
+product of the pure letters sigma_(i,j)^2 in reversed lexicographic
+order, so M(n-2,n-1) ... M(1,3) M(1,2) is a scalar matrix, and the
+lexicographically last letter that does not act as the identity is a
+word in the others up to that scalar.  `BraidAction` checks the product
+in exact arithmetic before it leaves that letter out.
 """
 
 from __future__ import annotations
@@ -281,28 +292,36 @@ class BraidAction:
     `pairs[(i, j)]` is (M, adj M) for the reduced matrix M of
     sigma_{i,j}^2, or None where M is the identity; the adjugate is M^-1
     up to the scalar det(M), the same projective map, built without a
-    Cyclotomic inverse.  `gens` lists the pairs that are not None, each M
-    followed by its adjugate, so gens[inverse[a]] = gens[a ^ 1] inverts
-    gens[a].  `actions` holds their integer matrices per search conductor
-    (`kernel.IntActions`), and `conductor` is the lcm of the linear part's
-    conductor and the generators'.
+    Cyclotomic inverse.  `gens` is the search set of `orbit`: the pairs
+    that are not None except the last of them, each M followed by its
+    adjugate, so gens[inverse[a]] = gens[a ^ 1] inverts gens[a].  The
+    pair left out is redundant projectively because the full twist acts
+    trivially (see the module docstring): the constructor raises
+    AssertionError unless M(n-2,n-1) ... M(1,3) M(1,2) is scalar.
+    `actions` holds the integer matrices of `gens` per search conductor
+    (`kernel.IntActions`), and `conductor` is the lcm of the linear
+    part's conductor and the generators'.
     """
 
     def __init__(self, linear):
         n = linear.n
         self.n = n
         self.pairs = {}
-        gens = []
+        twist = Mat.identity(n - 2)
         for i in range(1, n - 1):
             for j in range(i + 1, n):
                 m = action_matrix_reduced(linear, i, j)
-                pair = None if m.is_identity() else (m, m.adjugate())
-                self.pairs[i, j] = pair
-                if pair is not None:
-                    gens.extend(pair)
-        self.gens = tuple(gens)
-        self.inverse = tuple(a ^ 1 for a in range(len(gens)))
-        self.actions = IntActions(gens)
+                if m.is_identity():
+                    self.pairs[i, j] = None
+                else:
+                    self.pairs[i, j] = (m, m.adjugate())
+                    twist = m @ twist
+        if not twist.is_scalar():
+            raise AssertionError("the full twist does not act as a scalar matrix")
+        searched = [pair for pair in self.pairs.values() if pair is not None][:-1]
+        self.gens = tuple(m for pair in searched for m in pair)
+        self.inverse = tuple(a ^ 1 for a in range(len(self.gens)))
+        self.actions = IntActions(self.gens)
         self.conductor = lcm(linear.conductor(), self.actions.conductor)
 
     def pair(self, i, j):
@@ -326,15 +345,17 @@ def _braid_action(key):
     return BraidAction(LinearPart(tuple(Cyclotomic(n, num, den) for n, num, den in key)))
 
 
-def reduced_generators(linear, include_inverses=True):
-    """All reduced matrices M_{i,j}, skipping identities.
+def reduced_generators(linear):
+    """Every reduced matrix M_{i,j} that is not the identity, in
+    lexicographic order: the pure letters of P_(n-1), one more than
+    `orbit` searches under.
 
-    With `include_inverses` each M is followed by its adjugate, which is
-    M^-1 up to the scalar det(M): the same projective map, built without
-    a Cyclotomic inverse.  So gens[a ^ 1] inverts gens[a].
+    Each M is followed by its adjugate, which is M^-1 up to the scalar
+    det(M): the same projective map, built without a Cyclotomic inverse.
+    So gens[a ^ 1] inverts gens[a].
     """
-    gens = braid_action(linear).gens
-    return list(gens if include_inverses else gens[::2])
+    pairs = [pair for pair in braid_action(linear).pairs.values() if pair is not None]
+    return [m for pair in pairs for m in pair]
 
 
 def apply_braid(cls, letters, linear):
@@ -482,12 +503,15 @@ def orbit(cls, linear, bound=200_000, gens=None):
 
     The search is `kernel.int_line_orbit` at the lcm of the conductors of
     the linear part, the start coordinates and the generator entries.  The
-    points come back as ProjClass in discovery order, the first being
-    `cls` itself (`OrbitResult.points`, built on first read).  Without
-    `gens` it searches under the linear part's shared `BraidAction`: its
-    (M, adj M) pairs, whose integer matrices are reused across calls, and
-    the pairing that tells the search which action inverts which, so each
-    edge of the orbit is computed once.
+    points come back as ProjClass in search order, the first being `cls`
+    itself (`OrbitResult.points`, built on first read).  Without `gens` it
+    searches under the linear part's shared `BraidAction.gens`: its
+    (M, adj M) pairs but the last, whose integer matrices are reused
+    across calls, and the pairing that tells the search which action
+    inverts which, so each edge of the orbit is computed once.  The pair
+    left out changes no orbit, only the order in which the points are
+    found: the full twist, whose matrix is the product of every pair's M,
+    is scalar and so acts trivially on P^(n-3) (see the module docstring).
     """
     if bound < 1:
         raise ValueError("bound must be positive")

@@ -279,6 +279,17 @@ class Cyclotomic:
 
         Raises ValueError when the value does not lie in Q(zeta_m).
         """
+        x = self._fit(m)
+        if x is None:
+            raise ValueError(f"{self!r} does not lie in Q(zeta_{m})")
+        return x
+
+    def _fit(self, m):
+        """`fit`, or None where the value does not lie in Q(zeta_m).
+
+        `minimal` (and so every hash) meets that case at each failed
+        demotion; it must not pay for rendering an error message.
+        """
         if m == self.n:
             return self
         if m % self.n == 0:
@@ -309,7 +320,7 @@ class Cyclotomic:
             r += 1
         for i in range(r, phi_big):
             if aug[i][phi_m]:
-                raise ValueError(f"{self!r} does not lie in Q(zeta_{m})")
+                return None
         coeffs = [Fraction(0)] * phi_m
         for row_idx, col in enumerate(pivots):
             coeffs[col] = aug[row_idx][phi_m]
@@ -444,10 +455,10 @@ class Cyclotomic:
         x = self
         for p in _prime_factors(self.n):
             while x.n % p == 0:
-                try:
-                    x = x.fit(x.n // p)
-                except ValueError:
+                y = x._fit(x.n // p)
+                if y is None:
                     break
+                x = y
         return x
 
     def coeffs(self):

@@ -36,8 +36,8 @@ filed under their grid cells.  A group orbit's graph is
 undirected: if v -M-> w then w -M^-1-> v.  So where the caller says
 which action inverts which (`inverse`), both steps compute each such
 edge once and skip the image they already know; the n=4 tables then
-canonicalize 4182 images per pass instead of 8304, and the batched
-levels of the 2880-point n=6 orbit 34364 rows instead of 57220.
+canonicalize 2808 images per pass instead of 5556, and the batched
+levels of the 2880-point n=6 orbit 31010 rows instead of 51534.
 `int_line_orbit` (the braid orbits of `charvar`, classify's projective
 group, the G25/G32 line and plane orbits and the levels of `reflgrp`'s
 stabilizer chain) runs on it; `IntActions` keeps a matrix list's integer

@@ -13,6 +13,7 @@ from braidorbit.charvar import (
     action_matrix_reduced,
     apply_braid,
     apply_word_to_rep,
+    braid_action,
     conjugate,
     matrix_of_sigma,
     normalize,
@@ -269,8 +270,11 @@ def test_orbit_prop24_power_law():
 
 
 def object_orbit(cls, linear, bound, gens=None):
-    """Reference BFS on Cyclotomic objects: ProjClass, Mat.apply and ==."""
-    gens = reduced_generators(linear) if gens is None else gens
+    """Reference BFS on Cyclotomic objects: ProjClass, Mat.apply and ==.
+
+    By default it searches under `orbit`'s own search set, so the two
+    find the same points in the same order."""
+    gens = braid_action(linear).gens if gens is None else gens
     points, frontier = [cls], [cls]
     while frontier:
         new_frontier = []

@@ -56,14 +56,23 @@ def test_orbit_readme_example_points(capsys):
 
 
 def test_orbit_readme_large_output_pinned(capsys):
-    # the README's 25920-point orbit: discovery order and every printed byte
+    # the README's 25920-point orbit: search order and every printed byte
     code, out = run(
         capsys, "orbit", "--lambda", "z6,z6,z6,z6,z6,z6", "--tau", "0,1,2,3,5"
     )
     assert code == 0
     assert (
         hashlib.sha256(out.encode()).hexdigest()
-        == "39fd02e2778288c1eb0e5b3752d75ba30458a4698b3c069e12c70549f2416f0a"
+        == "c08cfe9209e1ed3de2cea7fc766ea9536786f55cc734113ef6416e1bb531e9f2"
+    )
+    # the points themselves, whatever order the search finds them in
+    points = sorted(
+        line.strip().rstrip(",") for line in out.splitlines() if line.strip().startswith('"[')
+    )
+    assert len(points) == 25920
+    assert (
+        hashlib.sha256("\n".join(points).encode()).hexdigest()
+        == "a2ab024d10e8e7e6bf2b5651d77d45c0678c7f68b87fd817ffc5994771c243dc"
     )
 
 

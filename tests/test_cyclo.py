@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from braidorbit import cyclo
 from braidorbit.cyclo import (
     NotRootOfUnity,
     ParseError,
@@ -386,6 +387,41 @@ def test_equality_is_conductor_blind(x, m):
     assert key_at(promoted, x.n * m * 2) == key_at(x, x.n * m * 2)
     if x.is_rational():
         assert hash(x) == hash(Fraction(x.num[0], x.den))
+
+
+def _minimal_by_fit(x):
+    """The value at the least conductor d | x.n that `fit` accepts."""
+    for d in range(1, x.n + 1):
+        if x.n % d == 0:
+            try:
+                return x.fit(d)
+            except ValueError:
+                pass
+
+
+def test_hashing_renders_no_error_message(monkeypatch):
+    # `minimal` tries to demote at every prime of the conductor; a failed
+    # demotion, which every non-rational value meets, builds no message
+    rng = random.Random(7)
+    values = []
+    while len(values) < 60:
+        m = rng.choice([3, 4, 5, 7, 8, 9, 12, 15])
+        num = [rng.randint(-9, 9) for _ in range(euler_phi(m))]
+        x = Cyclotomic._make(m, num, rng.randint(1, 5))
+        if not x.is_rational():
+            values.append(x.promote(m * rng.choice([1, 2, 3, 5, 6])))
+    want = []
+    for x in values:
+        w = _minimal_by_fit(x)
+        want.append(((w.n, w.num, w.den), hash((w.n, w.num, w.den))))
+    rendered = []
+    monkeypatch.setattr(cyclo, "render", lambda x: rendered.append(x) or "?")
+    got = [((w.n, w.num, w.den), hash(x)) for x in values for w in [x.minimal()]]
+    assert rendered == []
+    assert got == want
+    with pytest.raises(ValueError):
+        values[0].fit(1)
+    assert rendered == [values[0]]
 
 
 def test_galois_and_conj():

@@ -633,16 +633,21 @@ def test_inverse_skip_keeps_the_projective_closure(monkeypatch):
 
 
 def _n6_orbit(bound):
-    # the n6-orbit benchmark's n=6 class: levels of 1, 18, 170, 918, 1592
-    # and 181 points under 20 paired actions
+    """The n6-orbit benchmark's n=6 class under all 20 paired actions:
+    every pure letter and its adjugate, one pair more than `orbit` uses.
+    Its levels hold 1, 18, 170, 918, 1592 and 181 points.  Returns the
+    vectors after the start."""
     cls, lp = _n6_class()
-    return orbit(cls, lp, bound=bound)
+    gens = reduced_generators(lp)
+    inverse = [a ^ 1 for a in range(len(gens))]
+    _, _, found, _ = kernel.int_line_orbit(gens, cls.coords, bound, 6, inverse)
+    return found[1:]
 
 
 def _n6_per_item(monkeypatch, bound):
     """The n=6 search's vectors after the start, by the per-item step alone."""
     monkeypatch.setattr(kernel, "_BATCH_MIN", 1 << 62)
-    return _n6_orbit(bound).vectors
+    return _n6_orbit(bound)
 
 
 @pytest.mark.parametrize("batch_min", [64, 1], ids=["mixed-levels", "batched"])
@@ -845,3 +850,117 @@ def test_braid_actions_are_kept_for_the_last_two_linear_parts():
     assert charvar.braid_action(lps[1]) is actions[1]
     assert charvar.braid_action(lps[0]) is not actions[0]
     assert charvar._braid_action.cache_info().maxsize == 2
+
+
+# ---- one pure letter fewer ---------------------------------------------------------
+#
+# The full twist generates the centre of P_(n-1) and acts trivially on the
+# classes, so `orbit` searches under every pure letter but the last one
+# that is not the identity (`charvar.BraidAction`).
+
+
+def _full_twist(lp):
+    """M(n-2,n-1) ... M(1,3) M(1,2), the reduced matrix of the full twist."""
+    twist = Mat.identity(lp.n - 2)
+    for i in range(1, lp.n - 1):
+        for j in range(i + 1, lp.n):
+            twist = action_matrix_reduced(lp, i, j) @ twist
+    return twist
+
+
+def _seeded_linear_part(rng):
+    """n = 4 to 7, roots of unity of conductor 3 to 12, and now and then a
+    rational value; lambda_1 != 1 and the product is 1."""
+    n = rng.randint(4, 7)
+    while True:
+        conductor = rng.randint(3, 12)
+        lams = [zeta(conductor, rng.randrange(conductor)) for _ in range(n - 1)]
+        if rng.random() < 0.3:
+            lams[rng.randrange(n - 1)] = cyc(Fraction(rng.choice([2, -3, 5]), rng.choice([1, 3, 7])))
+        last = cyc(1)
+        for x in lams:
+            last = last * x
+        lams.append(last.inverse())
+        if lams[0] != cyc(1):
+            return LinearPart(tuple(lams))
+
+
+def test_the_full_twist_acts_as_a_scalar():
+    rng = random.Random(28)
+    rational = 0
+    for _ in range(40):
+        lp = _seeded_linear_part(rng)
+        rational += any(x.n == 1 for x in lp.lambdas)
+        assert _full_twist(lp).is_scalar(), lp.lambdas
+        action = charvar.BraidAction(lp)
+        letters = [pair for pair in action.pairs.values() if pair is not None]
+        assert action.gens == tuple(m for pair in letters[:-1] for m in pair)
+        assert action.inverse == tuple(a ^ 1 for a in range(len(action.gens)))
+    assert rational >= 5
+
+
+def test_a_twist_that_is_not_scalar_is_refused(monkeypatch):
+    lp = _n4_families()[2][1]
+    reduced = charvar.action_matrix_reduced
+
+    def squared_first_letter(linear, i, j):
+        m = reduced(linear, i, j)
+        return m @ m if (i, j) == (1, 2) else m
+
+    monkeypatch.setattr(charvar, "action_matrix_reduced", squared_first_letter)
+    with pytest.raises(AssertionError, match="full twist"):
+        charvar.BraidAction(lp)
+
+
+def _search_set_classes():
+    """(class, linear part) for every row of Tables 1-3 with two generic
+    starts per family, n = 5 sixth-root classes for both primitive sixth
+    roots, and n = 6 classes, one with the last letters the identity."""
+    for _, lp in _n4_families():
+        reps = [row.rep for row in table_rows(lp).rows]
+        yield from ((rep, 200) for rep in reps)
+        yield from ((AffineRep(lp, (cyc(0), cyc(1), cyc(c))), 200) for c in (2, 3))
+    rng = random.Random(6)
+    for z in (zeta(6, 1), zeta(6, 5)):
+        lp = LinearPart((z, z, z, z, z * z))
+        taus = [(3, 2, 3, 2)] + [[rng.randrange(-3, 4) for _ in range(4)] for _ in range(5)]
+        yield from ((AffineRep(lp, tuple(map(cyc, tau))), 300) for tau in taus)
+    a = zeta(4, 1)
+    lp = LinearPart((a, cyc(1), cyc(1), cyc(1), cyc(1), a.inverse()))
+    yield AffineRep(lp, tuple(map(cyc, (0, 1, 2, 3, 0)))), 100
+    lp = LinearPart((zeta(6, 1),) * 6)
+    for tau in ((-1, -2, -2, -1, -1), (2, -1, -1, -1, 1), (-1, 2, 2, 1, -1)):
+        yield AffineRep(lp, tuple(map(cyc, tau))), 3000
+
+
+def test_orbit_without_the_last_letter_finds_every_point():
+    sizes = Counter()
+    for rep, bound in _search_set_classes():
+        cls, rot = normalize(rep)
+        lp = rep.linear.rotated(rot) if rot else rep.linear
+        res = orbit(cls, lp, bound=bound)
+        ref = orbit(cls, lp, bound=bound, gens=reduced_generators(lp))
+        assert not res.exceeded_bound and not ref.exceeded_bound
+        assert (res.size, res.conductor) == (ref.size, ref.conductor)
+        assert set(res.vectors) == set(ref.vectors)
+        sizes[rep.n, res.size] += 1
+    assert {s for n, s in sizes if n == 5} == {9, 36, 72, 108, 216}
+    assert {s for n, s in sizes if n == 6} == {16, 360, 1080, 2880}
+
+
+def test_an_n4_pass_canonicalizes_2808_images(monkeypatch):
+    # with every pure letter it was 4182
+    workloads = _perfbench_workloads()
+    n4 = workloads.N4Tables()
+    n4.setup(n4.draw(random.Random(1)))
+    calls = []
+    canon = kernel._canon
+
+    def counting_canon(w, conductor, phi):
+        calls.append(1)
+        return canon(w, conductor, phi)
+
+    monkeypatch.setattr(kernel, "_canon", counting_canon)
+    for op in n4.ops():
+        assert op.run() == op.expected, op.label
+    assert len(calls) == 2808

@@ -20,6 +20,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 
 class NotRootOfUnity(ValueError):
@@ -141,6 +142,43 @@ def _promotion_rows(n, m):
     assert m % n == 0
     step = m // n
     return tuple(tuple(_reduce_exponent(m, i * step)) for i in range(euler_phi(n)))
+
+
+@lru_cache(maxsize=None)
+def _demotion(m, n):
+    """(left, den, null): demotion from Q(zeta_n) to Q(zeta_m), m | n.
+
+    With R = `_promotion_rows(m, n)`, a power-basis vector x at n equals
+    c R for some c exactly when null . x = 0 (every row of `null`), and
+    then c = (left . x) / den.  One Gaussian elimination over Fractions of
+    [R^T | I] gives both: R^T has full column rank, so the multiplier E
+    with E R^T = [I; 0] splits into the left inverse (its first phi(m)
+    rows) and the conditions (the rest), each scaled to integers.
+    """
+    rows = _promotion_rows(m, n)
+    phi_m, phi_n = euler_phi(m), euler_phi(n)
+    aug = [
+        [Fraction(rows[i][j]) for i in range(phi_m)]
+        + [Fraction(int(j == k)) for k in range(phi_n)]
+        for j in range(phi_n)
+    ]
+    for col in range(phi_m):
+        piv = next(i for i in range(col, phi_n) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [e * inv for e in aug[col]]
+        for i in range(phi_n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    multiplier = [row[phi_m:] for row in aug]
+    den = lcm(*(e.denominator for row in multiplier[:phi_m] for e in row))
+    left = tuple(tuple(int(e * den) for e in row) for row in multiplier[:phi_m])
+    null = tuple(
+        tuple(int(e * lcm(*(f.denominator for f in row))) for e in row)
+        for row in multiplier[phi_m:]
+    )
+    return left, den, null
 
 
 def _prime_factors(n):
@@ -296,38 +334,11 @@ class Cyclotomic:
             return self.promote(m)
         big = lcm(m, self.n)
         x = self.promote(big)
-        rows = _promotion_rows(m, big)
-        phi_m, phi_big = euler_phi(m), euler_phi(big)
-        # solve sum_i c_i rows[i] = x over Q by Gaussian elimination
-        aug = [
-            [Fraction(rows[i][j]) for i in range(phi_m)] + [Fraction(x.num[j], x.den)]
-            for j in range(phi_big)
-        ]
-        pivots = []
-        r = 0
-        for col in range(phi_m):
-            piv = next((i for i in range(r, phi_big) if aug[i][col]), None)
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = 1 / aug[r][col]
-            aug[r] = [e * inv for e in aug[r]]
-            for i in range(phi_big):
-                if i != r and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-            pivots.append(col)
-            r += 1
-        for i in range(r, phi_big):
-            if aug[i][phi_m]:
+        left, den, null = _demotion(m, big)
+        for row in null:
+            if sum(map(mul, row, x.num)):
                 return None
-        coeffs = [Fraction(0)] * phi_m
-        for row_idx, col in enumerate(pivots):
-            coeffs[col] = aug[row_idx][phi_m]
-        den = 1
-        for c in coeffs:
-            den = lcm(den, c.denominator)
-        return Cyclotomic._make(m, [int(c * den) for c in coeffs], den)
+        return Cyclotomic._make(m, [sum(map(mul, row, x.num)) for row in left], x.den * den)
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):

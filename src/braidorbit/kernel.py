@@ -22,8 +22,11 @@ and `BoundExceeded` is what every search raises past its bound.
 `int_bfs` is the same search over the lines of integer coefficient
 vectors, the one exact search of the package: every image takes the one
 canonical form (`_canon`), whose pivot inverse comes from a
-process-wide memo (`_pivot_inverse`).  A large level applies each
-generator to a chunk of the frontier at a time as one int64 numpy
+process-wide memo (`_pivot_inverse`).  A level is large or small by its
+images, its vectors times the actions (at least 4 per vector): the
+per-item cost is paid per image, the batched step's fixed cost per
+chunk.  A large level applies
+each generator to a chunk of the frontier at a time as one int64 numpy
 product and canonicalizes the images in batch, guarded so that no value
 can reach 2^62; a small level, or a chunk the guard refuses, runs the
 per-item Python-int step, which has no size limit.  Both give the same
@@ -178,7 +181,7 @@ def _pivot_inverse(conductor, key):
 
     The memo is shared by every search of the process.  An orbit meets
     few distinct pivots (238 for the 25920-point n=6 orbit), and a pass
-    of the n=4 tables about 1700, so 4096 holds them all.  s is a tuple
+    of the n=4 tables 1025 in 1820 lookups, so 4096 holds them all.  s is a tuple
     so that no caller can change a cached value.
     """
     s, c = _int_inverse(conductor, key)
@@ -217,9 +220,12 @@ def _canon(w, conductor, phi):
     return tuple(w)
 
 
-# a level whose frontier is smaller runs the per-item step: converting a
-# few vectors to an array costs more than the product saves
-_BATCH_MIN = 64
+# a level with fewer images (frontier vectors times actions, counted as at
+# least 4 per vector) runs the per-item step, which pays about 10-15 us an
+# image where the batched step pays mostly per chunk: 16 vectors under 18
+# actions are batched, and 64 vectors under any number of actions (G25's
+# 3-generator closure still gains from batching them)
+_BATCH_IMAGES = 256
 # a batched level runs in chunks of about this many images, which bounds
 # its arrays' memory
 _CHUNK_IMAGES = 4096
@@ -239,7 +245,8 @@ def int_bfs(start, actions, bound, ring, inverse=None):
     discovery order this keeps: a level's images are scanned by item,
     then by action.
 
-    A level whose frontier has at least `_BATCH_MIN` vectors runs in
+    A level with at least `_BATCH_IMAGES` images (its frontier's vectors
+    times the actions, flagged or not, and at least 4 per vector) runs in
     chunks of consecutive items, each computed by `_Batch` as int64
     arrays if its guard admits it; any other level or chunk runs the
     per-item Python-int step.  The vectors found are the same tuples of
@@ -301,9 +308,9 @@ def int_bfs(start, actions, bound, ring, inverse=None):
         out = batch.distinct_images(found[lo:hi], frontier, skip)
         if out is None:
             return False
-        rows, hashes, labels, acts = out
+        rows, hashes, by_hash, labels, acts = out
         batch.sync(found)
-        pos = batch.lookup(rows, hashes)
+        pos = batch.lookup(rows, hashes, by_hash)
         new = np.flatnonzero(pos < 0)[: bound + 1 - len(found)]
         first = batch.store.append(rows[new])
         found.extend(map(tuple, rows[new].tolist()))
@@ -325,7 +332,7 @@ def int_bfs(start, actions, bound, ring, inverse=None):
         all_batched = True
         for lo in range(mark, end, width):
             hi = min(lo + width, end)
-            if end - mark >= _BATCH_MIN:
+            if (end - mark) * max(count, 4) >= _BATCH_IMAGES:
                 frontier = batch.store.rows(lo, hi) if as_rows else None
                 if batched(lo, hi, frontier):
                     continue
@@ -431,9 +438,13 @@ class RowIndex:
 
     def pairs(self, keys):
         """Every (i, p) with position p filed under keys[i], as two arrays."""
-        # sorted queries search an order of magnitude faster in a large run
-        order = keys.argsort()
-        query = keys[order]
+        # sorted queries search an order of magnitude faster in a large run;
+        # keys that come sorted are not sorted again
+        if (keys[1:] >= keys[:-1]).all():
+            order, query = np.arange(len(keys)), keys
+        else:
+            order = keys.argsort()
+            query = keys[order]
         qi, pos = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
         for run, positions in self.runs:
             lo = run.searchsorted(query)
@@ -463,9 +474,10 @@ class _Batch:
     the vectors `_canon` gives, and it reads the pivot inverses from the
     same memo.
 
-    Each canonical row is hashed once, by `_group_rows`'s random linear
+    Each canonical row is hashed once, by `_row_hashes`'s random linear
     form, and that hash both groups the chunk's equal rows and looks them
-    up among the vectors found.  `store`, a `RowIndex` made by the first
+    up among the vectors found: the grouping sorts the hashes, and the
+    lookup reads that order.  `store`, a `RowIndex` made by the first
     batched level, holds every found vector by discovery position, and
     indexes each that fits int64 under its hash.  A row is found only if
     it equals a stored vector of its hash exactly (`lookup`, `find`).
@@ -475,6 +487,7 @@ class _Batch:
         self.actions = actions
         self.ring = ring
         self.pivots = {}  # primitive pivot -> (S, cap), see `_pivot`
+        self.table = None  # the same, as arrays sorted by hash, see `_pivots`
         self.norm = None  # set by the first batched level
         self.store = None  # the found vectors, a `RowIndex` made by the same
 
@@ -503,9 +516,10 @@ class _Batch:
         `frontier` is `items` as an int64 array, or None when the previous
         level was not batched.  `skip`, if given, holds a flag per (item,
         action) in scan order; a flagged image is not computed.  Returns
-        (rows, hashes, labels, acts): the distinct canonical images in
-        scan order, each the first occurrence of its image, their hashes,
-        and for each computed image its row in `rows` and its action.
+        (rows, hashes, by_hash, labels, acts): the distinct canonical
+        images in scan order, each the first occurrence of its image, their
+        hashes, the order of `rows` that sorts `hashes`, and for each
+        computed image its row in `rows` and its action.
         """
         if self.norm is None:
             self._build()
@@ -528,12 +542,12 @@ class _Batch:
         if images is None:
             return None
         hashes = _row_hashes(images)
-        labels, first = _group_rows(images, hashes)
+        labels, first = _group_rows(images, hashes)  # the classes in hash order
         order = first.argsort()  # the classes in scan order
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         first = first[order]
-        return images[first], hashes[first], rank[labels], acts
+        return images[first], hashes[first], rank, rank[labels], acts
 
     def _pivot(self, key):
         """(S, cap) for multiplication by the inverse of the pivot `key`.
@@ -562,14 +576,49 @@ class _Batch:
         self.pivots[key] = out
         return out
 
+    def _pivots(self, keys):
+        """(S, cap) of `_pivot` for each row of the int64 array `keys`, as arrays.
+
+        `table` holds every pivot met so far, as (hashes, keys, S, caps)
+        sorted by hash, so a chunk finds its pivots with one
+        `searchsorted` and one exact comparison.  A row it does not find (a
+        new pivot, or one whose hash another pivot shares) takes `_pivot`,
+        and new pivots join the table.
+        """
+        hashes = _row_hashes(keys)
+        if self.table is None:
+            miss = np.arange(len(keys))
+            phi = keys.shape[1]
+            mats = np.empty((len(keys), phi, phi), dtype=np.int64)
+            caps = np.empty(len(keys), dtype=np.int64)
+        else:
+            table_hashes, table_keys, table_mats, table_caps = self.table
+            at = table_hashes.searchsorted(hashes).clip(max=len(table_hashes) - 1)
+            miss = np.flatnonzero((table_keys[at] != keys).any(axis=1))
+            mats, caps = table_mats[at], table_caps[at]
+        if len(miss):
+            new = {}  # each pivot new to `pivots` -> its first row
+            for r, key in zip(miss.tolist(), map(tuple, keys[miss].tolist())):
+                if key not in self.pivots:
+                    new[key] = r
+                mats[r], caps[r] = self._pivot(key)
+            if new:
+                first = np.array(list(new.values()))
+                parts = hashes[first], keys[first], mats[first], caps[first]
+                if self.table is not None:
+                    parts = [np.concatenate(pair) for pair in zip(self.table, parts)]
+                order = parts[0].argsort()
+                self.table = [part[order] for part in parts]
+        return mats, caps
+
     def canon(self, w):
         """`_canon` of every row of the int64 array `w`, or None if refused.
 
         Each row whose first nonzero block is not an integer has its blocks
-        multiplied by the S of its primitive pivot (`_pivot`, once per
-        distinct pivot), which turns the pivot block into c * g and leaves
-        the blocks before it zero.  Then each row gets a positive leading
-        coordinate and is divided by its gcd.
+        multiplied by the S of its primitive pivot (`_pivots`), which turns
+        the pivot block into c * g and leaves the blocks before it zero.
+        Then each row gets a positive leading coordinate and is divided by
+        its gcd.
         """
         conductor, phi = self.ring
         n, size = w.shape
@@ -581,14 +630,12 @@ class _Batch:
             hard = np.flatnonzero(pivots[:, 1:].any(axis=1))
             if len(hard):
                 p = pivots[hard]
-                keys = p // _row_gcds(p)[:, None]
-                labels, first = _group_rows(keys)
-                mats, caps = zip(*(self._pivot(tuple(k)) for k in keys[first].tolist()))
+                mats, caps = self._pivots(p // _row_gcds(p)[:, None])
                 # the whole chunk within every cap admits it without a per-row test
-                if max(int(w.max()), -int(w.min())) > min(caps):
-                    if (np.abs(w[hard]).max(axis=1) > np.array(caps)[labels]).any():
+                if max(int(w.max()), -int(w.min())) > caps.min():
+                    if (np.abs(w[hard]).max(axis=1) > caps).any():
                         return None
-                blocks[hard] = blocks[hard] @ np.array(mats)[labels]
+                blocks[hard] = blocks[hard] @ mats
         lead_coeff = w[rows, lead * phi]
         w[lead_coeff < 0] *= -1
         g = _row_gcds(w)
@@ -614,20 +661,20 @@ class _Batch:
         first = self.store.append(rows)
         self.store.index(_row_hashes(rows)[fits], np.arange(first, len(self.store))[fits])
 
-    def lookup(self, rows, hashes):
+    def lookup(self, rows, hashes, by_hash):
         """The position of each of `rows` among the stored vectors, or -1.
 
-        One row of each hash is compared with every stored vector of that
-        hash.  The other rows of a hash (unequal rows whose hashes collide)
-        are looked up as exact tuples in a dict of those stored vectors, so
-        the work stays linear even when every hash is the same.
+        `by_hash` is the order of `rows` that sorts `hashes`.  One row of
+        each hash is compared with every stored vector of that hash.  The
+        other rows of a hash (unequal rows whose hashes collide) are looked
+        up as exact tuples in a dict of those stored vectors, so the work
+        stays linear even when every hash is the same.
         """
         pos = np.full(len(rows), -1, dtype=np.intp)
-        order = hashes.argsort()
-        query = hashes[order]
+        query = hashes[by_hash]
         first = np.ones(len(rows), dtype=bool)  # the first row of each hash
         first[1:] = query[1:] != query[:-1]
-        keys, order = query[first], order[first]
+        keys, order = query[first], by_hash[first]
         k, q = self.store.pairs(keys)
         r = order[k]
         same = (self.store.rows_at(q) == rows[r]).all(axis=1)
@@ -672,19 +719,23 @@ def _row_hashes(rows):
     return h.view(np.int64)
 
 
-def _group_rows(rows, hashes=None):
-    """Exact classes of equal rows of a 2-D int64 array.
+def _group_rows(rows, hashes):
+    """Exact classes of equal rows of a 2-D int64 array, in the order of
+    their hashes.
 
     Returns (labels, first): the class of each row and the index of each
-    class's first row.  Rows are grouped by `np.unique` on their hashes
-    (`_row_hashes`, or `hashes` if given); a collision, caught by
-    comparing every row with its class's first row, regroups the rows
-    exactly on their tuples.
+    class's first row; hashes[first] is sorted.  Rows are grouped on their
+    sorted `hashes` (`_row_hashes`); a collision, caught by comparing every
+    row with its class's first row, regroups the rows exactly on their
+    tuples.
     """
-    if hashes is None:
-        hashes = _row_hashes(rows)
-    _, first, labels = np.unique(hashes, return_index=True, return_inverse=True)
-    labels = labels.reshape(-1)
+    order = hashes.argsort()
+    ordered = hashes[order]
+    edge = np.ones(len(rows), dtype=bool)  # the first row of each hash, in `order`
+    np.not_equal(ordered[1:], ordered[:-1], out=edge[1:])
+    labels = np.empty(len(rows), dtype=np.intp)
+    labels[order] = edge.cumsum() - 1
+    first = np.minimum.reduceat(order, np.flatnonzero(edge)) if len(rows) else order
     if (rows == rows[first[labels]]).all():
         return labels, first
     classes = {}
@@ -692,7 +743,11 @@ def _group_rows(rows, hashes=None):
     first = {}
     for i, label in enumerate(labels):
         first.setdefault(label, i)
-    return np.array(labels, dtype=np.intp), np.array(list(first.values()), dtype=np.intp)
+    first = np.array(list(first.values()), dtype=np.intp)
+    by_hash = np.lexsort((first, hashes[first]))  # colliding classes by first row
+    rank = np.empty_like(by_hash)
+    rank[by_hash] = np.arange(len(by_hash))
+    return rank[labels], first[by_hash]
 
 
 def line_vector(values, conductor):

@@ -314,6 +314,8 @@ def test_module_entry_point_runs_from_a_checkout(capsys, tmp_path):
         ["classify4", "--lambda", "z12,z12^5,z12^3,z12^3"],
         ["orbit", "--lambda", "z12,z12^5,z12^3,z12^3", "--tau", "z12^3,0,0"],
         ["tables", "--which", "1"],
+        ["tables", "--which", "2"],
+        ["tables", "--which", "3"],
     ],
 )
 def test_small_commands_never_import_numpy(tmp_path, argv):

@@ -424,6 +424,57 @@ def test_hashing_renders_no_error_message(monkeypatch):
     assert rendered == [values[0]]
 
 
+def _fit_by_elimination(x, m):
+    """x at conductor m, m | x.n, by one Gaussian elimination over Fractions
+    on the promotion rows, or None where x is not in Q(zeta_m)."""
+    basis = [Cyclotomic._make(m, _reduce_exponent(m, i), 1) for i in range(euler_phi(m))]
+    rows = [z.promote(x.n).num for z in basis]
+    aug = [
+        [Fraction(row[j]) for row in rows] + [Fraction(x.num[j], x.den)]
+        for j in range(euler_phi(x.n))
+    ]
+    r = 0
+    pivots = []
+    for col in range(len(rows)):
+        piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [e / aug[r][col] for e in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col]:
+                aug[i] = [a - aug[i][col] * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+    if any(row[-1] for row in aug[r:]):
+        return None
+    coeffs = [Fraction(0)] * len(rows)
+    for i, col in enumerate(pivots):
+        coeffs[col] = aug[i][-1]
+    den = lcm(*(c.denominator for c in coeffs))
+    return Cyclotomic._make(m, [int(c * den) for c in coeffs], den)
+
+
+@pytest.mark.parametrize("m, n", [(3, 6), (4, 12), (5, 15), (12, 60), (15, 60)])
+def test_memoized_demotion_matches_an_elimination(m, n):
+    # half the values lie in Q(zeta_m) (promoted from m), half are drawn at n
+    rng = random.Random(m * 1000 + n)
+    for k in range(40):
+        at = m if k % 2 == 0 else n
+        num = [rng.randint(-9, 9) for _ in range(euler_phi(at))]
+        x = Cyclotomic._make(at, num, rng.randint(1, 7)).promote(n)
+        want = _fit_by_elimination(x, m)
+        got = x._fit(m)
+        if want is None:
+            assert got is None
+        else:
+            assert (got.n, tuple(got.num), got.den) == (want.n, tuple(want.num), want.den)
+    # both outcomes occur wherever Q(zeta_m) is smaller than Q(zeta_n)
+    if euler_phi(m) < euler_phi(n):
+        x = zeta(n, 1)
+        assert x._fit(m) is None and _fit_by_elimination(x, m) is None
+
+
 def test_galois_and_conj():
     x = zeta(12, 1) + 2
     assert x.conj() == zeta(12, 11) + 2

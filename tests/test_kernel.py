@@ -228,16 +228,18 @@ def test_one_bound_exceeded_class():
 
 # ---- the batched integer search against its per-item step --------------------
 #
-# `int_bfs` batches a level only if its frontier has at least `_BATCH_MIN`
-# vectors; setting that constant to 1 batches every level and setting it
-# past any level size runs the per-item Python-int step everywhere.  Both
-# must give the same vectors in the same order.
+# `int_bfs` batches a level only if it has at least `_BATCH_IMAGES` images
+# (frontier vectors times actions, at least 4 per vector); setting that constant to 1 batches every
+# level and setting it past any level's images runs the per-item Python-int
+# step everywhere.  A split in vectors is written as vectors times the
+# search's action count: 20 for `_n6_orbit`, 10 for `_n5_generic_orbit`.
+# Both steps must give the same vectors in the same order.
 
 
 def _batched_and_per_item(monkeypatch, search):
-    monkeypatch.setattr(kernel, "_BATCH_MIN", 1)
+    monkeypatch.setattr(kernel, "_BATCH_IMAGES", 1)
     batched = search()
-    monkeypatch.setattr(kernel, "_BATCH_MIN", 1 << 62)
+    monkeypatch.setattr(kernel, "_BATCH_IMAGES", 1 << 62)
     per_item = search()
     return batched, per_item
 
@@ -361,10 +363,27 @@ def test_hash_collisions_regroup_exactly(monkeypatch):
     assert batched == per_item
 
 
+def test_partial_hash_collisions_regroup_exactly(monkeypatch):
+    # hashing the last coordinate alone, some unequal rows and pivots
+    # collide and others do not, in a chunk's grouping, in its lookup and
+    # in the table of pivots
+    def last_only(width):
+        return np.array([0] * (width - 1) + [1], dtype=np.uint64)
+
+    monkeypatch.setattr(kernel, "_hash_weights", last_only)
+    cls, lp = _n6_class()
+    gens = reduced_generators(lp)
+    batched, per_item = _batched_and_per_item(
+        monkeypatch, lambda: kernel.int_line_orbit(gens, cls.coords, 6000, 6)
+    )
+    assert len(batched[2]) == 2880
+    assert batched == per_item
+
+
 def test_action_too_large_for_int64_runs_per_item(monkeypatch):
     # the scalar 2^70 I fixes every line, but cannot be stacked into an
     # int64 matrix: every level, though batched by size, runs per item
-    monkeypatch.setattr(kernel, "_BATCH_MIN", 1)
+    monkeypatch.setattr(kernel, "_BATCH_IMAGES", 1)
     refused = []
     distinct_images = kernel._Batch.distinct_images
 
@@ -570,13 +589,39 @@ def test_inverse_skip_keeps_the_conductor60_table3_orbit(monkeypatch):
 def test_inverse_skip_keeps_the_conductor60_table3_orbit_batched(monkeypatch):
     # every level batched, under actions of order above 3, whose inverses
     # are not their squares: a flag set on the wrong action shows here
-    monkeypatch.setattr(kernel, "_BATCH_MIN", 1)
+    monkeypatch.setattr(kernel, "_BATCH_IMAGES", 1)
     pairs = _searches_with_and_without_inverse(
         monkeypatch, lambda: orbit(ProjClass(4, (cyc(1), cyc(2))), _table3_conductor60())
     )
     ((kind, found, *_), _), = pairs
     assert (kind, len(found)) == ("found", 60)
     _assert_same_with_fewer_images(pairs, per_item=False, batched=True)
+
+
+def test_default_split_counts_images(monkeypatch):
+    # a level is batched by its images, frontier vectors times actions
+    # and at least 4 per vector: under `orbit`'s 18 actions the n=6
+    # class's level of 16 vectors (288 images) is the first batched chunk,
+    # the 4-action conductor-60 Table-3 orbit, whose levels hold fewer
+    # than 64 vectors, runs none, and G25's 3-generator orbit of 648
+    # vectors batches its levels from 64 vectors, the one of 65 first
+    batched = []
+    distinct_images = kernel._Batch.distinct_images
+
+    def spy(self, items, frontier, skip=None):
+        batched.append(len(items))
+        return distinct_images(self, items, frontier, skip)
+
+    monkeypatch.setattr(kernel._Batch, "distinct_images", spy)
+    cls, lp = _n6_class()
+    assert len(charvar.braid_action(lp).inverse) == 18
+    assert orbit(cls, lp, bound=6000).size == 2880
+    assert batched[0] == 16
+    batched.clear()
+    assert orbit(ProjClass(4, (cyc(1), cyc(2))), _table3_conductor60()).size == 60
+    assert batched == []
+    assert len(_regular_orbit(reflgrp.g25_generators(), (1, 2, 3), 1000)[2]) == 648
+    assert batched == [65, 107, 152, 158, 74]
 
 
 def _n5_generic_orbit(bound):
@@ -587,9 +632,9 @@ def _n5_generic_orbit(bound):
     return orbit(cls, rep.linear, bound=bound)
 
 
-@pytest.mark.parametrize("batch_min", [64, 1 << 62], ids=["mixed-levels", "per-item"])
-def test_inverse_skip_keeps_the_n5_orbit(monkeypatch, batch_min):
-    monkeypatch.setattr(kernel, "_BATCH_MIN", batch_min)
+@pytest.mark.parametrize("batch_images", [64 * 10, 1 << 62], ids=["mixed-levels", "per-item"])
+def test_inverse_skip_keeps_the_n5_orbit(monkeypatch, batch_images):
+    monkeypatch.setattr(kernel, "_BATCH_IMAGES", batch_images)
     pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n5_generic_orbit(1000))
     ((kind, found, *_), _), = pairs
     assert (kind, len(found)) == ("found", 216)
@@ -615,7 +660,7 @@ def test_inverse_skip_keeps_an_orbit_with_fixed_points(monkeypatch):
 
 
 def test_inverse_skip_keeps_a_cut_inside_a_per_item_level(monkeypatch):
-    monkeypatch.setattr(kernel, "_BATCH_MIN", 1 << 62)
+    monkeypatch.setattr(kernel, "_BATCH_IMAGES", 1 << 62)
     pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n5_generic_orbit(100))
     ((kind, found, *_), _), = pairs
     assert (kind, len(found)) == ("exceeded", 101)
@@ -646,18 +691,18 @@ def _n6_orbit(bound):
 
 def _n6_per_item(monkeypatch, bound):
     """The n=6 search's vectors after the start, by the per-item step alone."""
-    monkeypatch.setattr(kernel, "_BATCH_MIN", 1 << 62)
+    monkeypatch.setattr(kernel, "_BATCH_IMAGES", 1 << 62)
     return _n6_orbit(bound)
 
 
-@pytest.mark.parametrize("batch_min", [64, 1], ids=["mixed-levels", "batched"])
-def test_inverse_skip_keeps_the_n6_orbit(monkeypatch, batch_min):
+@pytest.mark.parametrize("batch_images", [64 * 20, 1], ids=["mixed-levels", "batched"])
+def test_inverse_skip_keeps_the_n6_orbit(monkeypatch, batch_images):
     want = _n6_per_item(monkeypatch, 6000)
-    monkeypatch.setattr(kernel, "_BATCH_MIN", batch_min)
+    monkeypatch.setattr(kernel, "_BATCH_IMAGES", batch_images)
     pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n6_orbit(6000))
     ((kind, found, *_), _), = pairs
     assert kind == "found" and found[1:] == want and len(found) == 2880
-    _assert_same_with_fewer_images(pairs, per_item=batch_min > 1, batched=True)
+    _assert_same_with_fewer_images(pairs, per_item=batch_images > 1, batched=True)
 
 
 @pytest.mark.parametrize("bound", [1000, 2000])
@@ -665,7 +710,7 @@ def test_inverse_skip_keeps_a_cut_inside_a_batched_chunk(monkeypatch, bound):
     # the (bound+1)-th vector is found by a batched chunk that drops rows:
     # the one chunk of level 2, or the second of the five of level 3
     want = _n6_per_item(monkeypatch, bound)
-    monkeypatch.setattr(kernel, "_BATCH_MIN", 64)
+    monkeypatch.setattr(kernel, "_BATCH_IMAGES", 64 * 20)
     dropped = []  # flagged rows of each chunk of the paired search
     distinct_images = kernel._Batch.distinct_images
 
@@ -683,10 +728,10 @@ def test_inverse_skip_keeps_a_cut_inside_a_batched_chunk(monkeypatch, bound):
 
 
 def test_inverse_skip_keeps_per_item_batched_per_item_levels(monkeypatch):
-    # at _BATCH_MIN 200 the levels of 1, 18, 170 and the last of 181 points
+    # at 200 vectors the levels of 1, 18, 170 and the last of 181 points
     # run per item, those of 918 and 1592 points batched
     want = _n6_per_item(monkeypatch, 6000)
-    monkeypatch.setattr(kernel, "_BATCH_MIN", 200)
+    monkeypatch.setattr(kernel, "_BATCH_IMAGES", 200 * 20)
     pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n6_orbit(6000))
     ((kind, found, *_), (_, _, calls0, rows0)), = pairs
     assert kind == "found" and found[1:] == want
@@ -701,7 +746,7 @@ def test_inverse_skip_keeps_the_n6_orbit_when_every_hash_collides(monkeypatch):
     # every stored vector
     want = _n6_per_item(monkeypatch, 6000)
     monkeypatch.setattr(kernel, "_hash_weights", lambda width: np.zeros(width, dtype=np.uint64))
-    monkeypatch.setattr(kernel, "_BATCH_MIN", 64)
+    monkeypatch.setattr(kernel, "_BATCH_IMAGES", 64 * 20)
     pairs = _searches_with_and_without_inverse(monkeypatch, lambda: _n6_orbit(6000))
     ((kind, found, *_), _), = pairs
     assert kind == "found" and found[1:] == want
@@ -711,10 +756,10 @@ def test_inverse_skip_keeps_the_n6_orbit_when_every_hash_collides(monkeypatch):
 def test_per_item_lookups_when_every_hash_collides(monkeypatch):
     # the n=5 orbit's last level of 5 points runs per item after two
     # batched levels: each of its images meets every stored vector's hash
-    monkeypatch.setattr(kernel, "_BATCH_MIN", 1 << 62)
+    monkeypatch.setattr(kernel, "_BATCH_IMAGES", 1 << 62)
     want = _n5_generic_orbit(1000).vectors
     monkeypatch.setattr(kernel, "_hash_weights", lambda width: np.zeros(width, dtype=np.uint64))
-    monkeypatch.setattr(kernel, "_BATCH_MIN", 64)
+    monkeypatch.setattr(kernel, "_BATCH_IMAGES", 64 * 10)
     lookups = []
     find = kernel._Batch.find
 

@@ -306,6 +306,9 @@ def exp_residue_reflection(c_mat, trace_fraction):
 
 # ---- numeric monodromy --------------------------------------------------------
 
+# monodromy_numeric circles each pole at this fraction of its distance to
+# the nearest other pole or the base point
+_RADIUS_FACTOR = 0.4
 # monodromy_numeric steps at most this many subintervals at once, which
 # bounds the memory of the stage arrays
 _STEP_BATCH = 64
@@ -473,13 +476,13 @@ def corollary_connection(rank, s_points, sign=+1):
     return poles, mats
 
 
-def monodromy_numeric(poles, residues, base=None, local_tol=1e-12, radius_factor=0.4):
+def monodromy_numeric(poles, residues, base=None, local_tol=1e-12):
     """Monodromy matrices along counterclockwise loops around each pole.
 
     The connection is dZ = (sum_p A_p / (x - p)) dx Z.  Loops run from
     the base point straight toward the pole, once around the circle of
-    radius radius_factor * (distance to nearest other pole), and back.
-    Returns one matrix per pole, in the order given.
+    radius _RADIUS_FACTOR * (distance to the nearest other pole or base
+    point), and back.  Returns one matrix per pole, in the order given.
 
     Each loop is three pieces: the segment base -> entry, the circle and
     the segment entry -> base.  Every piece of every loop is parametrized
@@ -562,7 +565,7 @@ def monodromy_numeric(poles, residues, base=None, local_tol=1e-12, radius_factor
     slope = np.zeros(3 * k, dtype=complex)
     swing = np.zeros(3 * k, dtype=complex)
     for i, p in enumerate(poles):
-        r = radius_factor * min(gaps[i], abs(base - p))
+        r = _RADIUS_FACTOR * min(gaps[i], abs(base - p))
         u = (base - p) / abs(base - p)
         entry = p + r * u
         for j, q in enumerate(poles):
@@ -712,8 +715,8 @@ def _cell_keys(x, y):
 
 
 def _cell_key(x, y):
-    """`_cell_keys` of the one cell whose rounded coordinates are the ints
-    x and y, without array calls."""
+    """`_cell_keys` of the one cell whose rounded coordinates are x and y
+    (from `_rint`), without array calls."""
     x, y = _FLOAT_BITS.unpack(_FLOATS.pack(x, y))
     key = x ^ ((y << 32 | y >> 32) & 0xFFFFFFFFFFFFFFFF)
     return key - (1 << 64) if key >> 63 else key
@@ -721,6 +724,14 @@ def _cell_key(x, y):
 
 _FLOATS = struct.Struct("<dd")
 _FLOAT_BITS = struct.Struct("<QQ")
+
+
+def _rint(x):
+    """The float x rounded half to even, as by np.rint; +-inf stays."""
+    try:
+        return round(x)
+    except OverflowError:
+        return x
 
 
 def _level_products(gens, items):
@@ -752,31 +763,37 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
 
     A level is matched in chunks of about _CLOSURE_CHUNK products.  The
     elements are stored in one `kernel.RowIndex`, each as the row vec(m)
-    followed by its v, and filed under the keys of their storage cells.
-    A chunk of fewer than _THIN_CHUNK products is inserted one product at
-    a time, through the index and a dict of the cells that it and the
-    thin chunks since the last larger one stored, which holds each of
-    their elements with its v; a candidate 3*tol or more away in v is
-    skipped there, as it is at least that far away in max-norm.  Once the
-    dict holds _THIN_CELLS cells, it is moved into the index, which
-    bounds its memory.  A larger chunk first moves the dict into the
-    index, and is matched with array operations.  First each of its
-    products gets its nearest distance to the elements stored before the
-    chunk; those below tol are matched.  The rest are then compared with
-    the earlier products of the chunk that share a cell.  If no such
-    distance, and no nearest distance of the rest, lies in [tol, 2*tol),
-    "within tol" is an equivalence relation on the rest: a-b and b-c below
-    tol put a-c below 2*tol, so a and c share a cell and a-c is below tol.
-    The one-by-one result is then the first product of each class.
-    Otherwise the chunk is decided one product at a time from the
-    distances already computed, a product matching an earlier one only
-    if that one was inserted; this raises AmbiguousMatch exactly where
-    the one-by-one insertion would, and stops at the (bound+1)-th
-    insertion, so that no ambiguity past it is raised.  Every distance is
-    taken over the matrix entries.
+    followed by its v, and filed under the int64 keys of their storage
+    cells.  A chunk of fewer than _THIN_CHUNK products goes to `thin`,
+    which inserts one product at a time through the index and a dict of
+    the cells stored since the last fold; it skips a candidate 3*tol or
+    more away in v, as it is at least that far away in max-norm.  The
+    dict is folded into the index once it holds _THIN_CELLS cells, which
+    bounds its memory, and before every larger chunk.  A larger chunk
+    goes to `wide`, which matches it with array operations.  First each
+    of its products gets its nearest distance to the elements stored
+    before the chunk; those below tol are matched.  The rest are then
+    compared with the earlier products of the chunk that share a cell.
+    If no such distance, and no nearest distance of the rest, lies in
+    [tol, 2*tol), "within tol" is an equivalence relation on the rest:
+    a-b and b-c below tol put a-c below 2*tol, so a and c share a cell
+    and a-c is below tol.  The one-by-one result is then the first
+    product of each class.  Otherwise the chunk holds a near miss and
+    goes to `thin` whole: nothing of it is stored yet, so `thin` raises
+    AmbiguousMatch exactly where the one-by-one insertion would, and
+    stops at the (bound+1)-th insertion, so that no ambiguity past it is
+    raised.  `thin` hands no chunk back.  Every distance is taken over
+    the matrix entries.
 
-    A product that is no longer finite raises OverflowError: a finite
-    group has bounded entries.
+    Each path is there for the chunks on which the other is slow (2-core
+    VM, Python 3.11, two sessions): with `thin` alone the 648-element
+    rank-3 monodromy closure took 9-18 ms and the 155520-element rank-4
+    one 6.9-8.0 s, against 3-5 ms and 0.73-0.80 s; with `wide` alone the
+    20000-element cyclic closure, one product a level, took 4.1-4.3 s
+    against 0.34-0.5 s.
+
+    A product that is no longer finite raises OverflowError, checked as
+    each chunk is dispatched: a finite group has bounded entries.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if not mats:
@@ -802,7 +819,7 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
     w /= np.abs(w).sum()
     reach = 3 * tol  # the storage reach
     store = RowIndex()  # vec(m), then v, of each element; filed under its storage cells
-    recent = {}  # storage cell -> (element, v), for the latest thin chunks
+    recent = {}  # storage cell key -> elements, for the latest thin chunks
 
     def storage_keys(v):
         """Keys of the cells within 3*tol of each v, with its position."""
@@ -814,85 +831,44 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
         distinct = np.stack([np.ones_like(two_x), two_y, two_x, two_x & two_y], axis=1)
         return corners.reshape(-1, 4)[distinct], distinct.nonzero()[0]
 
-    def is_new(near):
-        """Whether a product whose nearest element is `near` away is new."""
-        if near < tol:
-            return False
-        if near < 2 * tol:
-            raise AmbiguousMatch(f"element at distance {near:.2e} is between tol and 2 tol")
-        return True
-
     def fold():
         """Move the cells of `recent` into the index."""
-        cells = np.array([k for k, js in recent.items() for _ in js], float)
-        elements = np.array([j for js in recent.values() for j, _ in js], np.int64)
-        store.index(_cell_keys(cells[:, 0], cells[:, 1]), elements)
+        keys = np.array([k for k, js in recent.items() for _ in js], np.int64)
+        elements = np.array([j for js in recent.values() for j in js], np.int64)
+        store.index(keys, elements)
         recent.clear()
 
     def thin(prods, v):
-        """Insert a few products one at a time, as a dict-indexed closure
-        does; their cells go into `recent`."""
-        z = v.tolist()
-        # a v that is not finite, or whose cell overflows, is left to wide
-        if not all(abs(c) < 1e300 for c in z):
-            return wide(prods, v)
+        """Insert products one at a time, as a dict-indexed closure does;
+        their cells go into `recent`."""
         rows = np.concatenate([prods, v[:, None]], axis=1)
-        for i, c in enumerate(z):
-            look = (round(c.real / grid), round(c.imag / grid))
+        for i, c in enumerate(v.tolist()):
+            look = _cell_key(_rint(c.real / grid), _rint(c.imag / grid))
             near = np.inf
             # v moves no more than the matrix does, so an element 3*tol or
             # more away in v decides nothing, rounding included
-            for j, u in recent.get(look, ()):
-                if abs(u - c) < reach:
-                    near = min(near, np.abs(store.row(j)[:-1] - prods[i]).max())
-            if store.runs:
-                for j in store.positions(_cell_key(*look)):
-                    row = store.row(j)
-                    if abs(row[-1] - c) < reach:
-                        near = min(near, np.abs(row[:-1] - prods[i]).max())
-            if not is_new(near):
+            for j in recent.get(look, []) + store.positions(look):
+                row = store.row(j)
+                if abs(row[-1] - c) < reach:
+                    near = min(near, np.abs(row[:-1] - prods[i]).max())
+            if near < tol:
                 continue
+            if near < 2 * tol:
+                raise AmbiguousMatch(f"element at distance {near:.2e} is between tol and 2 tol")
             j = store.append(rows[i : i + 1])
-            xs = {round((c.real - reach) / grid), round((c.real + reach) / grid)}
-            ys = {round((c.imag - reach) / grid), round((c.imag + reach) / grid)}
+            xs = {_rint((c.real - reach) / grid), _rint((c.real + reach) / grid)}
+            ys = {_rint((c.imag - reach) / grid), _rint((c.imag + reach) / grid)}
             for x in xs:
                 for y in ys:
-                    recent.setdefault((x, y), []).append((j, c))
+                    recent.setdefault(_cell_key(x, y), []).append(j)
             if j >= bound:
                 return
         if len(recent) >= _THIN_CELLS:
             fold()
 
-    def one_by_one(best, pj, pk, pd):
-        """Positions of the products to insert, deciding each in turn.
-
-        `best` is each product's nearest distance to the elements stored
-        before the chunk; product pk[i] may also match pj[i] < pk[i] at
-        distance pd[i], once pj[i] is inserted."""
-        earlier = {}
-        for j, k, d in zip(pj.tolist(), pk.tolist(), pd.tolist()):
-            earlier.setdefault(k, []).append((j, d))
-        inserted = [False] * len(best)
-        new = []
-        for k, near in enumerate(best.tolist()):
-            for j, d in earlier.get(k, ()):
-                if inserted[j] and d < near:
-                    near = d
-            if not is_new(near):
-                continue
-            inserted[k] = True
-            new.append(k)
-            if len(store) + len(new) > bound:
-                break
-        return np.array(new, dtype=np.int64)
-
     def wide(prods, v):
-        """Insert the new products of one chunk, with array operations."""
-        if not np.isfinite(v).all():
-            raise OverflowError(
-                f"a product is no longer finite after {len(store)} elements: "
-                "the group is not finite"
-            )
+        """Insert the new products of one chunk, with array operations, or
+        hand the chunk to `thin` if it holds a near miss."""
         if recent:
             fold()
         look = _cell_keys(v.real / grid, v.imag / grid)
@@ -903,27 +879,23 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
         rest = np.flatnonzero(best >= tol)
         if not len(rest):
             return
-        best, prods, look = best[rest], prods[rest], look[rest]
         # earlier products of the chunk that share a cell
         rest_keys, rest_own = storage_keys(v[rest])
         cells = RowIndex()
         cells.index(rest_keys, rest_own)
-        pk, pj = cells.pairs(look)
+        pk, pj = cells.pairs(look[rest])
         later = pj < pk
         pj, pk = pj[later], pk[later]
-        pd = np.abs(prods[pj] - prods[pk]).max(axis=1)
-        if best.min() < 2 * tol or ((pd >= tol) & (pd < 2 * tol)).any():
-            new = one_by_one(best, pj, pk, pd)
-        else:
-            # "within tol" is an equivalence: insert the first of each class
-            lead = np.ones(len(rest), bool)
-            lead[pk[pd < tol]] = False
-            new = lead.nonzero()[0]
-        first = store.append(np.concatenate([prods[new], v[rest[new], None]], axis=1))
-        rank = np.full(len(rest), -1)
-        rank[new] = np.arange(len(new))
-        rank = rank[rest_own]
-        store.index(rest_keys[rank >= 0], rank[rank >= 0] + first)
+        pd = np.abs(prods[rest[pj]] - prods[rest[pk]]).max(axis=1)
+        if best[rest].min() < 2 * tol or ((pd >= tol) & (pd < 2 * tol)).any():
+            return thin(prods, v)
+        # "within tol" is an equivalence: insert the first of each class
+        lead = np.ones(len(rest), bool)
+        lead[pk[pd < tol]] = False
+        new = rest[lead]
+        first = store.append(np.concatenate([prods[new], v[new, None]], axis=1))
+        keep = lead[rest_own]
+        store.index(rest_keys[keep], (np.cumsum(lead) - 1 + first)[rest_own[keep]])
 
     per_chunk = max(1, _CLOSURE_CHUNK // len(gens))
     # a product that overflows is caught as not finite, without a warning
@@ -935,7 +907,13 @@ def numeric_closure(mats, tol=1e-6, bound=200_000):
             for a in range(start, end, per_chunk):
                 items = store.rows(a, min(a + per_chunk, end))[:, :-1]
                 prods = _level_products(gens, items.reshape(-1, dim, dim))
-                (thin if len(prods) < _THIN_CHUNK else wide)(prods, prods @ w)
+                v = prods @ w
+                if not np.isfinite(v).all():
+                    raise OverflowError(
+                        f"a product is no longer finite after {len(store)} elements: "
+                        "the group is not finite"
+                    )
+                (thin if len(prods) < _THIN_CHUNK else wide)(prods, v)
                 if len(store) > bound:
                     # views of the stored rows, not one copy of them all
                     found = []

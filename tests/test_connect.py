@@ -657,6 +657,15 @@ def test_cell_key_of_one_cell_matches_cell_keys():
         for y in xs:
             want = connect._cell_keys(np.array([x]), np.array([y]))[0]
             assert connect._cell_key(round(x), round(y)) == want
+    # the rounded coordinates that the one-at-a-time path passes, cells
+    # past the float range included; -0.3 rounds to -0.0
+    inf = float("inf")
+    xs += [inf, -inf, 0.5, 1.5, -1.5, 2.0**52 + 1, -(2.0**53) - 2]
+    for x in xs:
+        for y in xs:
+            want = connect._cell_keys(np.array([x]), np.array([y]))[0]
+            assert connect._cell_key(connect._rint(x), connect._rint(y)) == want
+            assert connect._cell_key(round(x, 0) + 0.0, round(y, 0) + 0.0) == want
 
 
 @pytest.mark.parametrize(
@@ -677,6 +686,18 @@ def test_thin_cells_moved_into_runs_match_sequential_insertion(monkeypatch, name
     want = _sequential_outcome(name, bound)
     assert want[0] == kind
     assert _outcome(numeric_closure, _closure_case(name), bound) == want
+
+
+@pytest.mark.parametrize("thin", [connect._THIN_CHUNK, 0], ids=["mixed", "wide"])
+def test_near_miss_beside_a_cell_past_the_float_range_is_ambiguous(monkeypatch, thin):
+    # the first level's v of diag(1e306, 1) lies past the float range in
+    # grid steps, and diag(1, 1 + 1.5e-6) is 1.5 tol from I; whichever
+    # path takes the chunk, the near miss is raised, with no hand-back
+    # between the paths; the sequential reference cannot round that cell
+    monkeypatch.setattr(connect, "_THIN_CHUNK", thin)
+    mats = [np.diag([1e306, 1]), np.diag([1, 1 + 1.5e-6])]
+    with pytest.raises(AmbiguousMatch):
+        numeric_closure(mats, tol=1e-6, bound=100)
 
 
 def test_one_generator_closure_memory_is_bounded():

@@ -1,14 +1,16 @@
 """The benchmark reaches into braidorbit by name: those names must resolve.
 
 `perfbench/spans.py` wraps the functions and methods it lists for the
-traced run (`--trace 1`), and `perfbench/workloads.py` calls kernel and
-reflgrp functions directly.  A rename inside the package would otherwise
-only show when the benchmark runs.
+traced run (`--trace 1`), and `perfbench/workloads.py` calls charvar,
+classify, connect, kernel and reflgrp functions directly, some with
+keywords.  A rename inside the package would otherwise only show when
+the benchmark runs.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from braidorbit import reflgrp
@@ -37,17 +39,46 @@ def _workloads():
     return ast.parse((PERFBENCH / "workloads.py").read_text())
 
 
+# the braidorbit modules that the workloads import and call by name
+WORKLOAD_MODULES = ("charvar", "classify", "connect", "kernel", "reflgrp")
+
+
 def test_workload_names_resolve():
+    tree = _workloads()
     names = {
         (node.value.id, node.attr)
-        for node in ast.walk(_workloads())
+        for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
-        and node.value.id in ("kernel", "reflgrp")
+        and node.value.id in WORKLOAD_MODULES
     }
-    assert ("kernel", "line_orbit") in names and ("reflgrp", "stratify") in names
+    assert {
+        ("kernel", "line_orbit"),
+        ("reflgrp", "stratify"),
+        ("charvar", "orbit"),
+        ("classify", "table_rows"),
+        ("connect", "numeric_closure"),
+    } <= names
     for modname, attr in sorted(names):
         assert hasattr(importlib.import_module(f"braidorbit.{modname}"), attr), (modname, attr)
+    # every keyword a workload passes is a parameter of what it calls
+    keywords = {
+        (node.func.value.id, node.func.attr, kw.arg)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in WORKLOAD_MODULES
+        for kw in node.keywords
+    }
+    assert {
+        ("connect", "monodromy_numeric", "local_tol"),
+        ("connect", "numeric_closure", "tol"),
+        ("connect", "numeric_closure", "bound"),
+    } <= keywords
+    for modname, attr, kw in sorted(keywords):
+        func = getattr(importlib.import_module(f"braidorbit.{modname}"), attr)
+        assert kw in inspect.signature(func).parameters, (modname, attr, kw)
 
 
 # the names under which the workloads hold a reflgrp.ReflGroup
